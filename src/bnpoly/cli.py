@@ -74,11 +74,33 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load_json_arg(text: str) -> dict:
+def _load_json_arg(text: str | None, option: str, kind: type = dict):
+    """Parse an option given as inline JSON or ``@path``; the option must be
+    present and hold a JSON object (or a list when ``kind`` is ``list``)."""
+    if text is None:
+        raise BnPolyError(f"{option} is required")
     if text.startswith("@"):
         with open(text[1:]) as handle:
-            return json.load(handle)
-    return json.loads(text)
+            data = json.load(handle)
+    else:
+        data = json.loads(text)
+    if not isinstance(data, kind):
+        raise BnPolyError(f"{option} must be a JSON {'list' if kind is list else 'object'}")
+    return data
+
+
+def _field(data: dict, key: str, option: str):
+    if key not in data:
+        raise BnPolyError(f"{option} has no {key!r} entry")
+    return data[key]
+
+
+def _space_parser(data: dict, option: str):
+    """The coordinate space a JSON document names, with its vector parser."""
+    space = _field(data, "space", option)
+    if space not in ("fam", "char"):
+        raise BnPolyError(f"{option}: space must be 'fam' or 'char', got {space!r}")
+    return space, fam_from_json if space == "fam" else char_from_json
 
 
 def _gs(args) -> GroundSet:
@@ -112,7 +134,7 @@ def _budget(args) -> Budget | None:
 
 
 def _cmd_encode(args) -> int:
-    graph = Dag.from_json(_load_json_arg(args.dag))
+    graph = Dag.from_json(_load_json_arg(args.dag, "--dag"))
     if args.as_ == "fam":
         _emit({"kind": "fam", "vector": fam_to_json(fam_vector(graph))})
     elif args.as_ == "char":
@@ -145,19 +167,19 @@ def _cmd_dags(args) -> int:
 def _cmd_se(args) -> int:
     gs = _gs(args)
     if args.action == "check":
-        obj = fam_from_json(gs, _load_json_arg(args.objective))
+        obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
         _emit({"score_equivalent": is_se_objective(obj)})
     elif args.action == "to-char":
-        obj = fam_from_json(gs, _load_json_arg(args.objective))
+        obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
         _emit({"vector": char_to_json(char_objective(obj))})
     elif args.action == "from-setfn":
-        m = char_from_json(gs, _load_json_arg(args.setfn))
+        m = char_from_json(gs, _load_json_arg(args.setfn, "--setfn"))
         _emit({"vector": fam_to_json(objective_from_setfn(m))})
     elif args.action == "to-setfn":
-        obj = fam_from_json(gs, _load_json_arg(args.objective))
+        obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
         _emit({"vector": char_to_json(setfn_from_objective(obj))})
     else:  # is-face
-        graphs = [Dag.from_json(obj, gs) for obj in _load_json_arg(args.dags)]
+        graphs = [Dag.from_json(obj, gs) for obj in _load_json_arg(args.dags, "--dags", list)]
         ok, witness = is_se_face(graphs)
         payload = {"is_face": ok}
         if witness is not None:
@@ -168,7 +190,7 @@ def _cmd_se(args) -> int:
 
 def _cmd_supermod(args) -> int:
     gs = _gs(args)
-    m = setfn_from_json(gs, _load_json_arg(args.setfn))
+    m = setfn_from_json(gs, _load_json_arg(args.setfn, "--setfn"))
     if args.action == "check":
         _emit({"supermodular": is_supermodular(m)})
     elif args.action == "extreme":
@@ -188,6 +210,8 @@ def _cmd_supermod(args) -> int:
 def _cmd_ineq(args) -> int:
     gs = _gs(args)
     if args.action == "cluster":
+        if args.C is None:
+            raise BnPolyError("--C is required")
         C = gs.mask_of(args.C)
         build = cluster_fam if args.mode == "fam" else cluster_char
         q = build(gs, C, args.k)
@@ -216,14 +240,14 @@ def _vrep_from_args(args, gs: GroundSet) -> VRep:
         return fvp_vrep(gs)
     if args.polytope == "cip":
         return cip_vrep(gs)
-    data = _load_json_arg(args.points)
-    space = data["space"]
-    parse = fam_from_json if space == "fam" else char_from_json
+    data = _load_json_arg(args.points, "--polytope or --points")
+    space, parse = _space_parser(data, "--points")
     from .polyhedra import ambient_index
 
     index = ambient_index(gs, space)
     points = tuple(
-        tuple(parse(gs, obj)[key] for key in index) for obj in data["points"]
+        tuple(parse(gs, obj)[key] for key in index)
+        for obj in _field(data, "points", "--points")
     )
     return VRep(space, gs, points)
 
@@ -232,31 +256,35 @@ def _hrep_from_args(args, gs: GroundSet) -> HRep:
     if getattr(args, "matrix", None):
         with open(args.matrix) as handle:
             return hrep_from_matrix_text(gs, args.space, handle.read())
-    data = _load_json_arg(args.hrep)
-    space = data["space"]
-    parse = fam_from_json if space == "fam" else char_from_json
+    data = _load_json_arg(args.hrep, "--matrix or --hrep")
+    space, parse = _space_parser(data, "--hrep")
     rows = tuple(
         LinearInequality(
             space,
-            parse(gs, item["objective"]),
-            Fraction(item["bound"]),
+            parse(gs, _field(item, "objective", "--hrep")),
+            Fraction(_field(item, "bound", "--hrep")),
             item.get("label", ""),
         )
-        for item in data["inequalities"]
+        for item in _field(data, "inequalities", "--hrep")
     )
     equations = tuple(
-        (parse(gs, item["objective"]), Fraction(item["rhs"]))
+        (
+            parse(gs, _field(item, "objective", "--hrep")),
+            Fraction(_field(item, "rhs", "--hrep")),
+        )
         for item in data.get("equations", [])
     )
     return HRep(space, gs, rows, equations)
 
 
 def _parse_ineq_arg(args, gs: GroundSet) -> LinearInequality:
-    data = _load_json_arg(args.ineq)
-    space = data["space"]
-    parse = fam_from_json if space == "fam" else char_from_json
+    data = _load_json_arg(args.ineq, "--ineq")
+    space, parse = _space_parser(data, "--ineq")
     return LinearInequality(
-        space, parse(gs, data["objective"]), Fraction(data["bound"]), data.get("label", "")
+        space,
+        parse(gs, _field(data, "objective", "--ineq")),
+        Fraction(_field(data, "bound", "--ineq")),
+        data.get("label", ""),
     )
 
 
@@ -304,7 +332,7 @@ def _cmd_export_lp(args) -> int:
     gs = _gs(args)
     objective = None
     if args.objective:
-        objective = fam_from_json(gs, _load_json_arg(args.objective))
+        objective = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
     if args.clusters == "all":
         clusters = cluster_pairs(gs)
     elif args.clusters == "none":
@@ -337,7 +365,7 @@ def _cmd_verify(args) -> int:
     elif args.pipeline == "counterexample":
         report = verify_counterexample(budget=budget)
     else:  # conjecture
-        report = explore_conjecture(args.n if args.n in (3,) else 3)
+        report = explore_conjecture(args.n)
     if args.json:
         print(json.dumps(report.to_json(include_elapsed=args.timings), sort_keys=True, indent=2))
     else:
@@ -354,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rational toolkit for the family-variable and "
         "characteristic-imset polytopes of graphical-model structure search",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap (outputs are deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="encode a DAG as a vector")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import BnPolyError, IndexFamilyMismatchError
+from .errors import BnPolyError, BudgetExceededError, IndexFamilyMismatchError
 from .ground import GroundSet, bit, iter_bits
 
 
@@ -108,6 +108,10 @@ def is_acyclic(gs: GroundSet, parents: Sequence[int]) -> bool:
 
 _DAG_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
 
+# n = 5 filters 16^5 ~ 1.05e6 parent maps in under a second; n = 6 would
+# filter 32^6 ~ 1.07e9 and never finish in practice.
+MAX_ENUMERATION_NODES = 5
+
 
 def _acyclic_parent_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     cached = _DAG_CACHE.get(n)
@@ -125,7 +129,13 @@ def _acyclic_parent_tuples(n: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_dags(gs: GroundSet) -> list[Dag]:
     """Every acyclic parent map exactly once, in lexicographic parent-map
-    order.  Exhaustive enumeration; intended for n <= 5."""
+    order.  Exhaustive enumeration; refused with BudgetExceededError for
+    n > MAX_ENUMERATION_NODES before any work starts."""
+    if gs.n > MAX_ENUMERATION_NODES:
+        raise BudgetExceededError(
+            f"enumerating DAGs over {gs.n} nodes filters {(1 << (gs.n - 1)) ** gs.n}"
+            f" parent maps; exhaustive enumeration stops at n = {MAX_ENUMERATION_NODES}"
+        )
     return [Dag(gs, pm, check=False) for pm in _acyclic_parent_tuples(gs.n)]
 
 

@@ -2,7 +2,7 @@
 
 Given rows a_1, ..., a_m, computes the lineality space and the extreme rays
 of {x : <a_i, x> >= 0 for all i}.  Constraints are inserted one at a time
-(lexicographically smallest first by default); while the intermediate cone
+(lexicographically smallest first); while the intermediate cone
 still contains lines, each new constraint cuts the lineality space down by
 one, after which the classical ray-splitting step applies.
 
@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError
+from .ground import iter_bits
 
 
 class Budget:
@@ -76,7 +77,6 @@ def extreme_rays(
     rows: Iterable[Sequence],
     dim: int,
     budget: Budget | None = None,
-    presort: bool = True,
     adjacency: str = "zeroset",
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Return (rays, lineality_basis) of the cone {x : rows . x >= 0}.
@@ -90,7 +90,7 @@ def extreme_rays(
     int_rows = _to_int_rows(rows)
     # Positive multiples coincide after primitive scaling; repeated rows
     # would only burn zero-set bits, so keep one copy of each.
-    int_rows = sorted(set(int_rows)) if presort else list(dict.fromkeys(int_rows))
+    int_rows = sorted(set(int_rows))
 
     lineality: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -193,15 +193,8 @@ def _adjacent_zeroset(zsets, i: int, j: int, common: int) -> bool:
 
 
 def _adjacent_rank(processed_rows, common: int, needed: int) -> bool:
-    tight = [processed_rows[i] for i in _bit_positions(common)]
+    tight = [processed_rows[i] for i in iter_bits(common)]
     return linalg.rank(tight) == needed
-
-
-def _bit_positions(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _sign_normalize(vec: Sequence[int]) -> tuple[int, ...]:

@@ -18,11 +18,11 @@ from .dags import Dag
 from .ground import (
     CharVector,
     FamVector,
-    GroundSet,
     SetFunction,
     ZERO,
     bit,
     enumerate_cai,
+    iter_bits,
     submasks,
 )
 
@@ -95,33 +95,9 @@ def char_bits(graph: Dag, cai_order: list[int]) -> tuple[int, ...]:
     out = []
     for S in cai_order:
         hit = 0
-        for a in _bits(S):
+        for a in iter_bits(S):
             if S & ~bit(a) & ~parents[a] == 0:
                 hit = 1
                 break
         out.append(hit)
     return tuple(out)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def fam_dense(fam: FamVector, fai_order: list[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Dense coordinates of a family vector in the given index order."""
-    return tuple(fam[key] for key in fai_order)
-
-
-def char_dense(cv: CharVector, cai_order: list[int]) -> tuple[Fraction, ...]:
-    return tuple(cv[mask] for mask in cai_order)
-
-
-def fam_from_dense(gs: GroundSet, fai_order, values) -> FamVector:
-    return FamVector(gs, dict(zip(fai_order, values)))
-
-
-def char_from_dense(gs: GroundSet, cai_order, values) -> CharVector:
-    return CharVector(gs, dict(zip(cai_order, values)))

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
-from .dags import enumerate_dags, enumerate_equivalence_classes
+from .dags import Dag, enumerate_dags, enumerate_equivalence_classes
 from .dd import Budget, extreme_rays
 from .encodings import char_bits
 from .errors import (
@@ -34,6 +33,7 @@ from .ground import (
     enumerate_family_indices,
 )
 from .ineq import LinearInequality
+from .linalg import affine_rank
 from .simplex import solve_lp
 
 
@@ -92,19 +92,37 @@ class HRep:
             if ineq.space != self.space or ineq.gs != self.gs:
                 raise BnPolyError("inequality does not match the H-representation space")
 
+    @property
+    def index(self) -> list:
+        return ambient_index(self.gs, self.space)
 
-def fvp_vrep(gs: GroundSet) -> VRep:
-    """Vertex representation of the family-variable polytope: all DAG codes."""
-    index = enumerate_family_indices(gs)
-    pos = {key: i for i, key in enumerate(index)}
+    def matrix(self) -> tuple[list[tuple], list, list[tuple], list]:
+        """Dense ``(A_ub, b_ub, A_eq, b_eq)`` over the ambient index, so the
+        polyhedron is {x : A_ub x <= b_ub, A_eq x = b_eq}."""
+        index = self.index
+        A_ub = [vector_to_dense(q.objective, index) for q in self.inequalities]
+        b_ub = [q.bound for q in self.inequalities]
+        A_eq = [vector_to_dense(vec, index) for vec, _ in self.equations]
+        b_eq = [rhs for _, rhs in self.equations]
+        return A_ub, b_ub, A_eq, b_eq
+
+
+def dag_codes(gs: GroundSet, graphs: Sequence[Dag]) -> tuple[tuple[int, ...], ...]:
+    """Dense 0/1 family-variable codes of the graphs over the family index."""
+    pos = {key: i for i, key in enumerate(enumerate_family_indices(gs))}
     points = []
-    for g in enumerate_dags(gs):
-        row = [0] * len(index)
+    for g in graphs:
+        row = [0] * len(pos)
         for a, B in enumerate(g.parents):
             if B:
                 row[pos[(a, B)]] = 1
         points.append(tuple(row))
-    return VRep("fam", gs, tuple(points))
+    return tuple(points)
+
+
+def fvp_vrep(gs: GroundSet) -> VRep:
+    """Vertex representation of the family-variable polytope: all DAG codes."""
+    return VRep("fam", gs, dag_codes(gs, enumerate_dags(gs)))
 
 
 def cip_vrep(gs: GroundSet) -> VRep:
@@ -121,32 +139,44 @@ def cip_vrep(gs: GroundSet) -> VRep:
     return VRep("char", gs, tuple(points))
 
 
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Maximum number of affinely independent vectors among the points."""
-    return linalg.affine_rank(points)
-
-
 @dataclass(frozen=True)
 class FaceInfo:
     tight_indices: tuple[int, ...]
     dimension: int
 
 
+def _values(objective: FamVector | CharVector, vrep: VRep) -> list[Fraction]:
+    """<objective, p> for every point p of the vertex list, in point order."""
+    if objective.space != vrep.space or objective.gs != vrep.gs:
+        raise BnPolyError("objective and V-representation spaces differ")
+    dense = vector_to_dense(objective, vrep.index)
+    terms = [(j, c) for j, c in enumerate(dense) if c]
+    return [sum((c * p[j] for j, c in terms), ZERO) for p in vrep.points]
+
+
+def incidence(
+    inequalities: Sequence[LinearInequality], vrep: VRep
+) -> list[frozenset[int]]:
+    """Indices of the points each inequality is tight at; raises
+    InvalidInequalityError if some point violates an inequality."""
+    tight_sets = []
+    for ineq in inequalities:
+        tight = set()
+        for i, value in enumerate(_values(ineq.objective, vrep)):
+            if value > ineq.bound:
+                raise InvalidInequalityError(
+                    f"inequality {ineq.label or ineq} violated at point {i}"
+                )
+            if value == ineq.bound:
+                tight.add(i)
+        tight_sets.append(frozenset(tight))
+    return tight_sets
+
+
 def face_of(ineq: LinearInequality, vrep: VRep) -> FaceInfo:
     """Tight points of a valid inequality and the dimension of their affine
     hull (-1 for the empty face); raises if the inequality is violated."""
-    if ineq.space != vrep.space or ineq.gs != vrep.gs:
-        raise BnPolyError("inequality and V-representation spaces differ")
-    dense = vector_to_dense(ineq.objective, vrep.index)
-    tight = []
-    for i, point in enumerate(vrep.points):
-        value = sum((c * x for c, x in zip(dense, point) if c), ZERO)
-        if value > ineq.bound:
-            raise InvalidInequalityError(
-                f"inequality {ineq.label or ineq} violated at point {i}"
-            )
-        if value == ineq.bound:
-            tight.append(i)
+    tight = sorted(incidence([ineq], vrep)[0])
     if not tight:
         return FaceInfo((), -1)
     dim = affine_rank([vrep.points[i] for i in tight]) - 1
@@ -192,16 +222,12 @@ def vertices_from_inequalities(
 ) -> VRep:
     """All vertices of the polyhedron; raises UnboundedError when recession
     directions exist, unless explicitly waived."""
-    index = ambient_index(hrep.gs, hrep.space)
-    dim = len(index)
-    rows = []
-    for ineq in hrep.inequalities:
-        dense = vector_to_dense(ineq.objective, index)
-        rows.append((ineq.bound,) + tuple(-c for c in dense))
-    for vec, rhs in hrep.equations:
-        dense = vector_to_dense(vec, index)
-        rows.append((rhs,) + tuple(-c for c in dense))
-        rows.append((-rhs,) + tuple(c for c in dense))
+    A_ub, b_ub, A_eq, b_eq = hrep.matrix()
+    dim = len(hrep.index)
+    rows = [(b,) + tuple(-c for c in a) for a, b in zip(A_ub, b_ub)]
+    for a, b in zip(A_eq, b_eq):
+        rows.append((b,) + tuple(-c for c in a))
+        rows.append((-b,) + a)
     rows.append((1,) + (0,) * dim)  # homogenization coordinate t >= 0
     rays, lineality = extreme_rays(rows, dim + 1, budget=budget)
     if lineality and not allow_unbounded:
@@ -224,12 +250,9 @@ def lp_maximize(
     point.  The simplex validates its dual certificate internally."""
     if objective.space != hrep.space or objective.gs != hrep.gs:
         raise BnPolyError("objective and polyhedron spaces differ")
-    index = ambient_index(hrep.gs, hrep.space)
+    index = hrep.index
     c = vector_to_dense(objective, index)
-    A_ub = [vector_to_dense(q.objective, index) for q in hrep.inequalities]
-    b_ub = [q.bound for q in hrep.inequalities]
-    A_eq = [vector_to_dense(vec, index) for vec, _ in hrep.equations]
-    b_eq = [rhs for _, rhs in hrep.equations]
+    A_ub, b_ub, A_eq, b_eq = hrep.matrix()
     result = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     if result.status == "infeasible":
         raise InfeasibleError("polyhedron is empty")
@@ -243,16 +266,11 @@ def hrep_to_matrix_text(hrep: HRep) -> str:
     """Plain textual matrix form: one row per inequality, the objective
     coefficients in canonical index order followed by the bound; any
     affine-hull equations follow after a single '=' line."""
-    index = ambient_index(hrep.gs, hrep.space)
-    lines = []
-    for q in hrep.inequalities:
-        dense = vector_to_dense(q.objective, index)
-        lines.append(" ".join(str(v) for v in dense) + f" {q.bound}")
-    if hrep.equations:
+    A_ub, b_ub, A_eq, b_eq = hrep.matrix()
+    lines = [" ".join(map(str, (*a, b))) for a, b in zip(A_ub, b_ub)]
+    if A_eq:
         lines.append("=")
-        for vec, rhs in hrep.equations:
-            dense = vector_to_dense(vec, index)
-            lines.append(" ".join(str(v) for v in dense) + f" {rhs}")
+        lines += [" ".join(map(str, (*a, b))) for a, b in zip(A_eq, b_eq)]
     return "\n".join(lines) + "\n"
 
 
@@ -301,11 +319,8 @@ def centroid(points: Sequence[Sequence]) -> tuple[Fraction, ...]:
 def max_over_vertices(
     objective: FamVector | CharVector, vrep: VRep
 ) -> tuple[Fraction, int]:
-    """Maximum of the objective over a vertex list, with an attaining index."""
-    dense = vector_to_dense(objective, vrep.index)
-    best, best_i = None, -1
-    for i, p in enumerate(vrep.points):
-        value = sum((c * x for c, x in zip(dense, p) if c), ZERO)
-        if best is None or value > best:
-            best, best_i = value, i
-    return best, best_i
+    """Maximum of the objective over a nonempty vertex list, with the first
+    attaining index."""
+    values = _values(objective, vrep)
+    best = max(values)
+    return best, values.index(best)

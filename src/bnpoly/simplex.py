@@ -38,7 +38,6 @@ def solve_lp(
     A_eq: Sequence[Sequence] | None = None,
     b_eq: Sequence | None = None,
     nonneg: bool = False,
-    validate: bool = True,
 ) -> LpResult:
     c = [Fraction(v) for v in c]
     nvars = len(c)
@@ -53,7 +52,7 @@ def solve_lp(
             raise BnPolyError("constraint row has wrong width")
 
     result = _solve_standard(c, A_ub, b_ub, A_eq, b_eq, nonneg)
-    if validate and result.status == "optimal":
+    if result.status == "optimal":
         _check_certificate(c, A_ub, b_ub, A_eq, b_eq, nonneg, result)
     return result
 

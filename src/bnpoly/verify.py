@@ -4,20 +4,15 @@ optimal-value reductions, and the five-node counterexample.
 Each pipeline produces a :class:`VerificationReport` whose expected values
 come either from published constants or from independent oracles computed on
 the spot (exhaustive enumeration, brute-force maxima, rank computations).
-Long-running artifacts (DAG lists, hulls, vertex enumerations) are cached on
-disk keyed by a content hash so interrupted runs resume cheaply.
+Nothing is cached on disk: every run computes what it reports.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from . import linalg
 from .dags import enumerate_dags, enumerate_equivalence_classes
@@ -45,12 +40,15 @@ from .ineq import (
 from .polyhedra import (
     HRep,
     VRep,
+    centroid,
     cip_vrep,
+    dag_codes,
+    dense_to_vector,
     facets_from_vertices,
     fvp_vrep,
+    incidence,
     lp_maximize,
     max_over_vertices,
-    vector_to_dense,
     vertices_from_inequalities,
 )
 from .scoreeq import is_se_face, objective_from_setfn
@@ -160,32 +158,6 @@ class _Timer:
         return self.report
 
 
-# --- artifact cache -------------------------------------------------------------
-
-
-def cache_dir() -> Path:
-    root = os.environ.get("BNPOLY_CACHE")
-    if root:
-        return Path(root)
-    return Path.home() / ".cache" / "bnpoly"
-
-
-def _cached(key: str, builder):
-    """JSON-file cache keyed by a content hash of the key string."""
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    path = cache_dir() / f"{digest}.json"
-    if path.exists():
-        with path.open() as handle:
-            return json.load(handle)
-    value = builder()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with tmp.open("w") as handle:
-        json.dump(value, handle)
-    tmp.replace(path)
-    return value
-
-
 # --- shared constructions --------------------------------------------------------
 
 
@@ -242,13 +214,8 @@ def verify_n3(budget: Budget | None = None) -> VerificationReport:
     cip = cip_vrep(gs)
     chull = facets_from_vertices(cip, budget=budget)
     report.check("characteristic-imset polytope facet count", 13, len(chull.inequalities), source="published")
-    cai = enumerate_cai(gs)
-    ones = tuple(1 for _ in cai)
-    tight_one = sum(
-        1
-        for q in chull.inequalities
-        if sum(c * x for c, x in zip(vector_to_dense(q.objective, cai), ones)) == q.bound
-    )
+    ones = CharVector(gs, {S: 1 for S in enumerate_cai(gs)})
+    tight_one = sum(1 for q in chull.inequalities if q.is_tight_at(ones))
     tight_zero = sum(1 for q in chull.inequalities if q.bound == 0)
     report.check("imset facets tight at the all-ones vertex", 5, tight_one, source="published")
     report.check("imset facets tight at the zero vertex", 8, tight_zero, source="published")
@@ -274,7 +241,6 @@ def verify_n4(
     fvp_hull: bool = False,
     fvp_star: bool = False,
     budget: Budget | None = None,
-    use_cache: bool = True,
 ) -> VerificationReport:
     report = VerificationReport("n4")
     timer = _Timer(report)
@@ -290,13 +256,8 @@ def verify_n4(
     chull = facets_from_vertices(cip, budget=budget)
     report.check("characteristic-imset polytope facet count", 154, len(chull.inequalities), source="published")
 
-    cai = enumerate_cai(gs)
-    ones = tuple(1 for _ in cai)
-    tight_one = [
-        q
-        for q in chull.inequalities
-        if sum(c * x for c, x in zip(vector_to_dense(q.objective, cai), ones)) == q.bound
-    ]
+    ones = CharVector(gs, {S: 1 for S in enumerate_cai(gs)})
+    tight_one = [q for q in chull.inequalities if q.is_tight_at(ones)]
     rest = [q for q in chull.inequalities if q not in tight_one]
     report.check("facets containing the all-ones vertex", 37, len(tight_one), source="published")
 
@@ -336,10 +297,7 @@ def verify_n4(
 
     if fvp_hull:
         try:
-            if use_cache:
-                count = _cached("fvp-facets/n=4/v1", lambda: _fvp4_facet_count(budget))
-            else:
-                count = _fvp4_facet_count(budget)
+            count = _fvp4_facet_count(budget)
             report.check("family-variable polytope facet count", 135, count, source="published")
         except BudgetExceededError as exc:
             report.skip("family-variable polytope facet count", f"budget exhausted: {exc}")
@@ -348,11 +306,7 @@ def verify_n4(
 
     if fvp_star:
         try:
-            summary = (
-                _cached("fvp-star-vertices/n=4/v1", lambda: _fvp_star_summary(budget))
-                if use_cache
-                else _fvp_star_summary(budget)
-            )
+            summary = _fvp_star_summary(budget)
             report.check("relaxation vertex count", 1329, summary["total"], source="published")
             report.check("fractional vertices", 786, summary["fractional"], source="published")
             report.check("first published fractional vertex found", True, summary["witness1"])
@@ -538,20 +492,13 @@ def verify_counterexample(budget: Budget | None = None) -> VerificationReport:
     report.check("tight DAG codes", 153, len(tight), source="published")
 
     # (3) dimension of the family-variable face
-    fai = enumerate_family_indices(gs)
-    pos = {key: i for i, key in enumerate(fai)}
-    fam_points = []
-    for g in tight:
-        row = [0] * len(fai)
-        for a, B in enumerate(g.parents):
-            if B:
-                row[pos[(a, B)]] = 1
-        fam_points.append(row)
+    fam_points = dag_codes(gs, tight)
     report.check("family-variable face dimension", 53, linalg.affine_rank(fam_points) - 1, source="published")
 
     # (4) the characteristic side is a facet
     cai = enumerate_cai(gs)
-    chars = sorted({char_bits(g, cai) for g in tight})
+    signatures = [char_bits(g, cai) for g in tight]
+    chars = sorted(set(signatures))
     report.check("distinct characteristic imsets on the face", 59, len(chars), source="published")
     report.check("affine rank of those imsets", 26, linalg.affine_rank(chars), source="published")
     report.check(
@@ -561,39 +508,25 @@ def verify_counterexample(budget: Budget | None = None) -> VerificationReport:
     )
 
     # (5) the uniform combination of the tight codes is the published vector
-    counts: dict = {}
-    for g in tight:
-        for a, B in enumerate(g.parents):
-            if B:
-                counts[(a, B)] = counts.get((a, B), 0) + 1
-    centroid_vec = FamVector(
-        gs, {key: Fraction(c, len(tight)) for key, c in counts.items()}
-    )
+    fai = enumerate_family_indices(gs)
+    centroid_vec = dense_to_vector(gs, "fam", fai, centroid(fam_points))
     report.check("centroid of tight codes equals published vector", True, centroid_vec == cx.centroid)
     value_at_centroid = sum((obj[k] * v for k, v in cx.centroid.items()), ZERO)
     report.check("objective value at the centroid", Fraction(16), value_at_centroid, source="published")
 
     # The characteristic image of the centroid is the same average of the 59
-    # tight imsets, each with positive weight, so it sits in the relative
-    # interior of the imset-side face.
-    char_counts: dict = {}
-    for g in tight:
-        sig = char_bits(g, cai)
-        char_counts[sig] = char_counts.get(sig, 0) + 1
-    averaged = [
-        Fraction(sum(sig[i] * c for sig, c in char_counts.items()), len(tight))
-        for i in range(len(cai))
-    ]
+    # tight imsets, each weighted by its number of tight codes, so it sits in
+    # the relative interior of the imset-side face.
     image = char_from_fam(cx.centroid)
     report.check(
         "characteristic image of the centroid averages the tight imsets",
         True,
-        [image[S] for S in cai] == averaged,
+        tuple(image[S] for S in cai) == centroid(signatures),
     )
     report.check(
         "that average has full support over the 59 face vertices",
         True,
-        len(char_counts) == 59 and min(char_counts.values()) > 0,
+        len(chars) == 59,
     )
 
     # (6) no modified convexity constraint is tight there
@@ -645,16 +578,7 @@ def all_faces_by_tight_sets(vrep: VRep, hull: HRep | None = None) -> list[frozen
     polytope plus the closure of the facet tight-sets under intersection."""
     if hull is None:
         hull = facets_from_vertices(vrep)
-    index = vrep.index
-    tight_sets = []
-    for q in hull.inequalities:
-        dense = vector_to_dense(q.objective, index)
-        tight = frozenset(
-            i
-            for i, p in enumerate(vrep.points)
-            if sum((c * x for c, x in zip(dense, p) if c), ZERO) == q.bound
-        )
-        tight_sets.append(tight)
+    tight_sets = incidence(hull.inequalities, vrep)
     everything = frozenset(range(len(vrep.points)))
     faces = {everything}
     frontier = [everything]
@@ -671,15 +595,8 @@ def all_faces_by_tight_sets(vrep: VRep, hull: HRep | None = None) -> list[frozen
 def smallest_face_containing(indices: frozenset[int], vrep: VRep, hull: HRep) -> frozenset[int]:
     """Intersection of all facet tight-sets containing the given vertices;
     the set is a face exactly when this closure adds nothing."""
-    index = vrep.index
     face = frozenset(range(len(vrep.points)))
-    for q in hull.inequalities:
-        dense = vector_to_dense(q.objective, index)
-        tight = frozenset(
-            i
-            for i, p in enumerate(vrep.points)
-            if sum((c * x for c, x in zip(dense, p) if c), ZERO) == q.bound
-        )
+    for tight in incidence(hull.inequalities, vrep):
         if indices <= tight:
             face &= tight
     return face

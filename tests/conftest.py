@@ -1,13 +1,6 @@
-import os
-
 import pytest
 
 from bnpoly.ground import GroundSet
-
-
-def pytest_configure(config):
-    # Hermetic artifact cache unless the caller provided one.
-    os.environ.setdefault("BNPOLY_CACHE", os.path.join(config.rootpath, ".bnpoly-cache"))
 
 
 @pytest.fixture(scope="session")

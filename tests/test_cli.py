@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from bnpoly import dags
 from bnpoly.cli import main
 
 
@@ -115,10 +118,44 @@ def test_verify_json_deterministic(capsys):
     assert "elapsed" not in out1
 
 
-def test_usage_error_exit_two(capsys):
-    assert run_cli(capsys, "nonsense")[0] == 2
-    code, _, err = run_cli(capsys, "se", "check", "--n", "3", "--objective", "not json")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nonsense",),
+        ("se", "check", "--n", "3", "--objective", "not json"),
+        ("se", "check", "--n", "3"),
+        ("polytope", "hull", "--n", "3"),
+        ("polytope", "hull", "--n", "3", "--points", "{}"),
+        ("ineq", "cluster", "--n", "3"),
+        ("supermod", "check", "--n", "3", "--setfn", "[1]"),
+        ("verify", "conjecture", "--n", "4"),
+    ],
+    ids=[
+        "unknown-command",
+        "bad-json",
+        "missing-objective",
+        "missing-points",
+        "points-without-space",
+        "missing-cluster",
+        "setfn-not-object",
+        "conjecture-n4",
+    ],
+)
+def test_usage_error_exit_two(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
+    assert "Traceback" not in err
+    assert argv == ("nonsense",) or err.startswith("error: ")
+
+
+def test_dags_refuses_six_nodes_up_front(capsys, monkeypatch):
+    def never(*_):
+        raise AssertionError("the parent-map product must not be started")
+
+    monkeypatch.setattr(dags, "product", never)
+    code, out, err = run_cli(capsys, "dags", "--n", "6")
+    assert code == 3
+    assert out == "" and "budget exhausted" in err
 
 
 def test_export_lp_roundtrip(tmp_path, capsys):
@@ -155,12 +192,6 @@ def test_polytope_matrix_io(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 11
-
-
-def test_jobs_flag_does_not_change_output(capsys):
-    code1, out1, _ = run_cli(capsys, "--jobs", "1", "verify", "n3", "--json")
-    code2, out2, _ = run_cli(capsys, "--jobs", "4", "verify", "n3", "--json")
-    assert code1 == code2 == 0 and out1 == out2
 
 
 def test_polytope_face_dim_and_is_facet(capsys):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bnpoly import dags as dags_module
 from bnpoly.dags import (
     Dag,
     covered_arc_neighbors,
@@ -14,7 +15,7 @@ from bnpoly.dags import (
     markov_equivalent,
 )
 from bnpoly.encodings import char_bits
-from bnpoly.errors import BnPolyError
+from bnpoly.errors import BnPolyError, BudgetExceededError
 from bnpoly.ground import GroundSet, enumerate_cai
 
 
@@ -153,3 +154,14 @@ def test_dag_json_roundtrip(gs3):
     g = dag(gs3, c="ab", b="a")
     assert g.to_json() == {"a": "", "b": "a", "c": "ab"}
     assert Dag.from_json(g.to_json()) == g
+
+
+def test_enumeration_refuses_six_nodes_without_starting(monkeypatch):
+    def never(*_):
+        raise AssertionError("the parent-map product must not be started")
+
+    monkeypatch.setattr(dags_module, "product", never)
+    with pytest.raises(BudgetExceededError, match="1073741824 parent maps"):
+        enumerate_dags(GroundSet.alpha(6))
+    with pytest.raises(BudgetExceededError):
+        enumerate_equivalence_classes(GroundSet.alpha(6))

@@ -107,4 +107,4 @@ def test_deterministic_output():
     rows = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(9)]
     first = extreme_rays(rows, 4)
     second = extreme_rays(list(reversed(rows)), 4)
-    assert first == second  # presort makes insertion order canonical
+    assert first == second  # rows are sorted, so insertion order is canonical

@@ -18,9 +18,11 @@ from bnpoly.polyhedra import (
     affine_rank,
     centroid,
     cip_vrep,
+    dense_to_vector,
     face_of,
     facets_from_vertices,
     fvp_vrep,
+    incidence,
     is_facet,
     lp_maximize,
     max_over_vertices,
@@ -50,6 +52,19 @@ def test_face_of_rejects_invalid(gs3):
     bogus = LinearInequality("fam", FamVector(gs3, {(0, 0b010): 1}), Fraction(1, 2))
     with pytest.raises(InvalidInequalityError):
         face_of(bogus, fvp)
+    with pytest.raises(InvalidInequalityError):
+        incidence(nonneg_constraints(gs3) + [bogus], fvp)
+
+
+def test_incidence_matches_sparse_evaluation(gs3):
+    fvp = fvp_vrep(gs3)
+    hull = facets_from_vertices(fvp)
+    vectors = fvp.vectors()
+    expected = [
+        frozenset(i for i, v in enumerate(vectors) if q.is_tight_at(v))
+        for q in hull.inequalities
+    ]
+    assert incidence(hull.inequalities, fvp) == expected
 
 
 def test_empty_face(gs3):
@@ -82,6 +97,13 @@ def test_hull_low_dimensional_reports_equations(gs3):
         for p in seg.points:
             value = sum((vec[k] * x for k, x in zip(seg.index, p)), Fraction(0))
             assert value == rhs
+    A_ub, b_ub, A_eq, b_eq = hull.matrix()
+    assert len(A_ub) == len(b_ub) == len(hull.inequalities)
+    assert len(A_eq) == len(b_eq) == 8
+    for row, rhs, (vec, expected_rhs) in zip(A_eq, b_eq, hull.equations):
+        assert dense_to_vector(gs3, "fam", hull.index, row) == vec and rhs == expected_rhs
+    for row, rhs, q in zip(A_ub, b_ub, hull.inequalities):
+        assert dense_to_vector(gs3, "fam", hull.index, row) == q.objective and rhs == q.bound
 
 
 def test_vertex_enumeration_examples(gs3):
