@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .dags import Dag, enumerate_dags, enumerate_equivalence_classes
 from .dd import Budget
@@ -26,6 +25,7 @@ from .ground import (
     char_to_json,
     fam_from_json,
     fam_to_json,
+    rational_from_json,
     setfn_from_json,
     setfn_to_json,
 )
@@ -89,9 +89,15 @@ def _load_json_arg(text: str | None, option: str, kind: type = dict):
     return data
 
 
-def _field(data: dict, key: str, option: str):
+def _field(data: dict, key: str, option: str, kind: type = object):
+    """``data[key]``, where ``data`` must be a JSON object holding ``key``
+    with a value of type ``kind``."""
+    if not isinstance(data, dict):
+        raise BnPolyError(f"{option}: expected a JSON object, got {data!r}")
     if key not in data:
         raise BnPolyError(f"{option} has no {key!r} entry")
+    if not isinstance(data[key], kind):
+        raise BnPolyError(f"{option}: {key!r} must be a JSON {kind.__name__}")
     return data[key]
 
 
@@ -217,6 +223,8 @@ def _cmd_ineq(args) -> int:
         q = build(gs, C, args.k)
         _emit({"objective": _vector_json(q.objective), "bound": str(q.bound)})
     else:  # catalog
+        if args.which is None:
+            raise BnPolyError("--which is required: se4 or specific4")
         entries = catalog_se_n4() if args.which == "se4" else catalog_specific_n4()
         payload = {
             "which": args.which,
@@ -247,7 +255,7 @@ def _vrep_from_args(args, gs: GroundSet) -> VRep:
     index = ambient_index(gs, space)
     points = tuple(
         tuple(parse(gs, obj)[key] for key in index)
-        for obj in _field(data, "points", "--points")
+        for obj in _field(data, "points", "--points", list)
     )
     return VRep(space, gs, points)
 
@@ -262,17 +270,17 @@ def _hrep_from_args(args, gs: GroundSet) -> HRep:
         LinearInequality(
             space,
             parse(gs, _field(item, "objective", "--hrep")),
-            Fraction(_field(item, "bound", "--hrep")),
+            rational_from_json(_field(item, "bound", "--hrep")),
             item.get("label", ""),
         )
-        for item in _field(data, "inequalities", "--hrep")
+        for item in _field(data, "inequalities", "--hrep", list)
     )
     equations = tuple(
         (
             parse(gs, _field(item, "objective", "--hrep")),
-            Fraction(_field(item, "rhs", "--hrep")),
+            rational_from_json(_field(item, "rhs", "--hrep")),
         )
-        for item in data.get("equations", [])
+        for item in (_field(data, "equations", "--hrep", list) if "equations" in data else [])
     )
     return HRep(space, gs, rows, equations)
 
@@ -283,7 +291,7 @@ def _parse_ineq_arg(args, gs: GroundSet) -> LinearInequality:
     return LinearInequality(
         space,
         parse(gs, _field(data, "objective", "--ineq")),
-        Fraction(_field(data, "bound", "--ineq")),
+        rational_from_json(_field(data, "bound", "--ineq")),
         data.get("label", ""),
     )
 

@@ -68,6 +68,8 @@ class Dag:
 
     @classmethod
     def from_json(cls, obj: dict[str, str], gs: GroundSet | None = None) -> "Dag":
+        if not isinstance(obj, dict) or not all(isinstance(v, str) for v in obj.values()):
+            raise BnPolyError(f"a DAG must be a JSON object of parent letters, got {obj!r}")
         if gs is None:
             gs = GroundSet(obj.keys())
         elif set(obj.keys()) != set(gs.labels):

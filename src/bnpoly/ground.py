@@ -359,8 +359,22 @@ def fam_to_json(vec: FamVector) -> dict[str, str]:
     return {fam_key(vec.gs, k): str(v) for k, v in vec.sorted_items()}
 
 
+def rational_from_json(value) -> Fraction:
+    """An exact rational from JSON: an integer or a "p/q" string.  Anything
+    else, floats included, is a ``BnPolyError``."""
+    if not isinstance(value, (int, str)):
+        raise BnPolyError(f"expected an integer or a 'p/q' string, got {value!r}")
+    return as_fraction(value)
+
+
+def _coords_from_json(gs: GroundSet, obj, parse_key) -> dict:
+    if not isinstance(obj, Mapping):
+        raise BnPolyError(f"a vector must be a JSON object, got {obj!r}")
+    return {parse_key(gs, k): rational_from_json(v) for k, v in obj.items()}
+
+
 def fam_from_json(gs: GroundSet, obj: Mapping[str, str]) -> FamVector:
-    return FamVector(gs, {parse_fam_key(gs, k): as_fraction(v) for k, v in obj.items()})
+    return FamVector(gs, _coords_from_json(gs, obj, parse_fam_key))
 
 
 def char_to_json(vec: CharVector) -> dict[str, str]:
@@ -368,7 +382,7 @@ def char_to_json(vec: CharVector) -> dict[str, str]:
 
 
 def char_from_json(gs: GroundSet, obj: Mapping[str, str]) -> CharVector:
-    return CharVector(gs, {parse_subset_key(gs, k): as_fraction(v) for k, v in obj.items()})
+    return CharVector(gs, _coords_from_json(gs, obj, parse_subset_key))
 
 
 def setfn_to_json(vec: SetFunction) -> dict[str, str]:
@@ -376,4 +390,4 @@ def setfn_to_json(vec: SetFunction) -> dict[str, str]:
 
 
 def setfn_from_json(gs: GroundSet, obj: Mapping[str, str]) -> SetFunction:
-    return SetFunction(gs, {parse_subset_key(gs, k): as_fraction(v) for k, v in obj.items()})
+    return SetFunction(gs, _coords_from_json(gs, obj, parse_subset_key))

@@ -1,13 +1,25 @@
 """Exact two-phase primal simplex over rationals with Bland's rule.
 
-Solves   maximize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,
-with x either free (default, split internally into differences of
-nonnegative variables) or constrained to x >= 0.
+Solves   maximize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq.
+
+Each variable is either bounded (x_j >= 0) or free; a free variable is split
+internally into the difference of two nonnegative columns.  ``nonneg=True``
+bounds every variable.  A *sign row* -- an ``A_ub`` row whose only nonzero
+coefficient is some ``-a < 0`` with right-hand side 0 -- says exactly
+x_j >= 0, so it bounds its variable instead of entering the tableau; its
+dual multiplier is recovered after phase 2 as ((A^T y)_j - c_j) / a.
+
+Every ``<=`` row with a nonnegative right-hand side starts with its slack in
+the basis.  Artificial variables are basic only in equality rows and in rows
+with a negative right-hand side, and phase 1 minimizes the sum of just those;
+when the origin is feasible phase 1 makes no pivot.  All artificial columns
+stay in the tableau, where they track the basis inverse, so the duals are
+read off their reduced costs.
 
 Bland's smallest-index pivoting guarantees termination on the heavily
 degenerate 0/1 polytopes this package works with.  Every pivot is exact, so
 the returned dual vector is a genuine optimality certificate; it is checked
-against the primal before returning.
+against the caller's original rows, sign rows included, before returning.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ class LpResult:
     x: tuple[Fraction, ...] | None = None
     dual_ub: tuple[Fraction, ...] | None = None
     dual_eq: tuple[Fraction, ...] | None = None
+    pivots: tuple[int, int] = (0, 0)  # (phase 1, phase 2)
 
 
 def solve_lp(
@@ -51,42 +64,77 @@ def solve_lp(
         if len(row) != nvars:
             raise BnPolyError("constraint row has wrong width")
 
-    result = _solve_standard(c, A_ub, b_ub, A_eq, b_eq, nonneg)
+    sign_rows = set()
+    first_sign_row = {}  # variable j -> (row, a) of its first row -a x_j <= 0
+    for i, (row, rhs) in enumerate(zip(A_ub, b_ub)):
+        if rhs == 0:
+            nonzero = [(j, v) for j, v in enumerate(row) if v]
+            if len(nonzero) == 1 and nonzero[0][1] < 0:
+                j, v = nonzero[0]
+                sign_rows.add(i)
+                first_sign_row.setdefault(j, (i, -v))
+    bounded = [nonneg or j in first_sign_row for j in range(nvars)]
+    kept = [i for i in range(len(A_ub)) if i not in sign_rows]
+
+    result = _solve_standard(
+        c, [A_ub[i] for i in kept], [b_ub[i] for i in kept], A_eq, b_eq, bounded
+    )
     if result.status == "optimal":
+        result.dual_ub = _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result)
         _check_certificate(c, A_ub, b_ub, A_eq, b_eq, nonneg, result)
     return result
 
 
-def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, nonneg) -> LpResult:
-    nvars = len(c)
-    n_struct = nvars if nonneg else 2 * nvars
+def _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result: LpResult):
+    """Full-length ``dual_ub``: the kept rows' multipliers in place, and the
+    first sign row of each variable takes the multiplier that closes the
+    dual equation of its column (further sign rows of it get 0)."""
+    dual = [_ZERO] * len(A_ub)
+    for i, y in zip(kept, result.dual_ub):
+        dual[i] = y
+    for j, (i, a) in first_sign_row.items():
+        combo = sum((y * A_ub[k][j] for k, y in zip(kept, result.dual_ub) if y), _ZERO)
+        combo += sum((y * row[j] for y, row in zip(result.dual_eq, A_eq) if y), _ZERO)
+        dual[i] = (combo - c[j]) / a
+    return tuple(dual)
+
+
+def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
+    # Column layout: each variable's own column, followed by a negated copy
+    # when the variable is free.
+    split = []  # variable -> (column, negated column or None)
+    n_struct = 0
+    for j in range(len(c)):
+        split.append((n_struct, None if bounded[j] else n_struct + 1))
+        n_struct += 1 if bounded[j] else 2
     m_ub, m_eq = len(A_ub), len(A_eq)
     m = m_ub + m_eq
     n_slack = m_ub
-    n_total = n_struct + n_slack + m  # artificials come last
+    art_start = n_struct + n_slack
+    n_total = art_start + m  # artificials come last
 
     def expand(row):
-        if nonneg:
-            return list(row)
-        out = []
-        for v in row:
-            out.append(v)
-            out.append(-v)
+        out = [_ZERO] * n_struct
+        for v, (col, neg) in zip(row, split):
+            if v:
+                out[col] = v
+                if neg is not None:
+                    out[neg] = -v
         return out
 
     # Tableau rows: [structural | slack | artificial | rhs], rhs kept >= 0.
+    # Artificial i starts basic only where slack i cannot: in equality rows
+    # and in rows whose rhs had to be negated.
     tableau: list[list[Fraction]] = []
     rhs_sign = []
+    basis = []
     for i in range(m):
+        slack = [_ZERO] * n_slack
         if i < m_ub:
-            body = expand(A_ub[i])
-            rhs = b_ub[i]
-            slack = [_ZERO] * n_slack
+            body, rhs = expand(A_ub[i]), b_ub[i]
             slack[i] = _ONE
         else:
-            body = expand(A_eq[i - m_ub])
-            rhs = b_eq[i - m_ub]
-            slack = [_ZERO] * n_slack
+            body, rhs = expand(A_eq[i - m_ub]), b_eq[i - m_ub]
         sign = 1
         if rhs < 0:
             sign = -1
@@ -97,24 +145,24 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, nonneg) -> LpResult:
         art[i] = _ONE
         tableau.append(body + slack + art + [rhs])
         rhs_sign.append(sign)
+        basis.append(n_struct + i if i < m_ub and sign > 0 else art_start + i)
 
-    basis = [n_struct + n_slack + i for i in range(m)]
-    art_start = n_struct + n_slack
-
-    # Phase 1: minimize the sum of artificials.  Cost row holds reduced costs.
+    # Phase 1: minimize the sum of the basic artificials.  Cost row holds
+    # reduced costs, so it is minus the sum of their rows, zero on their own
+    # columns.
     cost1 = [_ZERO] * (n_total + 1)
-    for row in tableau:
-        for j in range(n_total + 1):
-            if row[j]:
-                cost1[j] -= row[j]
-    for j in range(art_start, n_total):
-        cost1[j] = _ZERO  # artificials are basic with zero reduced cost
+    for row, bv in zip(tableau, basis):
+        if bv >= art_start:
+            for j in range(art_start):
+                if row[j]:
+                    cost1[j] -= row[j]
+            cost1[n_total] -= row[n_total]
 
-    status = _bland_min(tableau, cost1, basis, entering_limit=art_start)
+    status, pivots1 = _bland_min(tableau, cost1, basis, entering_limit=art_start)
     if status == "unbounded":  # cannot happen for a phase-1 objective
         raise BnPolyError("phase 1 reported unbounded")
     if -cost1[n_total] != 0:
-        return LpResult(status="infeasible")
+        return LpResult(status="infeasible", pivots=(pivots1, 0))
 
     # Drive any remaining artificial out of the basis; a row with no
     # structural/slack pivot is a redundant constraint and is dropped.
@@ -128,6 +176,7 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, nonneg) -> LpResult:
                 drop_rows.append(i)
             else:
                 _pivot(tableau, [cost1], basis, i, pivot_col)
+                pivots1 += 1
     dropped = set(drop_rows)
     if dropped:
         tableau = [row for i, row in enumerate(tableau) if i not in dropped]
@@ -135,13 +184,10 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, nonneg) -> LpResult:
 
     # Phase 2: minimize -c.x over the feasible basis.
     cost2 = [_ZERO] * (n_total + 1)
-    if nonneg:
-        for j, v in enumerate(c):
-            cost2[j] = -v
-    else:
-        for j, v in enumerate(c):
-            cost2[2 * j] = -v
-            cost2[2 * j + 1] = v
+    for v, (col, neg) in zip(c, split):
+        cost2[col] = -v
+        if neg is not None:
+            cost2[neg] = v
     # Price out the current basis.
     for i, bv in enumerate(basis):
         coef = cost2[bv]
@@ -151,17 +197,17 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, nonneg) -> LpResult:
                 if row[j]:
                     cost2[j] -= coef * row[j]
 
-    status = _bland_min(tableau, cost2, basis, entering_limit=art_start)
+    status, pivots2 = _bland_min(tableau, cost2, basis, entering_limit=art_start)
     if status == "unbounded":
-        return LpResult(status="unbounded")
+        return LpResult(status="unbounded", pivots=(pivots1, pivots2))
 
     x_internal = [_ZERO] * n_total
     for i, bv in enumerate(basis):
         x_internal[bv] = tableau[i][n_total]
-    if nonneg:
-        x = tuple(x_internal[:nvars])
-    else:
-        x = tuple(x_internal[2 * j] - x_internal[2 * j + 1] for j in range(nvars))
+    x = tuple(
+        x_internal[col] - (x_internal[neg] if neg is not None else _ZERO)
+        for col, neg in split
+    )
     objective = sum((cv * xv for cv, xv in zip(c, x)), _ZERO)
 
     # The reduced cost of artificial column i is -y_i for the standard-form
@@ -175,11 +221,12 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, nonneg) -> LpResult:
             dual.append(cost2[art_start + i] * rhs_sign[i])
     dual_ub = tuple(dual[:m_ub])
     dual_eq = tuple(dual[m_ub:])
-    return LpResult("optimal", objective, x, dual_ub, dual_eq)
+    return LpResult("optimal", objective, x, dual_ub, dual_eq, (pivots1, pivots2))
 
 
-def _bland_min(tableau, cost, basis, entering_limit) -> str:
-    """Run Bland-rule pivots until the cost row is optimal.
+def _bland_min(tableau, cost, basis, entering_limit) -> tuple[str, int]:
+    """Run Bland-rule pivots until the cost row is optimal; return the final
+    status with the number of pivots made.
 
     Entering variable: smallest column index with negative reduced cost;
     leaving variable: smallest ratio, ties broken by smallest basic index.
@@ -188,6 +235,7 @@ def _bland_min(tableau, cost, basis, entering_limit) -> str:
     cost_rows = [cost]
     m = len(tableau)
     rhs_col = len(cost) - 1
+    pivots = 0
     while True:
         entering = None
         for j in range(entering_limit):
@@ -195,7 +243,7 @@ def _bland_min(tableau, cost, basis, entering_limit) -> str:
                 entering = j
                 break
         if entering is None:
-            return "optimal"
+            return "optimal", pivots
         leaving = None
         best_ratio = None
         for i in range(m):
@@ -210,8 +258,9 @@ def _bland_min(tableau, cost, basis, entering_limit) -> str:
                     best_ratio = ratio
                     leaving = i
         if leaving is None:
-            return "unbounded"
+            return "unbounded", pivots
         _pivot(tableau, cost_rows, basis, leaving, entering)
+        pivots += 1
 
 
 def _pivot(tableau, cost_rows, basis, r, s) -> None:

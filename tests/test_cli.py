@@ -129,6 +129,11 @@ def test_verify_json_deterministic(capsys):
         ("ineq", "cluster", "--n", "3"),
         ("supermod", "check", "--n", "3", "--setfn", "[1]"),
         ("verify", "conjecture", "--n", "4"),
+        ("se", "check", "--n", "3", "--objective", '{"a|b":1.5}'),
+        ("polytope", "hull", "--n", "3", "--points", '{"space":"fam","points":[[1]]}'),
+        ("polytope", "vertices", "--n", "3", "--hrep", '{"space":"fam","inequalities":[1]}'),
+        ("se", "is-face", "--n", "3", "--dags", "[1]"),
+        ("ineq", "catalog"),
     ],
     ids=[
         "unknown-command",
@@ -139,6 +144,11 @@ def test_verify_json_deterministic(capsys):
         "missing-cluster",
         "setfn-not-object",
         "conjecture-n4",
+        "float-coordinate",
+        "point-not-object",
+        "row-not-object",
+        "dag-not-object",
+        "catalog-without-which",
     ],
 )
 def test_usage_error_exit_two(capsys, argv):

@@ -5,7 +5,7 @@ import pytest
 
 from bnpoly import linalg
 from bnpoly.dags import Dag, enumerate_dags, enumerate_equivalence_classes, equivalence_class
-from bnpoly.encodings import char_from_fam, fam_vector
+from bnpoly.encodings import char_bits, char_from_fam, fam_vector
 from bnpoly.errors import BnPolyError, NotScoreEquivalentError
 from bnpoly.ground import (
     CharVector,
@@ -16,6 +16,7 @@ from bnpoly.ground import (
     scalar_product,
 )
 from bnpoly.ineq import cluster_fam
+from bnpoly.polyhedra import fvp_vrep
 from bnpoly.scoreeq import (
     char_objective,
     is_se_face,
@@ -25,6 +26,7 @@ from bnpoly.scoreeq import (
     objective_from_setfn,
     setfn_from_objective,
 )
+from bnpoly.verify import all_faces_by_tight_sets
 
 
 def random_setfn(gs, rng, span=5):
@@ -208,3 +210,25 @@ def test_is_se_face_whole_polytope_and_errors(gs3):
     foreign = Dag.from_json({"a": "", "b": "a", "c": "ab"}, gs3)
     with pytest.raises(BnPolyError):
         is_se_face([foreign], all_dags=[g for g in dags if g != foreign])
+
+
+def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
+    """Every face closed under Markov equivalence gets an SE witness whose
+    maximizers over the DAG codes are exactly that face.  The LP may pick
+    any such witness, so validity is pinned rather than the vector."""
+    dags = enumerate_dags(gs3)
+    cai = enumerate_cai(gs3)
+    signature = [char_bits(g, cai) for g in dags]
+    closed = []
+    for face in all_faces_by_tight_sets(fvp_vrep(gs3)):
+        classes = {signature[i] for i in face}
+        if {i for i, s in enumerate(signature) if s in classes} == face:
+            closed.append(face)
+    assert len(closed) == 93
+    codes = [fam_vector(g) for g in dags]
+    for face in closed:
+        ok, witness = is_se_face([dags[i] for i in face], all_dags=dags)
+        assert ok and is_se_objective(witness)
+        values = [scalar_product(witness, code) for code in codes]
+        best = max(values)
+        assert {i for i, v in enumerate(values) if v == best} == face

@@ -1,9 +1,35 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from bnpoly.errors import BnPolyError
+from bnpoly.ground import FamVector, GroundSet
+from bnpoly.ineq import LinearInequality, modified_convexity, nonneg_constraints
+from bnpoly.polyhedra import HRep, max_over_vertices, vertices_from_inequalities
 from bnpoly.simplex import solve_lp
+from bnpoly.verify import _n4_catalog_fam_rows, _random_se_objective
+
+
+def assert_certified(r, c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), nonneg=False):
+    """Re-check an optimal result against the caller's rows: one multiplier
+    per input row, primal and dual feasibility, and strong duality."""
+    assert r.status == "optimal"
+    assert len(r.dual_ub) == len(A_ub) and len(r.dual_eq) == len(A_eq)
+    assert all(y >= 0 for y in r.dual_ub)
+    for row, b in zip(A_ub, b_ub):
+        assert sum(a * x for a, x in zip(row, r.x)) <= b
+    for row, b in zip(A_eq, b_eq):
+        assert sum(a * x for a, x in zip(row, r.x)) == b
+    assert r.objective == sum(cj * x for cj, x in zip(c, r.x))
+    assert r.objective == sum(y * b for y, b in zip(r.dual_ub, b_ub)) + sum(
+        y * b for y, b in zip(r.dual_eq, b_eq)
+    )
+    for j, cj in enumerate(c):
+        combo = sum(y * row[j] for y, row in zip(r.dual_ub, A_ub)) + sum(
+            y * row[j] for y, row in zip(r.dual_eq, A_eq)
+        )
+        assert combo >= cj if nonneg else combo == cj
 
 
 def test_basic_maximization():
@@ -80,3 +106,98 @@ def test_size_mismatch_raises():
         solve_lp([1, 2], A_ub=[[1]], b_ub=[1])
     with pytest.raises(BnPolyError):
         solve_lp([1], A_ub=[[1]], b_ub=[1, 2])
+
+
+def test_mixed_free_and_bounded_variables():
+    # max x + z with y >= 0 as a sign row, x and z free; z ends negative
+    c = [1, 0, 1]
+    A_ub = [[1, -1, 0], [0, 1, 0], [0, -1, 0], [-1, 0, 1]]
+    b_ub = [1, 2, 0, -5]
+    r = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+    assert r.objective == 1 and r.x == (3, 2, -2)
+    assert_certified(r, c, A_ub, b_ub)
+
+
+def test_sign_row_with_coefficient_two():
+    # -2x <= 0 bounds x; -y <= -1 has a negative rhs and stays a row
+    c = [-1, -1]
+    A_ub = [[-2, 0], [0, -1], [1, 1]]
+    b_ub = [0, -1, 5]
+    r = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+    assert r.objective == -1 and r.x == (0, 1)
+    assert r.dual_ub == (Fraction(1, 2), 1, 0)
+    assert r.pivots[0] > 0  # the negative-rhs row starts on an artificial
+    assert_certified(r, c, A_ub, b_ub)
+
+
+def test_duplicate_sign_rows_share_one_multiplier():
+    c = [-1]
+    A_ub = [[-1], [-3], [1]]
+    b_ub = [0, 0, 2]
+    r = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+    assert r.objective == 0 and r.dual_ub == (1, 0, 0)
+    assert_certified(r, c, A_ub, b_ub)
+
+
+def test_row_with_nonzero_rhs_is_not_a_sign_row():
+    # -x <= 1 allows x = -1; read as x >= 0 it would give 0
+    r = solve_lp([-1], A_ub=[[-1]], b_ub=[1])
+    assert r.objective == 1 and r.x == (-1,)
+    assert_certified(r, [-1], [[-1]], [1])
+
+
+def test_infeasible_and_unbounded_with_sign_rows():
+    assert solve_lp([1], A_ub=[[-1], [1]], b_ub=[0, -1]).status == "infeasible"
+    both_bounded = solve_lp([0, 1], A_ub=[[-1, 0], [0, -2]], b_ub=[0, 0], A_eq=[[1, 1]], b_eq=[-1])
+    assert both_bounded.status == "infeasible"
+    assert solve_lp([1], A_ub=[[-1]], b_ub=[0]).status == "unbounded"
+    assert solve_lp([1, 1], A_ub=[[-1, 0], [1, -1]], b_ub=[0, 2]).status == "unbounded"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_lps_match_vertex_maximum(seed):
+    """Three live coordinates of the n = 3 family space, each with a sign
+    row, a scaled sign row or an ordinary lower bound, boxed above and cut by
+    random rows; the other six are pinned by equations."""
+    rng = random.Random(seed)
+    gs = GroundSet.alpha(3)
+    index = HRep("fam", gs, ()).index
+    live, pinned = index[:3], index[3:]
+
+    def row(coords, bound):
+        return LinearInequality("fam", FamVector(gs, coords), Fraction(bound))
+
+    rows = []
+    for key in live:
+        rows.append(row({key: 1}, 3))
+        kind = rng.randrange(3)
+        rows.append(row({key: -1 if kind == 0 else -2}, 0) if kind < 2 else row({key: -1}, 2))
+    for _ in range(3):
+        rows.append(row({key: rng.randint(-3, 3) for key in live}, rng.randint(-6, 6)))
+    equations = tuple((FamVector(gs, {key: 1}), Fraction(0)) for key in pinned)
+    hrep = HRep("fam", gs, tuple(rows), equations)
+    objective = FamVector(gs, {key: rng.randint(-4, 4) for key in live})
+
+    A_ub, b_ub, A_eq, b_eq = hrep.matrix()
+    c = [objective[key] for key in index]
+    r = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    vrep = vertices_from_inequalities(hrep)
+    if not vrep.points:
+        assert r.status == "infeasible"
+        return
+    assert r.objective == max_over_vertices(objective, vrep)[0]
+    assert_certified(r, c, A_ub, b_ub, A_eq, b_eq)
+
+
+def test_n4_reduced_polyhedron_starts_feasible():
+    # the origin satisfies every row, so the slack basis is feasible
+    gs = GroundSet.alpha(4)
+    rows = nonneg_constraints(gs) + modified_convexity(gs) + _n4_catalog_fam_rows(se_only=False)
+    hrep = HRep("fam", gs, tuple(rows))
+    objective = _random_se_objective(gs, random.Random(0))
+    A_ub, b_ub, _, _ = hrep.matrix()
+    c = [objective[key] for key in hrep.index]
+    r = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
+    assert len(A_ub) == 73
+    assert r.pivots[0] == 0 and sum(r.pivots) <= 50
+    assert_certified(r, c, A_ub, b_ub)
