@@ -12,6 +12,15 @@ floating-point prefiltering anywhere.  Tight-row sets are bitsets (Python
 ints); two rays are combined only when adjacent.  Adjacency is decided by
 the standard zero-set test (no third extreme ray is tight on the common
 tight set), with the rank characterization available as a cross-check.
+
+The zero-set test looks for a cover: a third ray whose zero set contains
+the pair's common set.  Each step lists the rays by decreasing zero-set
+size, and the scan stops, answering "adjacent", at the first zero set
+smaller than the common set, since no smaller set can contain it.  For each
+plus ray, the last cover found is tried first on the next pair, unless it
+is that pair's minus ray, whose zero set always contains the common set.
+Both shortcuts only skip probes that cannot find a cover, so every pair
+gets the same answer as a scan over all rays.
 """
 
 from __future__ import annotations
@@ -154,18 +163,34 @@ def extreme_rays(
             continue
 
         needed = dim - len(lineality) - 2  # tight-row count needed for an edge
-        zsets = [entry[1] for entry in rays]
+        if adjacency == "zeroset":
+            by_size = sorted(
+                ((zeros.bit_count(), i, zeros) for i, (_, zeros) in enumerate(rays)),
+                key=lambda t: (-t[0], t[1]),
+            )
         combos = []
         for i, pentry, dp in plus:
             if budget is not None:
                 budget.check(len(rays) + len(combos))
             pvec, pzeros = pentry
+            last_cover = None  # (index, zero set) of the last cover found for i
             for j, qentry, dq in minus:
                 common = pzeros & qentry[1]
-                if common.bit_count() < needed:
+                size = common.bit_count()
+                if size < needed:
                     continue
                 if adjacency == "zeroset":
-                    if not _adjacent_zeroset(zsets, i, j, common):
+                    # Neighbouring minus rays often share a cover, so try it
+                    # first; but Z_j always contains common, so never j itself.
+                    if (
+                        last_cover is not None
+                        and last_cover[0] != j
+                        and last_cover[1] & common == common
+                    ):
+                        continue
+                    cover = _cover_zeroset(by_size, i, j, common, size)
+                    if cover is not None:
+                        last_cover = cover
                         continue
                 else:
                     if not _adjacent_rank(processed, common, needed):
@@ -185,11 +210,20 @@ def extreme_rays(
     return ray_vecs, sorted(lin)
 
 
-def _adjacent_zeroset(zsets, i: int, j: int, common: int) -> bool:
-    for idx, zeros in enumerate(zsets):
+def _cover_zeroset(
+    by_size, i: int, j: int, common: int, size: int
+) -> tuple[int, int] | None:
+    """Return (index, zero set) of a ray other than i and j whose zero set
+    contains ``common`` (so i and j are not adjacent), or None if there is
+    none.  ``by_size`` lists (zero-set size, index, zero set) by decreasing
+    size; a zero set smaller than ``common`` cannot contain it, so the scan
+    stops at the first one."""
+    for zsize, idx, zeros in by_size:
+        if zsize < size:
+            return None
         if zeros & common == common and idx != i and idx != j:
-            return False
-    return True
+            return idx, zeros
+    return None
 
 
 def _adjacent_rank(processed_rows, common: int, needed: int) -> bool:

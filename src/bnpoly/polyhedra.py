@@ -196,6 +196,8 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     every point v}: its lineality space gives the affine hull and its
     extreme rays are exactly the facet-defining inequalities (the trivial
     ray 0 <= u is dropped)."""
+    if not vrep.points:
+        raise BnPolyError("convex hull of an empty point set is undefined")
     dim = len(vrep.index)
     rows = [(Fraction(1),) + tuple(-x for x in p) for p in vrep.points]
     rays, lineality = extreme_rays(rows, dim + 1, budget=budget)

@@ -389,6 +389,8 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
     agrees as well."""
     if n not in (3, 4):
         raise ValueError("supported for n in {3, 4}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     report = VerificationReport(f"theorem3-n{n}")
     timer = _Timer(report)
     gs = GroundSet.alpha(n)

@@ -134,6 +134,9 @@ def test_verify_json_deterministic(capsys):
         ("polytope", "vertices", "--n", "3", "--hrep", '{"space":"fam","inequalities":[1]}'),
         ("se", "is-face", "--n", "3", "--dags", "[1]"),
         ("ineq", "catalog"),
+        ("polytope", "hull", "--n", "3", "--points", '{"space":"fam","points":[]}'),
+        ("verify", "theorem3", "--n", "3", "--trials", "0"),
+        ("verify", "theorem3", "--n", "3", "--trials", "-2"),
     ],
     ids=[
         "unknown-command",
@@ -149,6 +152,9 @@ def test_verify_json_deterministic(capsys):
         "row-not-object",
         "dag-not-object",
         "catalog-without-which",
+        "empty-points",
+        "zero-trials",
+        "negative-trials",
     ],
 )
 def test_usage_error_exit_two(capsys, argv):

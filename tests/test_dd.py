@@ -6,6 +6,8 @@ import pytest
 
 from bnpoly.dd import Budget, extreme_rays
 from bnpoly.errors import BudgetExceededError
+from bnpoly.ground import GroundSet
+from bnpoly.polyhedra import cip_vrep, fvp_vrep
 
 
 def test_orthant():
@@ -79,6 +81,64 @@ def test_zeroset_and_rank_adjacency_agree():
         r1, l1 = extreme_rays(rows, d, adjacency="zeroset")
         r2, l2 = extreme_rays(rows, d, adjacency="rank")
         assert r1 == r2 and l1 == l2
+
+
+def _lifted(points):
+    # The cone of valid inequalities u - <c, p> >= 0, as facets_from_vertices builds it.
+    return [(1,) + tuple(-x for x in p) for p in points]
+
+
+# Nine points of {0, 1, 2}^4, found by search: for one plus ray, the cover
+# found for an earlier pair is a later minus ray, and that pair is an edge.
+# Reusing the cover there without skipping the minus ray loses the facet
+# (2, 0, 0, 1, 1).
+_COVER_IS_MINUS_RAY = [
+    (0, 1, 1, 1), (0, 2, 1, 0), (2, 1, 0, 1), (0, 0, 2, 0), (1, 2, 1, 0),
+    (0, 2, 0, 2), (0, 0, 0, 2), (2, 1, 0, 2), (2, 1, 0, 0),
+]
+
+# Vertex sets of 0/1 polytopes give degenerate cones: many plus/minus pairs
+# share enough tight rows without being adjacent, so the cover scan, its stop
+# rule and the reuse of the last cover all decide pairs.
+DEGENERATE_CONES = {
+    **{
+        f"cube{d}-rows": (lambda d=d: (_cube_inequality_rows(d), d + 1))
+        for d in (3, 4, 5)
+    },
+    **{
+        f"cube{d}-vertices": (
+            lambda d=d: (_lifted(itertools.product((0, 1), repeat=d)), d + 1)
+        )
+        for d in (3, 4, 5)
+    },
+    "fvp3": lambda: (_lifted(fvp_vrep(GroundSet.alpha(3)).points), 10),
+    "cip3": lambda: (_lifted(cip_vrep(GroundSet.alpha(3)).points), 5),
+    "cover-is-minus-ray": lambda: (_lifted(_COVER_IS_MINUS_RAY), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_CONES))
+def test_zeroset_and_rank_adjacency_agree_on_degenerate_cones(name):
+    rows, dim = DEGENERATE_CONES[name]()
+    r1, l1 = extreme_rays(rows, dim, adjacency="zeroset")
+    r2, l2 = extreme_rays(rows, dim, adjacency="rank")
+    assert r1 == r2 and l1 == l2
+
+
+def test_cover_is_minus_ray_keeps_the_edge():
+    rays, lin = extreme_rays(_lifted(_COVER_IS_MINUS_RAY), 5)
+    assert len(rays) == 12 and lin == []
+    assert (2, 0, 0, 1, 1) in rays
+
+
+def test_split_with_lineality_and_empty_common_set():
+    # Two free coordinates keep the pointed part two-dimensional, so the
+    # last row splits a pair that needs no common tight row and has none.
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, 2, 0, 0)]
+    for adjacency in ("zeroset", "rank"):
+        rays, lin = extreme_rays(rows, 4, adjacency=adjacency)
+        assert rays == [(0, 1, 0, 0), (2, 1, 0, 0)]
+        assert lin == [(0, 0, 0, 1), (0, 0, 1, 0)]
 
 
 def test_rays_are_primitive_and_distinct():

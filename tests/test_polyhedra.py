@@ -87,6 +87,12 @@ def test_hull_counts(gs3):
     assert len(facets_from_vertices(cip_vrep(gs3)).inequalities) == 13
 
 
+def test_fvp_n4_hull_has_135_facets(gs4):
+    hull = facets_from_vertices(fvp_vrep(gs4))
+    assert len(hull.inequalities) == 135
+    assert hull.equations == ()  # full-dimensional in the 28 family variables
+
+
 def test_hull_low_dimensional_reports_equations(gs3):
     # two points: a segment with one equation short of full space
     fvp = fvp_vrep(gs3)
