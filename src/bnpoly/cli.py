@@ -366,6 +366,10 @@ def _cmd_verify(args) -> int:
     elif args.pipeline == "n4":
         report = verify_n4(fvp_hull=args.stretch, fvp_star=args.stretch, budget=budget)
     elif args.pipeline == "theorem3":
+        if args.n not in (3, 4, 5):
+            raise ValueError(f"verify theorem3 is supported for n in {{3, 4, 5}}, got {args.n}")
+        if args.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {args.trials}")
         if args.n == 5:
             report = verify_theorem3_n5()
         else:

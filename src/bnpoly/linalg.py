@@ -1,41 +1,61 @@
-"""Small exact linear algebra helpers (rank and affine rank)."""
+"""Small exact linear algebra helpers (rank and affine rank).
+
+Every function runs on one fraction-free echelon routine: each row is scaled
+to integers once, by the lcm of its denominators, and then reduced against
+the basis with integer steps ``p*v - f*b``.  As in Bareiss (1968) no
+fraction is formed; unlike Bareiss, entries are kept small by dividing each
+new basis row by the gcd of its entries, not by the previous pivot.  Integer
+input never creates a ``Fraction``; rows of unequal length raise
+``ValueError``.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
+
+
+def _echelon_rank(rows: Iterable[Sequence], stop_at: int | None = None) -> int:
+    """Rank of the rows (int or Fraction entries), read one at a time and
+    kept in row-echelon form keyed by leading column; stops reading once the
+    rank reaches ``stop_at``."""
+    basis: dict[int, list[int]] = {}
+    width = None
+    for row in rows:
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(f"rows of unequal length: {len(row)} and {width}")
+        scale = lcm(*(x.denominator for x in row))
+        vec = [x.numerator * (scale // x.denominator) for x in row]
+        for j in range(width):
+            f = vec[j]
+            if not f:
+                continue
+            brow = basis.get(j)
+            if brow is None:
+                content = gcd(*vec)
+                basis[j] = [x // content for x in vec]
+                break
+            p = brow[j]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            vec = [p * x - f * y for x, y in zip(vec, brow)]
+        if stop_at is not None and len(basis) >= stop_at:
+            break
+    return len(basis)
+
+
+def _differences(points: Iterable[Sequence], base: Sequence) -> Iterable[list]:
+    for p in points:
+        if len(p) != len(base):
+            raise ValueError(f"points of unequal length: {len(p)} and {len(base)}")
+        yield [x - y for x, y in zip(p, base)]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix of exact numbers (int or Fraction) via Gaussian
-    elimination with exact pivots."""
-    work = [list(map(Fraction, row)) for row in rows if any(row)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][col]
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                factor = work[i][col] / pivot
-                row_i = work[i]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        row_i[j] -= factor * prow[j]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    """Rank of a matrix of exact numbers (int or Fraction)."""
+    return _echelon_rank(rows)
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:
@@ -44,41 +64,16 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     points = list(points)
     if not points:
         raise ValueError("affine rank of an empty point list is undefined")
-    base = points[0]
-    diffs = [
-        [Fraction(x) - Fraction(y) for x, y in zip(p, base)] for p in points[1:]
-    ]
-    return rank(diffs) + 1
+    return _echelon_rank(_differences(points[1:], points[0])) + 1
 
 
-def incremental_rank_reaches(points, target: int) -> bool:
+def incremental_rank_reaches(points: Iterable[Sequence], target: int) -> bool:
     """Whether the affine rank of the point stream reaches ``target``;
-    stops reading as soon as it does.  The basis is kept in row-echelon form
-    keyed by leading column."""
-    base = None
-    by_lead: dict[int, list[Fraction]] = {}
-    count = 0
-    for p in points:
-        if base is None:
-            base = [Fraction(x) for x in p]
-            count = 1
-            if count >= target:
-                return True
-            continue
-        vec = [Fraction(x) - y for x, y in zip(p, base)]
-        while True:
-            lead = next((j for j, v in enumerate(vec) if v), None)
-            if lead is None:
-                break
-            brow = by_lead.get(lead)
-            if brow is None:
-                by_lead[lead] = vec
-                count += 1
-                break
-            factor = vec[lead] / brow[lead]
-            for j in range(lead, len(vec)):
-                if brow[j]:
-                    vec[j] -= factor * brow[j]
-        if count >= target:
-            return True
-    return count >= target
+    stops reading as soon as it does."""
+    points = iter(points)
+    base = next(points, None)
+    if base is None:
+        return target <= 0
+    if target <= 1:
+        return True
+    return _echelon_rank(_differences(points, base), stop_at=target - 1) + 1 >= target

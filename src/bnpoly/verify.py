@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .dags import enumerate_dags, enumerate_equivalence_classes
@@ -485,12 +486,16 @@ def verify_counterexample(budget: Budget | None = None) -> VerificationReport:
     dags = enumerate_dags(gs)
     report.check("number of DAGs", 29281, len(dags))
 
-    # (2) validity with exactly 153 tight codes
-    values = []
-    for g in dags:
-        values.append(sum((obj[(a, B)] for a, B in enumerate(g.parents) if B), ZERO))
-    report.check("inequality valid over all DAG codes", True, max(values) <= 16)
-    tight = [g for g, v in zip(dags, values) if v == 16]
+    # (2) validity with exactly 153 tight codes, in integers: every weight is
+    # scaled by the lcm of the denominators and looked up by (node, parent mask)
+    scale = lcm(*(w.denominator for _, w in obj.items()))
+    weights = [[0] * (1 << gs.n) for _ in range(gs.n)]
+    for (a, B), w in obj.items():
+        weights[a][B] = w.numerator * (scale // w.denominator)
+    bound = 16 * scale
+    values = [sum(map(list.__getitem__, weights, g.parents)) for g in dags]
+    report.check("inequality valid over all DAG codes", True, max(values) <= bound)
+    tight = [g for g, v in zip(dags, values) if v == bound]
     report.check("tight DAG codes", 153, len(tight), source="published")
 
     # (3) dimension of the family-variable face

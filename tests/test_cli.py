@@ -137,6 +137,9 @@ def test_verify_json_deterministic(capsys):
         ("polytope", "hull", "--n", "3", "--points", '{"space":"fam","points":[]}'),
         ("verify", "theorem3", "--n", "3", "--trials", "0"),
         ("verify", "theorem3", "--n", "3", "--trials", "-2"),
+        ("verify", "theorem3", "--n", "5", "--trials", "0"),
+        ("verify", "theorem3", "--n", "2"),
+        ("verify", "theorem3", "--n", "6"),
     ],
     ids=[
         "unknown-command",
@@ -155,6 +158,9 @@ def test_verify_json_deterministic(capsys):
         "empty-points",
         "zero-trials",
         "negative-trials",
+        "zero-trials-n5",
+        "theorem3-n2",
+        "theorem3-n6",
     ],
 )
 def test_usage_error_exit_two(capsys, argv):
@@ -164,14 +170,21 @@ def test_usage_error_exit_two(capsys, argv):
     assert argv == ("nonsense",) or err.startswith("error: ")
 
 
+def test_theorem3_names_every_supported_n(capsys):
+    code, _, err = run_cli(capsys, "verify", "theorem3", "--n", "6")
+    assert code == 2
+    assert "{3, 4, 5}" in err
+
+
 def test_dags_refuses_six_nodes_up_front(capsys, monkeypatch):
     def never(*_):
-        raise AssertionError("the parent-map product must not be started")
+        raise AssertionError("the DAG generator must not be started")
 
-    monkeypatch.setattr(dags, "product", never)
+    monkeypatch.setattr(dags, "_acyclic_parent_tuples", never)
     code, out, err = run_cli(capsys, "dags", "--n", "6")
     assert code == 3
     assert out == "" and "budget exhausted" in err
+    assert "3781503 DAGs over 6 nodes" in err
 
 
 def test_export_lp_roundtrip(tmp_path, capsys):

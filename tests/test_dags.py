@@ -158,10 +158,38 @@ def test_dag_json_roundtrip(gs3):
 
 def test_enumeration_refuses_six_nodes_without_starting(monkeypatch):
     def never(*_):
-        raise AssertionError("the parent-map product must not be started")
+        raise AssertionError("the DAG generator must not be started")
 
-    monkeypatch.setattr(dags_module, "product", never)
-    with pytest.raises(BudgetExceededError, match="1073741824 parent maps"):
+    monkeypatch.setattr(dags_module, "_acyclic_parent_tuples", never)
+    with pytest.raises(BudgetExceededError, match="there are 3781503 DAGs over 6 nodes"):
         enumerate_dags(GroundSet.alpha(6))
     with pytest.raises(BudgetExceededError):
         enumerate_equivalence_classes(GroundSet.alpha(6))
+
+
+def product_filter(n):
+    """Brute-force oracle: every parent map in the product, kept if acyclic."""
+    full = (1 << n) - 1
+    choices = [[B for B in range(full + 1) if not B >> a & 1] for a in range(n)]
+    return [pm for pm in itertools.product(*choices) if dags_module._acyclic(pm, full)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_source_peeling_matches_product_filter(n):
+    assert dags_module._acyclic_parent_tuples(n) == product_filter(n)
+
+
+def test_source_peeling_five_nodes():
+    maps = dags_module._acyclic_parent_tuples(5)
+    assert len(maps) == len(set(maps)) == 29281
+    assert maps == sorted(maps)
+    for pm in maps:
+        assert all(not B >> a & 1 for a, B in enumerate(pm))
+        assert dags_module._acyclic(pm, 0b11111)
+
+
+def test_robinson_recurrence():
+    # OEIS A003024
+    assert [dags_module._dag_count(n) for n in range(8)] == [
+        1, 1, 3, 25, 543, 29281, 3781503, 1138779265,
+    ]

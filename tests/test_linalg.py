@@ -1,0 +1,166 @@
+import fractions
+import itertools
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+import bnpoly
+from bnpoly import linalg
+
+
+def fraction_rank(rows):
+    """Independent oracle: Gaussian elimination over Fraction, column by column."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    ncols = len(work[0]) if work else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            factor = work[i][col] / work[r][col]
+            work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+def fraction_affine_rank(points):
+    return fraction_rank([[Fraction(x) - y for x, y in zip(p, points[0])] for p in points[1:]]) + 1
+
+
+def random_matrix(rng, nrows, ncols, true_rank, mixed):
+    """A product of an nrows x k and a k x ncols factor, so its rank is at most
+    k = true_rank; duplicate and zero rows are mixed in."""
+    def entry():
+        if mixed and rng.random() < 0.4:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return rng.randint(-4, 4)
+
+    left = [[entry() for _ in range(true_rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(true_rank)]
+    rows = [
+        [sum(lrow[t] * right[t][c] for t in range(true_rank)) for c in range(ncols)]
+        for lrow in left
+    ]
+    if rows and rng.random() < 0.5:
+        rows.append(list(rows[rng.randrange(len(rows))]))
+    if rng.random() < 0.5:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    return rows
+
+
+SHAPES = [(1, 1), (3, 3), (4, 9), (9, 4), (12, 12), (2, 15), (15, 2), (20, 7)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["int", "mixed"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
+def test_rank_matches_fraction_oracle(shape, mixed):
+    rng = random.Random(f"{shape}-{mixed}")
+    nrows, ncols = shape
+    for _ in range(8):
+        k = rng.randint(0, min(nrows, ncols))
+        rows = random_matrix(rng, nrows, ncols, k, mixed)
+        expected = fraction_rank(rows)
+        assert expected <= k
+        assert linalg.rank(rows) == expected
+        assert linalg.rank([tuple(r) for r in rows]) == expected
+        assert linalg.affine_rank(rows) == fraction_affine_rank(rows)
+
+
+def test_rank_small_cases():
+    assert linalg.rank([]) == 0
+    assert linalg.rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert linalg.rank([[2, 4], [1, 2]]) == 1
+    assert linalg.rank([[Fraction(1, 3), Fraction(2, 3)], [1, 2]]) == 1
+    assert linalg.rank([[Fraction(1, 3), 1], [1, Fraction(1, 3)]]) == 2
+    assert linalg.rank([[0, 1], [1, 0], [1, 1]]) == 2
+    assert linalg.affine_rank([(5, 5)]) == 1
+    assert linalg.affine_rank([(1, 0), (1, 0), (1, 0)]) == 1
+    with pytest.raises(ValueError):
+        linalg.affine_rank([])
+
+
+def fraction_calls(call):
+    """Names of the functions of the fractions module that ``call`` runs."""
+    seen = []
+
+    def profile(frame, event, _):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            seen.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_integer_input_makes_no_fraction():
+    rows = [[1, 0, 2], [0, 3, 1], [1, 3, 3], [2, 0, 4]]
+    assert fraction_calls(lambda: linalg.rank(rows)) == []
+    assert fraction_calls(lambda: linalg.affine_rank(rows)) == []
+    assert fraction_calls(lambda: linalg.incremental_rank_reaches(rows, 3)) == []
+    # the probe sees Fraction work when there is some
+    assert fraction_calls(lambda: linalg.rank([[Fraction(1, 2), 1], [1, 2]])) != []
+
+
+def test_large_entries_stay_exact():
+    big = 10 ** 40
+    rows = [[big, 1], [big + 1, 1], [2 * big + 1, 2]]
+    assert linalg.rank(rows) == fraction_rank(rows) == 2
+    assert linalg.rank([[big, big + 1], [Fraction(big, 3), Fraction(big + 1, 3)]]) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.rank([[1, 0], [0, 0, 1]]),
+        lambda: linalg.rank([[0, 0, 1], [1, 0]]),
+        lambda: linalg.affine_rank([(0, 0), (1, 0, 0), (0, 1, 5)]),
+        lambda: linalg.affine_rank([(0, 0, 0), (1, 0)]),
+        lambda: linalg.incremental_rank_reaches([(0, 0), (1, 0, 0), (0, 1, 5)], 3),
+        lambda: bnpoly.affine_rank([(0, 0), (1, 0, 0), (0, 1, 5)]),
+    ],
+    ids=["rank-longer", "rank-shorter", "affine-longer", "affine-shorter", "incremental", "public"],
+)
+def test_ragged_rows_raise(call):
+    with pytest.raises(ValueError, match="unequal length"):
+        call()
+
+
+def test_incremental_stops_on_infinite_stream():
+    read = []
+
+    def stream():
+        for i in itertools.count():
+            read.append(i)
+            yield tuple(1 if j == i % 6 else 0 for j in range(6))
+
+    assert linalg.incremental_rank_reaches(stream(), 6)
+    assert len(read) == 6
+
+
+def test_incremental_first_point_meets_target_one():
+    def stream():
+        yield (1, 2)
+        raise AssertionError("read past the target")
+
+    assert linalg.incremental_rank_reaches(stream(), 1)
+    assert linalg.incremental_rank_reaches([], 0)
+    assert not linalg.incremental_rank_reaches([], 1)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["int", "mixed"])
+def test_incremental_agrees_with_affine_rank(mixed):
+    rng = random.Random(f"incremental-{mixed}")
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 8)
+        points = random_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), mixed)
+        r = linalg.affine_rank(points)
+        assert linalg.incremental_rank_reaches(iter(points), r)
+        assert not linalg.incremental_rank_reaches(iter(points), r + 1)
