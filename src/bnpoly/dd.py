@@ -11,7 +11,7 @@ vectors and every ray is kept primitive, so there is no rounding and no
 floating-point prefiltering anywhere.  Tight-row sets are bitsets (Python
 ints); two rays are combined only when adjacent.  Adjacency is decided by
 the standard zero-set test (no third extreme ray is tight on the common
-tight set), with the rank characterization available as a cross-check.
+tight set).
 
 The zero-set test looks for a cover: a third ray whose zero set contains
 the pair's common set.  Each step lists the rays by decreasing zero-set
@@ -26,19 +26,21 @@ gets the same answer as a scan over all rays.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
-from . import linalg
 from .errors import BudgetExceededError
-from .ground import iter_bits
+from .linalg import integer_row, primitive
 
 
 class Budget:
-    """Wall-clock / intermediate-size budget with typed overflow errors."""
+    """Wall-clock / intermediate-size budget with typed overflow errors;
+    a negative or NaN limit raises ValueError."""
 
     def __init__(self, max_seconds: float | None = None, max_rays: int | None = None):
+        if max_seconds is not None and not max_seconds >= 0:
+            raise ValueError(f"time budget must be a nonnegative number, got {max_seconds}")
+        if max_rays is not None and max_rays < 0:
+            raise ValueError(f"ray budget must be nonnegative, got {max_rays}")
         self.max_seconds = max_seconds
         self.max_rays = max_rays
         self._start = time.monotonic()
@@ -54,28 +56,9 @@ class Budget:
             )
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-        if g == 1:
-            return tuple(vec)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(v // g for v in vec)
-
-
 def _to_int_rows(rows: Iterable[Sequence]) -> list[tuple[int, ...]]:
-    out = []
-    for row in rows:
-        scale = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                scale = scale * v.denominator // gcd(scale, v.denominator)
-        ints = [int(v * scale) if isinstance(v, Fraction) else int(v) * scale for v in row]
-        if any(ints):
-            out.append(_primitive(ints))
-    return out
+    """Each nonzero row as a primitive integer vector."""
+    return [primitive(integer_row(row)[0]) for row in rows if any(row)]
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -86,16 +69,12 @@ def extreme_rays(
     rows: Iterable[Sequence],
     dim: int,
     budget: Budget | None = None,
-    adjacency: str = "zeroset",
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Return (rays, lineality_basis) of the cone {x : rows . x >= 0}.
 
     Rays are primitive integer tuples, sorted; the lineality basis vectors
-    are primitive with positive leading entry.  ``adjacency`` selects the
-    pair test: "zeroset" (default) or "rank".
+    are primitive with positive leading entry.
     """
-    if adjacency not in ("zeroset", "rank"):
-        raise ValueError(f"unknown adjacency test {adjacency!r}")
     int_rows = _to_int_rows(rows)
     # Positive multiples coincide after primitive scaling; repeated rows
     # would only burn zero-set bits, so keep one copy of each.
@@ -104,13 +83,12 @@ def extreme_rays(
     lineality: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
-    rays: list[list] = []  # [vector, zeroset]
-    processed: list[tuple[int, ...]] = []
+    rays: list[list] = []  # [vector, zeroset]; bit k of a zero set is row k
 
-    for row in int_rows:
+    for k, row in enumerate(int_rows):
         if budget is not None:
             budget.check(len(rays))
-        step_bit = 1 << len(processed)
+        step_bit = 1 << k
 
         pivot_idx = None
         for idx, v in enumerate(lineality):
@@ -128,18 +106,17 @@ def extreme_rays(
             for w in lineality:
                 dw = _dot(row, w)
                 if dw:
-                    w = _primitive([dv * wx - dw * vx for wx, vx in zip(w, v)])
+                    w = primitive([dv * wx - dw * vx for wx, vx in zip(w, v)])
                 new_lin.append(w)
             lineality = new_lin
             new_rays = []
             for vec, zeros in rays:
                 dr = _dot(row, vec)
                 if dr:
-                    vec = _primitive([dv * x - dr * y for x, y in zip(vec, v)])
+                    vec = primitive([dv * x - dr * y for x, y in zip(vec, v)])
                 new_rays.append([vec, zeros | step_bit])
             new_rays.append([v, step_bit - 1])
             rays = new_rays
-            processed.append(row)
             continue
 
         plus, zero, minus = [], [], []
@@ -155,19 +132,16 @@ def extreme_rays(
         if not minus:
             for entry in zero:
                 entry[1] |= step_bit
-            processed.append(row)
             continue
         if not plus:
             rays = [[vec, zeros | step_bit] for vec, zeros in zero]
-            processed.append(row)
             continue
 
         needed = dim - len(lineality) - 2  # tight-row count needed for an edge
-        if adjacency == "zeroset":
-            by_size = sorted(
-                ((zeros.bit_count(), i, zeros) for i, (_, zeros) in enumerate(rays)),
-                key=lambda t: (-t[0], t[1]),
-            )
+        by_size = sorted(
+            ((zeros.bit_count(), i, zeros) for i, (_, zeros) in enumerate(rays)),
+            key=lambda t: (-t[0], t[1]),
+        )
         combos = []
         for i, pentry, dp in plus:
             if budget is not None:
@@ -179,31 +153,26 @@ def extreme_rays(
                 size = common.bit_count()
                 if size < needed:
                     continue
-                if adjacency == "zeroset":
-                    # Neighbouring minus rays often share a cover, so try it
-                    # first; but Z_j always contains common, so never j itself.
-                    if (
-                        last_cover is not None
-                        and last_cover[0] != j
-                        and last_cover[1] & common == common
-                    ):
-                        continue
-                    cover = _cover_zeroset(by_size, i, j, common, size)
-                    if cover is not None:
-                        last_cover = cover
-                        continue
-                else:
-                    if not _adjacent_rank(processed, common, needed):
-                        continue
+                # Neighbouring minus rays often share a cover, so try it
+                # first; but Z_j always contains common, so never j itself.
+                if (
+                    last_cover is not None
+                    and last_cover[0] != j
+                    and last_cover[1] & common == common
+                ):
+                    continue
+                cover = _cover_zeroset(by_size, i, j, common, size)
+                if cover is not None:
+                    last_cover = cover
+                    continue
                 qvec = qentry[0]
-                vec = _primitive([dp * qx - dq * px for px, qx in zip(pvec, qvec)])
+                vec = primitive([dp * qx - dq * px for px, qx in zip(pvec, qvec)])
                 combos.append([vec, common | step_bit])
         rays = (
             [[entry[0], entry[1]] for _, entry, _ in plus]
             + [[vec, zeros | step_bit] for vec, zeros in zero]
             + combos
         )
-        processed.append(row)
 
     ray_vecs = sorted(tuple(vec) for vec, _ in rays)
     lin = [_sign_normalize(v) for v in lineality]
@@ -224,11 +193,6 @@ def _cover_zeroset(
         if zeros & common == common and idx != i and idx != j:
             return idx, zeros
     return None
-
-
-def _adjacent_rank(processed_rows, common: int, needed: int) -> bool:
-    tight = [processed_rows[i] for i in iter_bits(common)]
-    return linalg.rank(tight) == needed
 
 
 def _sign_normalize(vec: Sequence[int]) -> tuple[int, ...]:

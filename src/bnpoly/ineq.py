@@ -34,6 +34,7 @@ from .ground import (
     scalar_product,
     submasks,
 )
+from .linalg import integer_row
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,8 @@ class LinearInequality:
         """Scale to integer coefficients with gcd 1 (bound scales along)."""
         if not self.objective:
             return self
-        denom_lcm = 1
-        for _, v in self.objective.items():
-            denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-        num_gcd = 0
-        for _, v in self.objective.items():
-            num_gcd = gcd(num_gcd, abs(v.numerator * (denom_lcm // v.denominator)))
-        factor = Fraction(denom_lcm, num_gcd)
+        ints, scale = integer_row([v for _, v in self.objective.items()])
+        factor = Fraction(scale, gcd(*ints))
         return LinearInequality(
             self.space, self.objective * factor, self.bound * factor, self.label
         )

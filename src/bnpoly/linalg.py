@@ -1,8 +1,13 @@
-"""Small exact linear algebra helpers (rank and affine rank).
+"""Small exact linear algebra helpers: integer rows, rank and affine rank.
 
-Every function runs on one fraction-free echelon routine: each row is scaled
-to integers once, by the lcm of its denominators, and then reduced against
-the basis with integer steps ``p*v - f*b``.  As in Bareiss (1968) no
+:func:`integer_row` is the one place where a rational row becomes integers
+(times the lcm of its denominators), and :func:`primitive` divides an integer
+row by the gcd of its entries; the double description, the inequality
+normal form and the exact evaluations over vertex lists all go through them.
+
+Every rank function runs on one fraction-free echelon routine: each row is
+scaled to integers once and then reduced against the basis with integer
+steps ``p*v - f*b``.  As in Bareiss (1968) no
 fraction is formed; unlike Bareiss, entries are kept small by dividing each
 new basis row by the gcd of its entries, not by the previous pivot.  Integer
 input never creates a ``Fraction``; rows of unequal length raise
@@ -15,27 +20,41 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
+def integer_row(row: Sequence) -> tuple[list[int], int]:
+    """``(ints, scale)``: the row (int or Fraction entries) times ``scale``,
+    the lcm of its denominators.  Integer input creates no Fraction."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The integer row divided by the gcd of its entries (a zero row stays
+    zero); the signs are kept."""
+    g = gcd(*ints)
+    if g <= 1:
+        return tuple(ints)
+    return tuple(x // g for x in ints)
+
+
 def _echelon_rank(rows: Iterable[Sequence], stop_at: int | None = None) -> int:
     """Rank of the rows (int or Fraction entries), read one at a time and
     kept in row-echelon form keyed by leading column; stops reading once the
     rank reaches ``stop_at``."""
-    basis: dict[int, list[int]] = {}
+    basis: dict[int, tuple[int, ...]] = {}
     width = None
     for row in rows:
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise ValueError(f"rows of unequal length: {len(row)} and {width}")
-        scale = lcm(*(x.denominator for x in row))
-        vec = [x.numerator * (scale // x.denominator) for x in row]
+        vec = integer_row(row)[0]
         for j in range(width):
             f = vec[j]
             if not f:
                 continue
             brow = basis.get(j)
             if brow is None:
-                content = gcd(*vec)
-                basis[j] = [x // content for x in vec]
+                basis[j] = primitive(vec)
                 break
             p = brow[j]
             g = gcd(p, f)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dags import Dag, enumerate_dags, enumerate_equivalence_classes
+from .dags import Dag, enumerate_dags
 from .dd import Budget, extreme_rays
 from .encodings import char_bits
 from .errors import (
@@ -33,7 +33,7 @@ from .ground import (
     enumerate_family_indices,
 )
 from .ineq import LinearInequality
-from .linalg import affine_rank
+from .linalg import affine_rank, integer_row
 from .simplex import solve_lp
 
 
@@ -127,15 +127,11 @@ def fvp_vrep(gs: GroundSet) -> VRep:
 
 def cip_vrep(gs: GroundSet) -> VRep:
     """Vertex representation of the characteristic-imset polytope: one 0/1
-    point per Markov equivalence class."""
+    point per Markov equivalence class.  The characteristic imset identifies
+    the class, so these are the distinct imsets of all DAGs, in the order of
+    each class's first DAG."""
     cai = enumerate_cai(gs)
-    points = []
-    seen = set()
-    for rep, _ in enumerate_equivalence_classes(gs):
-        p = char_bits(rep, cai)
-        if p not in seen:
-            seen.add(p)
-            points.append(p)
+    points = dict.fromkeys(char_bits(g, cai) for g in enumerate_dags(gs))
     return VRep("char", gs, tuple(points))
 
 
@@ -145,13 +141,15 @@ class FaceInfo:
     dimension: int
 
 
-def _values(objective: FamVector | CharVector, vrep: VRep) -> list[Fraction]:
-    """<objective, p> for every point p of the vertex list, in point order."""
+def _values(objective: FamVector | CharVector, vrep: VRep) -> tuple[list, int]:
+    """``(values, scale)``: ``scale * <objective, p>`` for every point p of
+    the vertex list, in point order, where the objective times ``scale`` is
+    its integer row; the values are integers at integer points."""
     if objective.space != vrep.space or objective.gs != vrep.gs:
         raise BnPolyError("objective and V-representation spaces differ")
-    dense = vector_to_dense(objective, vrep.index)
-    terms = [(j, c) for j, c in enumerate(dense) if c]
-    return [sum((c * p[j] for j, c in terms), ZERO) for p in vrep.points]
+    ints, scale = integer_row(vector_to_dense(objective, vrep.index))
+    terms = [(j, c) for j, c in enumerate(ints) if c]
+    return [sum(c * p[j] for j, c in terms) for p in vrep.points], scale
 
 
 def incidence(
@@ -161,13 +159,17 @@ def incidence(
     InvalidInequalityError if some point violates an inequality."""
     tight_sets = []
     for ineq in inequalities:
+        values, scale = _values(ineq.objective, vrep)
+        bound = ineq.bound * scale
+        if bound.denominator == 1:
+            bound = bound.numerator  # integer values compare without Fraction
         tight = set()
-        for i, value in enumerate(_values(ineq.objective, vrep)):
-            if value > ineq.bound:
+        for i, value in enumerate(values):
+            if value > bound:
                 raise InvalidInequalityError(
                     f"inequality {ineq.label or ineq} violated at point {i}"
                 )
-            if value == ineq.bound:
+            if value == bound:
                 tight.add(i)
         tight_sets.append(frozenset(tight))
     return tight_sets
@@ -323,6 +325,6 @@ def max_over_vertices(
 ) -> tuple[Fraction, int]:
     """Maximum of the objective over a nonempty vertex list, with the first
     attaining index."""
-    values = _values(objective, vrep)
+    values, scale = _values(objective, vrep)
     best = max(values)
-    return best, values.index(best)
+    return Fraction(best, scale), values.index(best)

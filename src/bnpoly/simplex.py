@@ -282,11 +282,12 @@ def _pivot(tableau, cost_rows, basis, r, s) -> None:
 
 def _check_certificate(c, A_ub, b_ub, A_eq, b_eq, nonneg, result: LpResult) -> None:
     x = result.x
+    support = [(j, v) for j, v in enumerate(x) if v]
     for row, rhs in zip(A_ub, b_ub):
-        if sum((a * v for a, v in zip(row, x)), _ZERO) > rhs:
+        if sum((row[j] * v for j, v in support if row[j]), _ZERO) > rhs:
             raise BnPolyError("simplex returned a primal-infeasible point")
     for row, rhs in zip(A_eq, b_eq):
-        if sum((a * v for a, v in zip(row, x)), _ZERO) != rhs:
+        if sum((row[j] * v for j, v in support if row[j]), _ZERO) != rhs:
             raise BnPolyError("simplex returned a primal-infeasible point")
     if nonneg and any(v < 0 for v in x):
         raise BnPolyError("simplex returned a primal-infeasible point")
@@ -298,14 +299,12 @@ def _check_certificate(c, A_ub, b_ub, A_eq, b_eq, nonneg, result: LpResult) -> N
     )
     if strong != result.objective:
         raise BnPolyError("strong duality failed; certificate invalid")
-    nvars = len(c)
-    for j in range(nvars):
-        combo = sum((y_ub[i] * A_ub[i][j] for i in range(len(A_ub))), _ZERO) + sum(
-            (y_eq[i] * A_eq[i][j] for i in range(len(A_eq))), _ZERO
-        )
-        if nonneg:
-            if combo < c[j]:
-                raise BnPolyError("dual certificate infeasible")
-        else:
-            if combo != c[j]:
-                raise BnPolyError("dual certificate infeasible")
+    # A^T y, accumulated row by row over the nonzero multipliers and entries.
+    combo = [_ZERO] * len(c)
+    for y, row in zip((*y_ub, *y_eq), (*A_ub, *A_eq)):
+        if y:
+            for j, a in enumerate(row):
+                if a:
+                    combo[j] += y * a
+    if any(s < cj if nonneg else s != cj for s, cj in zip(combo, c)):
+        raise BnPolyError("dual certificate infeasible")

@@ -13,7 +13,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .dags import enumerate_dags, enumerate_equivalence_classes
@@ -411,13 +410,11 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
 
     rng = random.Random(seed)
     objectives = [_random_se_objective(gs, rng) for _ in range(trials)]
+    brute = [max_over_vertices(obj, fvp)[0] for obj in objectives]
     for name, hrep in variants.items():
-        agree = 0
-        for obj in objectives:
-            brute, _ = max_over_vertices(obj, fvp)
-            optimum, _ = lp_maximize(obj, hrep)
-            if brute == optimum:
-                agree += 1
+        agree = sum(
+            1 for obj, best in zip(objectives, brute) if lp_maximize(obj, hrep)[0] == best
+        )
         report.check(f"{name}: optima agree on {trials} random objectives", trials, agree)
 
     # Named instances: the zero objective and a two-node cluster objective.
@@ -486,12 +483,13 @@ def verify_counterexample(budget: Budget | None = None) -> VerificationReport:
     dags = enumerate_dags(gs)
     report.check("number of DAGs", 29281, len(dags))
 
-    # (2) validity with exactly 153 tight codes, in integers: every weight is
-    # scaled by the lcm of the denominators and looked up by (node, parent mask)
-    scale = lcm(*(w.denominator for _, w in obj.items()))
+    # (2) validity with exactly 153 tight codes, in integers: the objective's
+    # integer row is looked up by (node, parent mask)
+    keys, coeffs = zip(*obj.items())
+    ints, scale = linalg.integer_row(coeffs)
     weights = [[0] * (1 << gs.n) for _ in range(gs.n)]
-    for (a, B), w in obj.items():
-        weights[a][B] = w.numerator * (scale // w.denominator)
+    for (a, B), w in zip(keys, ints):
+        weights[a][B] = w
     bound = 16 * scale
     values = [sum(map(list.__getitem__, weights, g.parents)) for g in dags]
     report.check("inequality valid over all DAG codes", True, max(values) <= bound)

@@ -140,6 +140,9 @@ def test_verify_json_deterministic(capsys):
         ("verify", "theorem3", "--n", "5", "--trials", "0"),
         ("verify", "theorem3", "--n", "2"),
         ("verify", "theorem3", "--n", "6"),
+        ("polytope", "hull", "--n", "3", "--polytope", "cip", "--budget", "nan"),
+        ("verify", "n3", "--budget", "-1"),
+        ("polytope", "hull", "--n", "3", "--polytope", "cip", "--max-rays", "-5"),
     ],
     ids=[
         "unknown-command",
@@ -161,6 +164,9 @@ def test_verify_json_deterministic(capsys):
         "zero-trials-n5",
         "theorem3-n2",
         "theorem3-n6",
+        "nan-budget",
+        "negative-budget",
+        "negative-max-rays",
     ],
 )
 def test_usage_error_exit_two(capsys, argv):

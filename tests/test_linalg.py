@@ -109,6 +109,32 @@ def test_integer_input_makes_no_fraction():
     assert fraction_calls(lambda: linalg.rank([[Fraction(1, 2), 1], [1, 2]])) != []
 
 
+def test_integer_row_scales_by_lcm_of_denominators():
+    assert linalg.integer_row([Fraction(1, 2), Fraction(-2, 3), 0, 5]) == ([3, -4, 0, 30], 6)
+    assert linalg.integer_row([Fraction(-3, 4), Fraction(5, 4)]) == ([-3, 5], 4)
+    assert linalg.integer_row([0, 0, 0]) == ([0, 0, 0], 1)
+    assert linalg.integer_row([Fraction(0), Fraction(0)]) == ([0, 0], 1)
+    assert linalg.integer_row([]) == ([], 1)
+    ints, scale = linalg.integer_row([-4, 6, 0])
+    assert (ints, scale) == ([-4, 6, 0], 1)
+    assert all(type(x) is int for x in ints)
+
+
+def test_primitive_divides_by_gcd_and_keeps_signs():
+    assert linalg.primitive([-4, 6, 0, -10]) == (-2, 3, 0, -5)
+    assert linalg.primitive([0, -7, 0]) == (0, -1, 0)
+    assert linalg.primitive([3, 5]) == (3, 5)
+    assert linalg.primitive([0, 0]) == (0, 0)
+    assert linalg.primitive([]) == ()
+
+
+def test_integer_row_on_integers_makes_no_fraction():
+    row = [3, -6, 0, 9]
+    assert fraction_calls(lambda: linalg.primitive(linalg.integer_row(row)[0])) == []
+    half = [Fraction(1, 2)]
+    assert fraction_calls(lambda: linalg.integer_row(half)) != []
+
+
 def test_large_entries_stay_exact():
     big = 10 ** 40
     rows = [[big, 1], [big + 1, 1], [2 * big + 1, 2]]

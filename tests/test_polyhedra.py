@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from bnpoly.dags import enumerate_equivalence_classes
+from bnpoly.encodings import char_bits
 from bnpoly.errors import InvalidInequalityError, UnboundedError
-from bnpoly.ground import FamVector, GroundSet
+from bnpoly.ground import FamVector, GroundSet, enumerate_cai
 from bnpoly.ineq import (
     LinearInequality,
     catalog_specific_n4,
@@ -56,15 +58,60 @@ def test_face_of_rejects_invalid(gs3):
         incidence(nonneg_constraints(gs3) + [bogus], fvp)
 
 
+def _scaled(q, factor):
+    return LinearInequality(q.space, q.objective * factor, q.bound * factor, q.label)
+
+
+def _two_node_relaxation(gs):
+    """Non-negativity, convexity and the two-node cluster cuts: 31 vertices
+    at n = 3, four of them fractional."""
+    rows = nonneg_constraints(gs) + modified_convexity(gs)
+    rows += [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs) if C.bit_count() == 2]
+    return rows, vertices_from_inequalities(HRep("fam", gs, tuple(rows)))
+
+
+def _sparse_incidence(inequalities, vrep):
+    vectors = vrep.vectors()
+    return [
+        frozenset(i for i, v in enumerate(vectors) if q.is_tight_at(v))
+        for q in inequalities
+    ]
+
+
 def test_incidence_matches_sparse_evaluation(gs3):
     fvp = fvp_vrep(gs3)
     hull = facets_from_vertices(fvp)
-    vectors = fvp.vectors()
-    expected = [
-        frozenset(i for i, v in enumerate(vectors) if q.is_tight_at(v))
-        for q in hull.inequalities
+    assert incidence(hull.inequalities, fvp) == _sparse_incidence(hull.inequalities, fvp)
+
+    # Non-integral objectives: the integer row is scaled, and so is the bound.
+    thirds = [_scaled(q, Fraction(1, 3)) for q in hull.inequalities]
+    assert incidence(thirds, fvp) == _sparse_incidence(hull.inequalities, fvp)
+    rows, polytope = _two_node_relaxation(gs3)
+    assert len(polytope.points) == 31
+    assert sum(any(x.denominator != 1 for x in p) for p in polytope.points) == 4
+    sevenths = [_scaled(q, Fraction(2, 7)) for q in rows]
+    expected = _sparse_incidence(rows, polytope)
+    assert incidence(sevenths, polytope) == incidence(rows, polytope) == expected
+    assert all(expected)
+
+
+def test_max_over_vertices_is_exact(gs3):
+    fvp = fvp_vrep(gs3)
+    rows, polytope = _two_node_relaxation(gs3)
+    objectives = [
+        cluster_fam(gs3, gs3.mask_of("ab"), 1).objective * Fraction(2, 7),
+        modified_convexity(gs3)[0].objective * Fraction(-1, 3),
+        rows[-1].objective * Fraction(5, 6),
+        FamVector(gs3, {}),
     ]
-    assert incidence(hull.inequalities, fvp) == expected
+    for obj in objectives:
+        for vrep in (fvp, polytope):
+            sparse = [LinearInequality("fam", obj, 0).value_at(v) for v in vrep.vectors()]
+            best = max(sparse)
+            value, index = max_over_vertices(obj, vrep)
+            assert type(value) is Fraction
+            assert (value, index) == (best, sparse.index(best))
+    assert max_over_vertices(objectives[0], fvp)[0] == Fraction(2, 7)
 
 
 def test_empty_face(gs3):
@@ -73,6 +120,16 @@ def test_empty_face(gs3):
     slack = LinearInequality("fam", FamVector(gs3, {}), Fraction(1))
     info = face_of(slack, fvp)
     assert info.tight_indices == () and info.dimension == -1
+
+
+@pytest.mark.parametrize("n, classes", [(3, 11), (4, 185)])
+def test_cip_vertices_are_the_class_representatives_imsets(n, classes):
+    # cip_vrep keys classes by their imset; the covered-arc classes agree.
+    gs = GroundSet.alpha(n)
+    cai = enumerate_cai(gs)
+    expected = [char_bits(rep, cai) for rep, _ in enumerate_equivalence_classes(gs)]
+    assert len(expected) == classes
+    assert list(cip_vrep(gs).points) == expected
 
 
 def test_c20_is_facet_of_cip4(gs4):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from bnpoly.errors import BnPolyError
 from bnpoly.ground import FamVector, GroundSet
 from bnpoly.ineq import LinearInequality, modified_convexity, nonneg_constraints
 from bnpoly.polyhedra import HRep, max_over_vertices, vertices_from_inequalities
-from bnpoly.simplex import solve_lp
+from bnpoly.simplex import _check_certificate, solve_lp
 from bnpoly.verify import _n4_catalog_fam_rows, _random_se_objective
 
 
@@ -201,3 +202,58 @@ def test_n4_reduced_polyhedron_starts_feasible():
     assert len(A_ub) == 73
     assert r.pivots[0] == 0 and sum(r.pivots) <= 50
     assert_certified(r, c, A_ub, b_ub)
+
+
+# Each case: an LP, and a tampering of its optimal result that exactly one
+# refusal of the certificate check must catch.
+_TAMPERED = {
+    "primal-infeasible": (
+        dict(c=[1, 1], A_ub=[[1, 1]], b_ub=[2], nonneg=True),
+        dict(x=(Fraction(3), Fraction(0))),
+        "primal-infeasible",
+    ),
+    "equation-violated": (
+        dict(c=[1, 0], A_ub=[[1, 0]], b_ub=[1], A_eq=[[1, 1]], b_eq=[1]),
+        dict(x=(Fraction(1), Fraction(1))),
+        "primal-infeasible",
+    ),
+    "negative-variable-under-nonneg": (
+        dict(c=[1, 1], A_ub=[[1, 1]], b_ub=[2], nonneg=True),
+        dict(x=(Fraction(-1), Fraction(0))),
+        "primal-infeasible",
+    ),
+    "negative-multiplier": (
+        dict(c=[1, 0], A_ub=[[1, 0], [0, 1]], b_ub=[1, 0], nonneg=True),
+        dict(dual_ub=(Fraction(1), Fraction(-1))),
+        "negative multiplier",
+    ),
+    "duality-gap": (
+        dict(c=[1, 1], A_ub=[[1, 1]], b_ub=[2], nonneg=True),
+        dict(objective=Fraction(3)),
+        "strong duality",
+    ),
+    # y = (1, 1): strong duality holds (the second rhs is 0), but A^T y = (1, 1)
+    # differs from c = (1, 0) on a free variable.
+    "dual-infeasible-free": (
+        dict(c=[1, 0], A_ub=[[1, 0], [0, 1]], b_ub=[1, 0]),
+        dict(dual_ub=(Fraction(1), Fraction(1))),
+        "dual certificate infeasible",
+    ),
+    # y = (0, 1): strong duality holds, but A^T y = (1, -1) falls below c = (1, 0).
+    "dual-infeasible-nonneg": (
+        dict(c=[1, 0], A_ub=[[1, 0], [1, -1]], b_ub=[1, 1], nonneg=True),
+        dict(dual_ub=(Fraction(0), Fraction(1))),
+        "dual certificate infeasible",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAMPERED))
+def test_certificate_check_refuses_tampered_results(name):
+    lp, tampering, message = _TAMPERED[name]
+    lp = {"A_ub": [], "b_ub": [], "A_eq": [], "b_eq": [], "nonneg": False, **lp}
+    args = [lp[key] for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "nonneg")]
+    result = solve_lp(**lp)
+    _check_certificate(*args, result)  # the untouched result passes
+    with pytest.raises(BnPolyError, match=message):
+        _check_certificate(*args, dataclasses.replace(result, **tampering))
