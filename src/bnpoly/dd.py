@@ -1,10 +1,14 @@
 """Exact double description: extreme rays of a rational polyhedral cone.
 
 Given rows a_1, ..., a_m, computes the lineality space and the extreme rays
-of {x : <a_i, x> >= 0 for all i}.  Constraints are inserted one at a time
-(lexicographically smallest first); while the intermediate cone
-still contains lines, each new constraint cuts the lineality space down by
-one, after which the classical ray-splitting step applies.
+of {x : <a_i, x> >= 0 for all i}.  Constraints are inserted one at a time in
+colex order: rows are compared from their last entry backwards.  The order
+depends only on the set of rows and decides the size of the intermediate
+cones: on the 69-row score-equivalence relaxation at n = 4, colex peaks at
+about 1400 rays and lexicographic order at about 30 000.  While the
+intermediate cone still contains lines, each new constraint cuts the
+lineality space down by one, after which the classical ray-splitting step
+applies.  Each step evaluates its row from the row's nonzero entries only.
 
 Everything is integer arithmetic: input rows are scaled to primitive integer
 vectors and every ray is kept primitive, so there is no rounding and no
@@ -16,11 +20,11 @@ tight set).
 The zero-set test looks for a cover: a third ray whose zero set contains
 the pair's common set.  Each step lists the rays by decreasing zero-set
 size, and the scan stops, answering "adjacent", at the first zero set
-smaller than the common set, since no smaller set can contain it.  For each
-plus ray, the last cover found is tried first on the next pair, unless it
-is that pair's minus ray, whose zero set always contains the common set.
-Both shortcuts only skip probes that cannot find a cover, so every pair
-gets the same answer as a scan over all rays.
+smaller than the common set, since no smaller set can contain it.  Before
+the scan, the last covers found for the pair's plus ray and for its minus ray
+are tried, unless that cover is the pair's other ray, whose zero set always
+contains the common set.  These shortcuts only skip probes that cannot find
+a cover, so every pair gets the same answer as a scan over all rays.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ def _to_int_rows(rows: Iterable[Sequence]) -> list[tuple[int, ...]]:
     return [primitive(integer_row(row)[0]) for row in rows if any(row)]
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b) if x and y)
+def _dot(support: Sequence[tuple[int, int]], vec: Sequence[int]) -> int:
+    """<row, vec> from the row's nonzero (position, entry) pairs."""
+    return sum(a * vec[c] for c, a in support)
 
 
 def extreme_rays(
@@ -75,10 +80,9 @@ def extreme_rays(
     Rays are primitive integer tuples, sorted; the lineality basis vectors
     are primitive with positive leading entry.
     """
-    int_rows = _to_int_rows(rows)
     # Positive multiples coincide after primitive scaling; repeated rows
-    # would only burn zero-set bits, so keep one copy of each.
-    int_rows = sorted(set(int_rows))
+    # would only burn zero-set bits, so keep one copy of each, in colex order.
+    int_rows = sorted(set(_to_int_rows(rows)), key=lambda r: r[::-1])
 
     lineality: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -89,29 +93,30 @@ def extreme_rays(
         if budget is not None:
             budget.check(len(rays))
         step_bit = 1 << k
+        support = [(c, a) for c, a in enumerate(row) if a]
 
         pivot_idx = None
         for idx, v in enumerate(lineality):
-            if _dot(row, v):
+            if _dot(support, v):
                 pivot_idx = idx
                 break
 
         if pivot_idx is not None:
             v = lineality.pop(pivot_idx)
-            dv = _dot(row, v)
+            dv = _dot(support, v)
             if dv < 0:
                 v = tuple(-x for x in v)
                 dv = -dv
             new_lin = []
             for w in lineality:
-                dw = _dot(row, w)
+                dw = _dot(support, w)
                 if dw:
                     w = primitive([dv * wx - dw * vx for wx, vx in zip(w, v)])
                 new_lin.append(w)
             lineality = new_lin
             new_rays = []
             for vec, zeros in rays:
-                dr = _dot(row, vec)
+                dr = _dot(support, vec)
                 if dr:
                     vec = primitive([dv * x - dr * y for x, y in zip(vec, v)])
                 new_rays.append([vec, zeros | step_bit])
@@ -121,7 +126,7 @@ def extreme_rays(
 
         plus, zero, minus = [], [], []
         for i, entry in enumerate(rays):
-            d = _dot(row, entry[0])
+            d = _dot(support, entry[0])
             if d > 0:
                 plus.append((i, entry, d))
             elif d < 0:
@@ -143,6 +148,7 @@ def extreme_rays(
             key=lambda t: (-t[0], t[1]),
         )
         combos = []
+        minus_cover = {}  # j -> (index, zero set) of the last cover found for j
         for i, pentry, dp in plus:
             if budget is not None:
                 budget.check(len(rays) + len(combos))
@@ -153,17 +159,15 @@ def extreme_rays(
                 size = common.bit_count()
                 if size < needed:
                     continue
-                # Neighbouring minus rays often share a cover, so try it
-                # first; but Z_j always contains common, so never j itself.
-                if (
-                    last_cover is not None
-                    and last_cover[0] != j
-                    and last_cover[1] & common == common
-                ):
+                # Neighbouring pairs often share a cover, so try the last
+                # covers found for i and for j first.
+                if _still_covers(last_cover, j, common):
                     continue
-                cover = _cover_zeroset(by_size, i, j, common, size)
+                cover = minus_cover.get(j)
+                if not _still_covers(cover, i, common):
+                    cover = _cover_zeroset(by_size, i, j, common, size)
                 if cover is not None:
-                    last_cover = cover
+                    last_cover = minus_cover[j] = cover
                     continue
                 qvec = qentry[0]
                 vec = primitive([dp * qx - dq * px for px, qx in zip(pvec, qvec)])
@@ -177,6 +181,13 @@ def extreme_rays(
     ray_vecs = sorted(tuple(vec) for vec, _ in rays)
     lin = [_sign_normalize(v) for v in lineality]
     return ray_vecs, sorted(lin)
+
+
+def _still_covers(cover: tuple[int, int] | None, other: int, common: int) -> bool:
+    """Whether a cover found for an earlier pair sharing one ray with this
+    pair covers it too.  The pair's other ray always contains ``common``, so
+    it cannot be the cover."""
+    return cover is not None and cover[0] != other and cover[1] & common == common
 
 
 def _cover_zeroset(

@@ -28,11 +28,13 @@ from .ground import (
     bit,
     char_from_json,
     fam_from_json,
+    fam_key,
     iter_bits,
     parse_fam_key,
     parse_subset_key,
     scalar_product,
     submasks,
+    subset_key,
 )
 from .linalg import integer_row
 
@@ -63,6 +65,22 @@ class LinearInequality:
 
     def is_tight_at(self, x) -> bool:
         return self.value_at(x) == self.bound
+
+    def __str__(self) -> str:
+        """Key form, e.g. ``a|b + b|a <= 1/2``; the dataclass repr when the
+        node labels are not single characters (text keys need them)."""
+        if any(len(lab) != 1 for lab in self.gs.labels):
+            return repr(self)
+        key = fam_key if self.space == "fam" else subset_key
+        text = ""
+        for k, v in self.objective.sorted_items():
+            name = key(self.gs, k)
+            term = name if abs(v) == 1 else f"{abs(v)}*{name}"
+            if text:
+                text += f" - {term}" if v < 0 else f" + {term}"
+            else:
+                text = f"-{term}" if v < 0 else term
+        return f"{text or '0'} <= {self.bound}"
 
     def normalized(self) -> "LinearInequality":
         """Scale to integer coefficients with gcd 1 (bound scales along)."""

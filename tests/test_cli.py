@@ -176,6 +176,16 @@ def test_usage_error_exit_two(capsys, argv):
     assert argv == ("nonsense",) or err.startswith("error: ")
 
 
+def test_violated_inequality_is_named_in_key_form(capsys):
+    code, _, err = run_cli(
+        capsys, "polytope", "face-dim", "--n", "3", "--polytope", "fvp",
+        "--ineq", '{"space":"fam","objective":{"a|b":"1","b|a":"1"},"bound":"1/2"}',
+    )
+    assert code == 2
+    assert "a|b + b|a <= 1/2" in err
+    assert "LinearInequality(" not in err
+
+
 def test_theorem3_names_every_supported_n(capsys):
     code, _, err = run_cli(capsys, "verify", "theorem3", "--n", "6")
     assert code == 2

@@ -8,8 +8,10 @@ import pytest
 from bnpoly.dd import Budget, extreme_rays
 from bnpoly.errors import BudgetExceededError
 from bnpoly.ground import GroundSet
+from bnpoly.ineq import cluster_fam, nonneg_constraints
 from bnpoly.linalg import rank
-from bnpoly.polyhedra import cip_vrep, fvp_vrep
+from bnpoly.polyhedra import HRep, cip_vrep, fvp_vrep
+from bnpoly.supermod import cluster_pairs
 
 
 def test_orthant():
@@ -137,13 +139,22 @@ def _lifted(points):
     return [(1,) + tuple(-x for x in p) for p in points]
 
 
-# Nine points of {0, 1, 2}^4, found by search: for one plus ray, the cover
+# Ten points of {0, 1, 2}^4, found by search: for one plus ray, the cover
 # found for an earlier pair is a later minus ray, and that pair is an edge.
 # Reusing the cover there without skipping the minus ray loses the facet
-# (2, 0, 0, 1, 1).
+# (6, 4, -2, 3, -2).
 _COVER_IS_MINUS_RAY = [
-    (0, 1, 1, 1), (0, 2, 1, 0), (2, 1, 0, 1), (0, 0, 2, 0), (1, 2, 1, 0),
-    (0, 2, 0, 2), (0, 0, 0, 2), (2, 1, 0, 2), (2, 1, 0, 0),
+    (0, 0, 2, 0), (0, 1, 2, 0), (1, 0, 1, 2), (1, 0, 2, 2), (1, 1, 1, 1),
+    (1, 1, 2, 1), (1, 2, 0, 2), (1, 2, 1, 0), (1, 2, 2, 0), (2, 1, 0, 0),
+]
+
+# Nine points of {0, 1, 2}^4, found by search: the cover found for a minus
+# ray on an earlier pair is a later plus ray, and that pair is an edge.
+# Reusing the cover there without skipping the plus ray loses the facet
+# (-2, 0, -2, -1, -2).
+_COVER_IS_PLUS_RAY = [
+    (0, 0, 0, 1), (0, 0, 1, 2), (0, 0, 2, 0), (1, 0, 0, 1), (1, 1, 0, 0),
+    (2, 0, 0, 1), (2, 0, 2, 1), (2, 1, 0, 1), (2, 2, 0, 2),
 ]
 
 # Vertex sets of 0/1 polytopes give degenerate cones: many plus/minus pairs
@@ -163,6 +174,7 @@ DEGENERATE_CONES = {
     "fvp3": lambda: (_lifted(fvp_vrep(GroundSet.alpha(3)).points), 10),
     "cip3": lambda: (_lifted(cip_vrep(GroundSet.alpha(3)).points), 5),
     "cover-is-minus-ray": lambda: (_lifted(_COVER_IS_MINUS_RAY), 5),
+    "cover-is-plus-ray": lambda: (_lifted(_COVER_IS_PLUS_RAY), 5),
 }
 
 
@@ -192,7 +204,13 @@ def test_zeroset_and_rank_adjacency_agree_on_degenerate_cones(name):
 def test_cover_is_minus_ray_keeps_the_edge():
     rays, lin = extreme_rays(_lifted(_COVER_IS_MINUS_RAY), 5)
     assert len(rays) == 12 and lin == []
-    assert (2, 0, 0, 1, 1) in rays
+    assert (6, 4, -2, 3, -2) in rays
+
+
+def test_cover_is_plus_ray_keeps_the_edge():
+    rays, lin = extreme_rays(_lifted(_COVER_IS_PLUS_RAY), 5)
+    assert len(rays) == 12 and lin == []
+    assert (-2, 0, -2, -1, -2) in rays
 
 
 def test_split_with_lineality_and_empty_common_set():
@@ -230,4 +248,59 @@ def test_deterministic_output():
     rows = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(9)]
     first = extreme_rays(rows, 4)
     second = extreme_rays(list(reversed(rows)), 4)
-    assert first == second  # rows are sorted, so insertion order is canonical
+    # Rows are deduplicated and inserted in colex order, so the input order
+    # changes neither the insertion order nor the output.
+    assert first == second
+
+
+def _homogenized(hrep):
+    # The rows vertices_from_inequalities builds: b - <a, x> >= 0 and t >= 0.
+    A_ub, b_ub, _, _ = hrep.matrix()
+    rows = [(b,) + tuple(-c for c in a) for a, b in zip(A_ub, b_ub)]
+    return rows + [(1,) + (0,) * len(hrep.index)]
+
+
+def _n3_cluster_system():
+    # The 28-vertex system of verify n3: non-negativity and all cluster cuts.
+    gs = GroundSet.alpha(3)
+    rows = nonneg_constraints(gs) + [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs)]
+    return _homogenized(HRep("fam", gs, tuple(rows))), 10
+
+
+PERMUTED_SYSTEMS = {
+    "fvp3-hull": DEGENERATE_CONES["fvp3"],
+    "cip3-hull": DEGENERATE_CONES["cip3"],
+    "n3-cluster-vertices": _n3_cluster_system,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTED_SYSTEMS))
+def test_row_permutation_invariance(name):
+    rows, dim = PERMUTED_SYSTEMS[name]()
+    expected = extreme_rays(rows, dim)
+    rng = random.Random(name)
+    for _ in range(5):
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        # Positive multiples and repeats of a row are the same constraint.
+        shuffled[0] = tuple(Fraction(3, 2) * x for x in shuffled[0])
+        shuffled.append(shuffled[-1])
+        assert extreme_rays(shuffled, dim) == expected
+
+
+# Peak intermediate rays (Budget.check's count) in colex order: 656 for the
+# n=4 CIP hull and 633 for the n=4 FVP hull, against 590 and 1768 in
+# lexicographic order.  The caps leave about 1.5x headroom, so an insertion
+# order that lets the intermediate cone grow fails here within seconds
+# instead of running on.
+@pytest.mark.parametrize(
+    "vrep, facets",
+    [(cip_vrep, 154), (fvp_vrep, 135)],
+    ids=["cip4", "fvp4"],
+)
+def test_n4_hulls_stay_within_ray_budget(vrep, facets):
+    points = vrep(GroundSet.alpha(4)).points
+    budget = Budget(max_rays=1000)
+    rays, lin = extreme_rays(_lifted(points), len(points[0]) + 1, budget=budget)
+    assert lin == []
+    assert len(rays) == facets

@@ -330,6 +330,19 @@ def test_normalized_integer_form(gs3):
     assert facet_like.bound.denominator == 1
 
 
+def test_text_form_uses_keys(gs3):
+    m = gs3.mask_of
+    fam = FamVector(gs3, {(0, m("b")): 1, (1, m("a")): Fraction(-3, 2), (2, m("ab")): -1})
+    assert str(LinearInequality("fam", fam, Fraction(1, 2))) == "a|b - 3/2*b|a - c|ab <= 1/2"
+    char = CharVector(gs3, {m("ab"): -1, m("abc"): 2})
+    assert str(LinearInequality("char", char, 0)) == "-ab + 2*abc <= 0"
+    assert str(LinearInequality("char", CharVector(gs3, {}), 1)) == "0 <= 1"
+    # Text keys need single-character labels; others keep the repr.
+    wide = GroundSet(["x1", "y"])
+    q = LinearInequality("fam", FamVector(wide, {(0, 0b10): 1}), 1)
+    assert str(q) == repr(q)
+
+
 def test_export_lp_text(gs3):
     text = export_lp(gs3, clusters=cluster_pairs(gs3))
     assert "Maximize" in text and "Subject To" in text and text.endswith("End\n")

@@ -1,9 +1,11 @@
 import json
 
 from bnpoly.dags import Dag, enumerate_dags, equivalence_class
+from bnpoly.dd import Budget
 from bnpoly.polyhedra import facets_from_vertices, fvp_vrep
 from bnpoly.verify import (
     VerificationReport,
+    _fvp_star_summary,
     all_faces_by_tight_sets,
     smallest_face_containing,
     verify_n4,
@@ -43,6 +45,18 @@ def test_counterexample_pipeline_passes(counterexample_report):
     assert checks["family-variable face dimension"].observed == 53
     assert checks["distinct characteristic imsets on the face"].observed == 59
     assert checks["affine rank of those imsets"].observed == 26
+
+
+def test_se_relaxation_vertices_within_ray_budget():
+    # The relaxation behind criterion 3: non-negativity, convexity and the 37
+    # one-vertex catalog facets at n = 4.  Colex insertion peaks at 1415
+    # intermediate rays; the cap leaves 2x headroom, so an order that blows
+    # the cone up fails within seconds.  The printed third witness is not a
+    # vertex (criterion 3 reports that), so it is not checked here.
+    summary = _fvp_star_summary(Budget(max_rays=2800))
+    assert summary["total"] == 1329
+    assert summary["fractional"] == 786
+    assert summary["witness1"] and summary["witness2"]
 
 
 def test_theorem3_n3_passes(theorem3_n3_report):
