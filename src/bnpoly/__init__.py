@@ -88,7 +88,6 @@ from .verify import (
     verify_n3,
     verify_n4,
     verify_theorem3,
-    verify_theorem3_n5,
 )
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ from .ineq import (
 from .polyhedra import (
     HRep,
     VRep,
+    ambient_index,
     cip_vrep,
     face_of,
     facets_from_vertices,
@@ -63,7 +64,6 @@ from .verify import (
     verify_n3,
     verify_n4,
     verify_theorem3,
-    verify_theorem3_n5,
 )
 
 SCHEMA = "bnpoly/cli/1"
@@ -250,8 +250,6 @@ def _vrep_from_args(args, gs: GroundSet) -> VRep:
         return cip_vrep(gs)
     data = _load_json_arg(args.points, "--polytope or --points")
     space, parse = _space_parser(data, "--points")
-    from .polyhedra import ambient_index
-
     index = ambient_index(gs, space)
     points = tuple(
         tuple(parse(gs, obj)[key] for key in index)
@@ -316,15 +314,10 @@ def _cmd_polytope(args) -> int:
     elif args.action == "vertices":
         hrep = _hrep_from_args(args, gs)
         vrep = vertices_from_inequalities(hrep, budget=budget)
-        from .polyhedra import dense_to_vector
-
-        index = vrep.index
         _emit({
             "space": vrep.space,
             "count": len(vrep.points),
-            "vertices": [
-                _vector_json(dense_to_vector(gs, vrep.space, index, p)) for p in vrep.points
-            ],
+            "vertices": [_vector_json(vec) for vec in vrep.vectors()],
         })
     elif args.action == "face-dim":
         vrep = _vrep_from_args(args, gs)
@@ -364,18 +357,11 @@ def _cmd_verify(args) -> int:
     if args.pipeline == "n3":
         report = verify_n3(budget=budget)
     elif args.pipeline == "n4":
-        report = verify_n4(fvp_hull=args.stretch, fvp_star=args.stretch, budget=budget)
+        report = verify_n4(stretch=args.stretch, budget=budget)
     elif args.pipeline == "theorem3":
-        if args.n not in (3, 4, 5):
-            raise ValueError(f"verify theorem3 is supported for n in {{3, 4, 5}}, got {args.n}")
-        if args.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {args.trials}")
-        if args.n == 5:
-            report = verify_theorem3_n5()
-        else:
-            report = verify_theorem3(args.n, trials=args.trials, seed=args.seed)
+        report = verify_theorem3(args.n, trials=args.trials, seed=args.seed)
     elif args.pipeline == "counterexample":
-        report = verify_counterexample(budget=budget)
+        report = verify_counterexample()
     else:  # conjecture
         report = explore_conjecture(args.n)
     if args.json:

@@ -25,20 +25,10 @@ class Dag:
 
     def __init__(self, gs: GroundSet, parents: Sequence[int], check: bool = True):
         parents = tuple(parents)
-        if check:
-            if len(parents) != gs.n:
-                raise BnPolyError("need one parent set per node")
-            for a, B in enumerate(parents):
-                gs.check_mask(B)
-                if B & bit(a):
-                    raise BnPolyError(f"node {gs.labels[a]} cannot be its own parent")
-            if not _acyclic(parents, gs.full_mask):
-                raise BnPolyError("parent map has a directed cycle")
+        if check and not is_acyclic(gs, parents):
+            raise BnPolyError("parent map has a directed cycle")
         self.gs = gs
         self.parents = parents
-
-    def parent_mask(self, a: int) -> int:
-        return self.parents[a]
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs as (parent, child) index pairs, child-major order."""

@@ -111,13 +111,6 @@ class GroundSet:
         if not 0 <= mask <= self.full_mask:
             raise BnPolyError(f"mask {mask} out of range for n={self.n}")
 
-    def subsets(self, min_size: int = 0) -> list[int]:
-        """All subset masks with at least ``min_size`` elements, ordered by
-        cardinality then mask value."""
-        out = [m for m in range(1 << self.n) if m.bit_count() >= min_size]
-        out.sort(key=lambda m: (m.bit_count(), m))
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroundSet) and self.labels == other.labels
 
@@ -142,7 +135,10 @@ def enumerate_family_indices(gs: GroundSet) -> list[tuple[int, int]]:
 def enumerate_cai(gs: GroundSet) -> list[int]:
     """All subset masks of size >= 2, ordered by cardinality then mask value;
     exactly 2^n - n - 1 of them."""
-    return gs.subsets(min_size=2)
+    return sorted(
+        (m for m in range(1 << gs.n) if m.bit_count() >= 2),
+        key=lambda m: (m.bit_count(), m),
+    )
 
 
 def _same_family(x: "_Vector", y: "_Vector") -> None:

@@ -37,6 +37,7 @@ from .ground import (
     subset_key,
 )
 from .linalg import integer_row
+from .supermod import check_cluster
 
 
 @dataclass(frozen=True)
@@ -163,18 +164,10 @@ def modified_convexity(gs: GroundSet) -> list[LinearInequality]:
     return out
 
 
-def _check_cluster(gs: GroundSet, C: int, k: int) -> None:
-    gs.check_mask(C)
-    if C.bit_count() < 2:
-        raise BnPolyError("cluster needs at least two nodes")
-    if not 1 <= k <= C.bit_count() - 1:
-        raise BnPolyError(f"level k={k} out of range for a cluster of size {C.bit_count()}")
-
-
 def cluster_fam(gs: GroundSet, C: int, k: int) -> LinearInequality:
     """Generalized cluster inequality in family-variable coordinates:
     sum over a in C, B with |B n C| >= k of x(a : B) <= |C| - k."""
-    _check_cluster(gs, C, k)
+    check_cluster(gs, C, k)
     coords = {}
     for a in iter_bits(C):
         for B in range(1, gs.full_mask + 1):
@@ -192,7 +185,7 @@ def cluster_char(gs: GroundSet, C: int, k: int) -> LinearInequality:
     """The same cut in characteristic-imset coordinates; the coefficient on
     S <= C with |S| >= k + 1 is (-1)^(|S|-k-1) * binom(|S|-2, |S|-k-1) and all
     other coefficients vanish."""
-    _check_cluster(gs, C, k)
+    check_cluster(gs, C, k)
     coords = {}
     for S in submasks(C):
         s = S.bit_count()
@@ -415,7 +408,7 @@ def export_lp(
         ]
         lines.append(f" conv_{gs.labels[a]}: " + " + ".join(vars_a) + " = 1")
     for C, k in clusters or []:
-        _check_cluster(gs, C, k)
+        check_cluster(gs, C, k)
         vars_c = [
             _lp_var(gs, a, B)
             for a in iter_bits(C)

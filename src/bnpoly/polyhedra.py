@@ -221,11 +221,9 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     return HRep(vrep.space, vrep.gs, tuple(inequalities), tuple(equations))
 
 
-def vertices_from_inequalities(
-    hrep: HRep, budget: Budget | None = None, allow_unbounded: bool = False
-) -> VRep:
+def vertices_from_inequalities(hrep: HRep, budget: Budget | None = None) -> VRep:
     """All vertices of the polyhedron; raises UnboundedError when recession
-    directions exist, unless explicitly waived."""
+    directions exist."""
     A_ub, b_ub, A_eq, b_eq = hrep.matrix()
     dim = len(hrep.index)
     rows = [(b,) + tuple(-c for c in a) for a, b in zip(A_ub, b_ub)]
@@ -234,14 +232,14 @@ def vertices_from_inequalities(
         rows.append((-b,) + a)
     rows.append((1,) + (0,) * dim)  # homogenization coordinate t >= 0
     rays, lineality = extreme_rays(rows, dim + 1, budget=budget)
-    if lineality and not allow_unbounded:
+    if lineality:
         raise UnboundedError("polyhedron contains lines")
     points = []
     for ray in rays:
         t = ray[0]
         if t > 0:
             points.append(tuple(Fraction(x, t) for x in ray[1:]))
-        elif any(ray[1:]) and not allow_unbounded:
+        elif any(ray[1:]):
             raise UnboundedError("polyhedron has a recession direction")
     points.sort()
     return VRep(hrep.space, hrep.gs, tuple(points))

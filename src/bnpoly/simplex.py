@@ -3,11 +3,11 @@
 Solves   maximize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq.
 
 Each variable is either bounded (x_j >= 0) or free; a free variable is split
-internally into the difference of two nonnegative columns.  ``nonneg=True``
-bounds every variable.  A *sign row* -- an ``A_ub`` row whose only nonzero
-coefficient is some ``-a < 0`` with right-hand side 0 -- says exactly
-x_j >= 0, so it bounds its variable instead of entering the tableau; its
-dual multiplier is recovered after phase 2 as ((A^T y)_j - c_j) / a.
+internally into the difference of two nonnegative columns.  A variable is
+bounded exactly when it has a *sign row* -- an ``A_ub`` row whose only
+nonzero coefficient is some ``-a < 0`` with right-hand side 0, which says
+x_j >= 0 -- so that row bounds its variable instead of entering the tableau;
+its dual multiplier is recovered after phase 2 as ((A^T y)_j - c_j) / a.
 
 Every ``<=`` row with a nonnegative right-hand side starts with its slack in
 the basis.  Artificial variables are basic only in equality rows and in rows
@@ -50,7 +50,6 @@ def solve_lp(
     b_ub: Sequence | None = None,
     A_eq: Sequence[Sequence] | None = None,
     b_eq: Sequence | None = None,
-    nonneg: bool = False,
 ) -> LpResult:
     c = [Fraction(v) for v in c]
     nvars = len(c)
@@ -73,7 +72,7 @@ def solve_lp(
                 j, v = nonzero[0]
                 sign_rows.add(i)
                 first_sign_row.setdefault(j, (i, -v))
-    bounded = [nonneg or j in first_sign_row for j in range(nvars)]
+    bounded = [j in first_sign_row for j in range(nvars)]
     kept = [i for i in range(len(A_ub)) if i not in sign_rows]
 
     result = _solve_standard(
@@ -81,7 +80,7 @@ def solve_lp(
     )
     if result.status == "optimal":
         result.dual_ub = _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result)
-        _check_certificate(c, A_ub, b_ub, A_eq, b_eq, nonneg, result)
+        _check_certificate(c, A_ub, b_ub, A_eq, b_eq, result)
     return result
 
 
@@ -280,7 +279,7 @@ def _pivot(tableau, cost_rows, basis, r, s) -> None:
     basis[r] = s
 
 
-def _check_certificate(c, A_ub, b_ub, A_eq, b_eq, nonneg, result: LpResult) -> None:
+def _check_certificate(c, A_ub, b_ub, A_eq, b_eq, result: LpResult) -> None:
     x = result.x
     support = [(j, v) for j, v in enumerate(x) if v]
     for row, rhs in zip(A_ub, b_ub):
@@ -289,8 +288,6 @@ def _check_certificate(c, A_ub, b_ub, A_eq, b_eq, nonneg, result: LpResult) -> N
     for row, rhs in zip(A_eq, b_eq):
         if sum((row[j] * v for j, v in support if row[j]), _ZERO) != rhs:
             raise BnPolyError("simplex returned a primal-infeasible point")
-    if nonneg and any(v < 0 for v in x):
-        raise BnPolyError("simplex returned a primal-infeasible point")
     y_ub, y_eq = result.dual_ub, result.dual_eq
     if any(y < 0 for y in y_ub):
         raise BnPolyError("dual certificate has a negative multiplier")
@@ -306,5 +303,5 @@ def _check_certificate(c, A_ub, b_ub, A_eq, b_eq, nonneg, result: LpResult) -> N
             for j, a in enumerate(row):
                 if a:
                     combo[j] += y * a
-    if any(s < cj if nonneg else s != cj for s, cj in zip(combo, c)):
+    if any(s != cj for s, cj in zip(combo, c)):
         raise BnPolyError("dual certificate infeasible")

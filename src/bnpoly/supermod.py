@@ -180,12 +180,7 @@ def is_connected_matroid(r: SetFunction, ground: int) -> bool:
 def cluster_supermodular(gs: GroundSet, C: int, k: int) -> SetFunction:
     """The cluster function S -> max(0, |S n C| - k) for |C| >= 2 and
     1 <= k <= |C| - 1; standardized, supermodular and extreme."""
-    gs.check_mask(C)
-    size = C.bit_count()
-    if size < 2:
-        raise BnPolyError("cluster needs at least two nodes")
-    if not 1 <= k <= size - 1:
-        raise BnPolyError(f"level k={k} out of range for a cluster of size {size}")
+    check_cluster(gs, C, k)
     values = {}
     for S in range(gs.full_mask + 1):
         excess = (S & C).bit_count() - k
@@ -194,9 +189,20 @@ def cluster_supermodular(gs: GroundSet, C: int, k: int) -> SetFunction:
     return SetFunction(gs, values)
 
 
+def check_cluster(gs: GroundSet, C: int, k: int) -> None:
+    """Refuse a cluster C with fewer than two nodes or a level k outside
+    1 <= k <= |C| - 1."""
+    gs.check_mask(C)
+    size = C.bit_count()
+    if size < 2:
+        raise BnPolyError("cluster needs at least two nodes")
+    if not 1 <= k <= size - 1:
+        raise BnPolyError(f"level k={k} out of range for a cluster of size {size}")
+
+
 def cluster_pairs(gs: GroundSet) -> list[tuple[int, int]]:
     """All (cluster mask, level) pairs, by cluster size, mask, then level."""
     out = []
-    for C in gs.subsets(min_size=2):
+    for C in enumerate_cai(gs):
         out.extend((C, k) for k in range(1, C.bit_count()))
     return out

@@ -237,11 +237,7 @@ def verify_n3(budget: Budget | None = None) -> VerificationReport:
 # --- pipeline: four nodes ---------------------------------------------------------
 
 
-def verify_n4(
-    fvp_hull: bool = False,
-    fvp_star: bool = False,
-    budget: Budget | None = None,
-) -> VerificationReport:
+def verify_n4(stretch: bool = False, budget: Budget | None = None) -> VerificationReport:
     report = VerificationReport("n4")
     timer = _Timer(report)
     gs = GroundSet.alpha(4)
@@ -295,38 +291,37 @@ def verify_n4(
             extreme_flags.append(is_extreme(m))
     report.check("all 37 one-vertex facet set functions extreme", 37, sum(extreme_flags))
 
-    if fvp_hull:
-        try:
-            count = _fvp4_facet_count(budget)
-            report.check("family-variable polytope facet count", 135, count, source="published")
-        except BudgetExceededError as exc:
-            report.skip("family-variable polytope facet count", f"budget exhausted: {exc}")
-    else:
+    if not stretch:
         report.skip("family-variable polytope facet count", "stretch check disabled")
-
-    if fvp_star:
-        try:
-            summary = _fvp_star_summary(budget)
-            report.check("relaxation vertex count", 1329, summary["total"], source="published")
-            report.check("fractional vertices", 786, summary["fractional"], source="published")
-            report.check("first published fractional vertex found", True, summary["witness1"])
-            report.check("second published fractional vertex found", True, summary["witness2"])
-            report.check(
-                "third published fractional vertex found",
-                True,
-                summary["witness3"],
-                note=(
-                    "the printed third witness satisfies all 69 constraints but its tight"
-                    " rows only reach rank 24 of 28, so it lies inside a 4-face; a true"
-                    " vertex with identical support and leading coefficient 2/3 exists"
-                )
-                if not summary["witness3"]
-                else "",
-            )
-        except BudgetExceededError as exc:
-            report.skip("relaxation vertex enumeration", f"budget exhausted: {exc}")
-    else:
         report.skip("relaxation vertex enumeration", "stretch check disabled")
+        return timer.finish()
+
+    try:
+        count = _fvp4_facet_count(budget)
+        report.check("family-variable polytope facet count", 135, count, source="published")
+    except BudgetExceededError as exc:
+        report.skip("family-variable polytope facet count", f"budget exhausted: {exc}")
+
+    try:
+        summary = _fvp_star_summary(budget)
+        report.check("relaxation vertex count", 1329, summary["total"], source="published")
+        report.check("fractional vertices", 786, summary["fractional"], source="published")
+        report.check("first published fractional vertex found", True, summary["witness1"])
+        report.check("second published fractional vertex found", True, summary["witness2"])
+        report.check(
+            "third published fractional vertex found",
+            True,
+            summary["witness3"],
+            note=(
+                "the printed third witness satisfies all 69 constraints but its tight"
+                " rows only reach rank 24 of 28, so it lies inside a 4-face; a true"
+                " vertex with identical support and leading coefficient 2/3 exists"
+            )
+            if not summary["witness3"]
+            else "",
+        )
+    except BudgetExceededError as exc:
+        report.skip("relaxation vertex enumeration", f"budget exhausted: {exc}")
     return timer.finish()
 
 
@@ -386,14 +381,18 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
     polyhedron (imset facets missing the zero vertex, in fam mode, plus
     non-negativity and convexity) matches the brute-force maximum over all
     DAG codes; at n = 4 the variant restricted to the one-vertex facets
-    agrees as well."""
-    if n not in (3, 4):
-        raise ValueError("supported for n in {3, 4}")
+    agrees as well.  At n = 5 it checks the LP side of the counterexample
+    instead, and ``trials`` and ``seed`` are not used."""
+    if n not in (3, 4, 5):
+        raise ValueError(f"verify theorem3 is supported for n in {{3, 4, 5}}, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     report = VerificationReport(f"theorem3-n{n}")
     timer = _Timer(report)
     gs = GroundSet.alpha(n)
+    if n == 5:
+        _counterexample_optimum(report, gs)
+        return timer.finish()
     fvp = fvp_vrep(gs)
 
     base = nonneg_constraints(gs) + modified_convexity(gs)
@@ -435,13 +434,10 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
     return timer.finish()
 
 
-def verify_theorem3_n5() -> VerificationReport:
+def _counterexample_optimum(report: VerificationReport, gs: GroundSet) -> None:
     """The operational content of the five-node counterexample: with the
     published facet translation included the LP optimum is exactly 16, and
     dropping it lifts the optimum strictly above 16."""
-    report = VerificationReport("theorem3-n5")
-    timer = _Timer(report)
-    gs = GroundSet.alpha(5)
     cx = counterexample_constants()
     clusters = [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs)]
     report.check("generalized cluster inequality count", 49, len(clusters))
@@ -454,13 +450,12 @@ def verify_theorem3_n5() -> VerificationReport:
     without = HRep("fam", gs, tuple(base))
     relaxed, _ = lp_maximize(cx.objective, without)
     report.check("dropping it lifts the optimum above 16", True, relaxed > 16)
-    return timer.finish()
 
 
 # --- pipeline: five-node counterexample ----------------------------------------------
 
 
-def verify_counterexample(budget: Budget | None = None) -> VerificationReport:
+def verify_counterexample() -> VerificationReport:
     report = VerificationReport("counterexample")
     timer = _Timer(report)
     gs = GroundSet.alpha(5)

@@ -60,9 +60,9 @@ def theorem3_n4_report():
 
 @pytest.fixture(scope="session")
 def theorem3_n5_report():
-    from bnpoly.verify import verify_theorem3_n5
+    from bnpoly.verify import verify_theorem3
 
-    return verify_theorem3_n5()
+    return verify_theorem3(5, trials=1)
 
 
 @pytest.fixture(scope="session")

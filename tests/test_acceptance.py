@@ -81,7 +81,7 @@ def test_criterion_2_four_node_core(n4_report, announce):
 def test_criterion_3_stretch_hull_and_relaxation(announce):
     from bnpoly.verify import verify_n4
 
-    report = verify_n4(fvp_hull=True, fvp_star=True)
+    report = verify_n4(stretch=True)
     checks = {c.description: c for c in report.checks}
     announce(
         3,

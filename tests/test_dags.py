@@ -33,8 +33,14 @@ def full_graph(gs, order):
 def test_is_acyclic_basic(gs3):
     assert is_acyclic(gs3, (0, 0, 0))
     assert not is_acyclic(gs3, (0b010, 0b001, 0))  # a <-> b
-    with pytest.raises(BnPolyError):
+    with pytest.raises(BnPolyError, match="^parent map has a directed cycle$"):
         Dag.from_json({"a": "b", "b": "a", "c": ""}, gs3)
+    with pytest.raises(BnPolyError, match="^node a cannot be its own parent$"):
+        Dag(gs3, (0b001, 0, 0))
+    with pytest.raises(BnPolyError, match="^need one parent set per node$"):
+        Dag(gs3, (0, 0))
+    with pytest.raises(BnPolyError, match="^mask 8 out of range for n=3$"):
+        Dag(gs3, (0b1000, 0, 0))
 
 
 def test_full_graphs_consonant_with_each_order(gs3):

@@ -72,6 +72,24 @@ def test_cluster_fam_examples(gs3):
         cluster_fam(gs3, m("ab"), 2)
 
 
+@pytest.mark.parametrize("build", [
+    cluster_fam,
+    cluster_char,
+    cluster_supermodular,
+    lambda gs, C, k: export_lp(gs, clusters=[(C, k)]),
+])
+def test_cluster_arguments_are_refused_alike(gs3, build):
+    m = gs3.mask_of
+    with pytest.raises(BnPolyError, match="^cluster needs at least two nodes$"):
+        build(gs3, m("a"), 1)
+    with pytest.raises(BnPolyError, match=r"^level k=2 out of range for a cluster of size 2$"):
+        build(gs3, m("ab"), 2)
+    with pytest.raises(BnPolyError, match=r"^level k=0 out of range for a cluster of size 3$"):
+        build(gs3, m("abc"), 0)
+    with pytest.raises(BnPolyError, match="out of range for n=3"):
+        build(gs3, 0b1000, 1)
+
+
 def test_cluster_fam_matches_supermodular_parametrization(gs4):
     for C, k in cluster_pairs(gs4):
         ineq = cluster_fam(gs4, C, k)

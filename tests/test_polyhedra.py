@@ -183,8 +183,6 @@ def test_vertex_enumeration_unbounded(gs3):
     only_lower = HRep("fam", gs3, tuple(nonneg_constraints(gs3)))
     with pytest.raises(UnboundedError):
         vertices_from_inequalities(only_lower)
-    waived = vertices_from_inequalities(only_lower, allow_unbounded=True)
-    assert waived.points == (tuple([Fraction(0)] * 9),)
 
 
 def test_roundtrip_fvp3(gs3):

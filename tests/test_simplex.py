@@ -12,7 +12,7 @@ from bnpoly.simplex import _check_certificate, solve_lp
 from bnpoly.verify import _n4_catalog_fam_rows, _random_se_objective
 
 
-def assert_certified(r, c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), nonneg=False):
+def assert_certified(r, c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
     """Re-check an optimal result against the caller's rows: one multiplier
     per input row, primal and dual feasibility, and strong duality."""
     assert r.status == "optimal"
@@ -30,12 +30,13 @@ def assert_certified(r, c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), nonneg=False):
         combo = sum(y * row[j] for y, row in zip(r.dual_ub, A_ub)) + sum(
             y * row[j] for y, row in zip(r.dual_eq, A_eq)
         )
-        assert combo >= cj if nonneg else combo == cj
+        assert combo == cj
 
 
 def test_basic_maximization():
     # max x + y subject to x <= 2, y <= 3, x + y <= 4, x, y >= 0
-    r = solve_lp([1, 1], A_ub=[[1, 0], [0, 1], [1, 1]], b_ub=[2, 3, 4], nonneg=True)
+    A_ub = [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]]
+    r = solve_lp([1, 1], A_ub=A_ub, b_ub=[2, 3, 4, 0, 0])
     assert r.status == "optimal"
     assert r.objective == 4
     assert sum(r.x) == 4
@@ -51,35 +52,34 @@ def test_free_variables_and_equalities():
 def test_fractional_data():
     r = solve_lp(
         [Fraction(1, 3)],
-        A_ub=[[Fraction(2, 7)]],
-        b_ub=[Fraction(3, 5)],
-        nonneg=True,
+        A_ub=[[Fraction(2, 7)], [-1]],
+        b_ub=[Fraction(3, 5), 0],
     )
     assert r.status == "optimal"
     assert r.objective == Fraction(1, 3) * Fraction(3, 5) / Fraction(2, 7)
 
 
 def test_infeasible():
-    r = solve_lp([1], A_ub=[[1], [-1]], b_ub=[1, -2], nonneg=True)
+    r = solve_lp([1], A_ub=[[1], [-1], [-1]], b_ub=[1, -2, 0])
     assert r.status == "infeasible"
 
 
 def test_unbounded():
     assert solve_lp([1], A_ub=[[-1]], b_ub=[0]).status == "unbounded"
-    assert solve_lp([1], A_ub=[[0]], b_ub=[1], nonneg=True).status == "unbounded"
+    assert solve_lp([1], A_ub=[[0], [-1]], b_ub=[1, 0]).status == "unbounded"
 
 
 def test_negative_rhs_rows():
     # x >= 2 written as -x <= -2; max -x gives -2
-    r = solve_lp([-1], A_ub=[[-1]], b_ub=[-2], nonneg=True)
+    r = solve_lp([-1], A_ub=[[-1], [-1]], b_ub=[-2, 0])
     assert r.status == "optimal" and r.objective == -2 and r.x == (2,)
 
 
 def test_degenerate_cube_with_redundant_rows_terminates():
     # heavy degeneracy: many redundant constraints through one optimal vertex
-    A = [[1, 0], [0, 1], [1, 1], [1, 1], [2, 2], [1, 0], [0, 1]]
-    b = [1, 1, 2, 2, 4, 1, 1]
-    r = solve_lp([1, 1], A_ub=A, b_ub=b, nonneg=True)
+    A = [[1, 0], [0, 1], [1, 1], [1, 1], [2, 2], [1, 0], [0, 1], [-1, 0], [0, -1]]
+    b = [1, 1, 2, 2, 4, 1, 1, 0, 0]
+    r = solve_lp([1, 1], A_ub=A, b_ub=b)
     assert r.status == "optimal" and r.objective == 2
 
 
@@ -89,10 +89,10 @@ def test_redundant_equalities_are_dropped():
 
 
 def test_duals_certify_optimality():
-    A_ub = [[3, 2, 1], [2, 5, 3]]
-    b_ub = [10, 15]
+    A_ub = [[3, 2, 1], [2, 5, 3], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    b_ub = [10, 15, 0, 0, 0]
     c = [2, 3, 4]
-    r = solve_lp(c, A_ub=A_ub, b_ub=b_ub, nonneg=True)
+    r = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
     assert r.status == "optimal"
     y = r.dual_ub
     assert all(v >= 0 for v in y)
@@ -100,6 +100,7 @@ def test_duals_certify_optimality():
     assert sum(yi * bi for yi, bi in zip(y, b_ub)) == r.objective
     for j in range(3):
         assert y[0] * A_ub[0][j] + y[1] * A_ub[1][j] >= c[j]
+    assert_certified(r, c, A_ub, b_ub)
 
 
 def test_size_mismatch_raises():
@@ -208,7 +209,7 @@ def test_n4_reduced_polyhedron_starts_feasible():
 # refusal of the certificate check must catch.
 _TAMPERED = {
     "primal-infeasible": (
-        dict(c=[1, 1], A_ub=[[1, 1]], b_ub=[2], nonneg=True),
+        dict(c=[1, 1], A_ub=[[1, 1], [-1, 0], [0, -1]], b_ub=[2, 0, 0]),
         dict(x=(Fraction(3), Fraction(0))),
         "primal-infeasible",
     ),
@@ -217,18 +218,18 @@ _TAMPERED = {
         dict(x=(Fraction(1), Fraction(1))),
         "primal-infeasible",
     ),
-    "negative-variable-under-nonneg": (
-        dict(c=[1, 1], A_ub=[[1, 1]], b_ub=[2], nonneg=True),
+    "violated-sign-row": (
+        dict(c=[1, 1], A_ub=[[1, 1], [-1, 0], [0, -1]], b_ub=[2, 0, 0]),
         dict(x=(Fraction(-1), Fraction(0))),
         "primal-infeasible",
     ),
     "negative-multiplier": (
-        dict(c=[1, 0], A_ub=[[1, 0], [0, 1]], b_ub=[1, 0], nonneg=True),
-        dict(dual_ub=(Fraction(1), Fraction(-1))),
+        dict(c=[1, 0], A_ub=[[1, 0], [0, 1], [-1, 0], [0, -1]], b_ub=[1, 0, 0, 0]),
+        dict(dual_ub=(Fraction(1), Fraction(-1), Fraction(0), Fraction(0))),
         "negative multiplier",
     ),
     "duality-gap": (
-        dict(c=[1, 1], A_ub=[[1, 1]], b_ub=[2], nonneg=True),
+        dict(c=[1, 1], A_ub=[[1, 1], [-1, 0], [0, -1]], b_ub=[2, 0, 0]),
         dict(objective=Fraction(3)),
         "strong duality",
     ),
@@ -239,10 +240,11 @@ _TAMPERED = {
         dict(dual_ub=(Fraction(1), Fraction(1))),
         "dual certificate infeasible",
     ),
-    # y = (0, 1): strong duality holds, but A^T y = (1, -1) falls below c = (1, 0).
-    "dual-infeasible-nonneg": (
-        dict(c=[1, 0], A_ub=[[1, 0], [1, -1]], b_ub=[1, 1], nonneg=True),
-        dict(dual_ub=(Fraction(0), Fraction(1))),
+    # y = (0, 1, 0, 0): strong duality holds, but A^T y = (1, -1) differs from
+    # c = (1, 0) on variables that sign rows bound.
+    "dual-infeasible-bounded": (
+        dict(c=[1, 0], A_ub=[[1, 0], [1, -1], [-1, 0], [0, -1]], b_ub=[1, 1, 0, 0]),
+        dict(dual_ub=(Fraction(0), Fraction(1), Fraction(0), Fraction(0))),
         "dual certificate infeasible",
     ),
 }
@@ -251,8 +253,8 @@ _TAMPERED = {
 @pytest.mark.parametrize("name", sorted(_TAMPERED))
 def test_certificate_check_refuses_tampered_results(name):
     lp, tampering, message = _TAMPERED[name]
-    lp = {"A_ub": [], "b_ub": [], "A_eq": [], "b_eq": [], "nonneg": False, **lp}
-    args = [lp[key] for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "nonneg")]
+    lp = {"A_ub": [], "b_ub": [], "A_eq": [], "b_eq": [], **lp}
+    args = [lp[key] for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq")]
     result = solve_lp(**lp)
     _check_certificate(*args, result)  # the untouched result passes
     with pytest.raises(BnPolyError, match=message):

@@ -7,7 +7,7 @@ import pytest
 from bnpoly.dags import enumerate_dags, is_closed_under_equivalence
 from bnpoly.encodings import fam_vector
 from bnpoly.errors import BnPolyError, NotSupermodularError
-from bnpoly.ground import GroundSet, SetFunction, scalar_product
+from bnpoly.ground import GroundSet, SetFunction, enumerate_cai, scalar_product
 from bnpoly.ineq import catalog_se_n4
 from bnpoly.scoreeq import moebius_up, objective_from_setfn
 from bnpoly.supermod import (
@@ -134,7 +134,10 @@ def test_core_vertices_are_vertices(gs4):
             A_eq = [[w[t] for w in others] for t in range(gs4.n)]
             A_eq.append([1] * len(others))
             b_eq = list(v) + [1]
-            result = solve_lp([0] * len(others), A_eq=A_eq, b_eq=b_eq, nonneg=True)
+            signs = [[-int(i == j) for j in range(len(others))] for i in range(len(others))]
+            result = solve_lp(
+                [0] * len(others), A_ub=signs, b_ub=[0] * len(others), A_eq=A_eq, b_eq=b_eq
+            )
             assert result.status == "infeasible"
 
 
@@ -266,7 +269,7 @@ def test_is_supermodular_matches_pairwise_set_definition():
         candidates.append(SetFunction(gs, {gs.mask_of("ab"): 1}))  # not supermodular
         for _ in range(5):
             mix = SetFunction(gs, {S: rng.randint(-2, 2)
-                                   for S in gs.subsets(min_size=2)})
+                                   for S in enumerate_cai(gs)})
             candidates.append(mix)
         for m in candidates:
             assert is_supermodular(m) == pairwise(m, gs)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from bnpoly.dags import Dag, enumerate_dags, equivalence_class
 from bnpoly.dd import Budget
@@ -9,6 +12,7 @@ from bnpoly.verify import (
     all_faces_by_tight_sets,
     smallest_face_containing,
     verify_n4,
+    verify_theorem3,
 )
 
 
@@ -128,7 +132,42 @@ def test_face_enumeration_and_non_face_rejection(gs3):
 
 
 def test_stretch_checks_are_reported_when_disabled():
-    report = verify_n4(fvp_hull=False, fvp_star=False)
+    report = verify_n4(stretch=False)
     skipped = [c.description for c in report.checks if c.skipped]
     assert "family-variable polytope facet count" in skipped
     assert "relaxation vertex enumeration" in skipped
+
+
+@pytest.mark.parametrize(
+    "n, trials, message",
+    [
+        (2, 1, "verify theorem3 is supported for n in {3, 4, 5}, got 2"),
+        (6, 0, "verify theorem3 is supported for n in {3, 4, 5}, got 6"),
+        (5, 0, "trials must be at least 1, got 0"),
+    ],
+)
+def test_theorem3_refuses_unsupported_arguments(n, trials, message):
+    with pytest.raises(ValueError) as info:
+        verify_theorem3(n, trials)
+    assert str(info.value) == message
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True, indent=2), the bytes
+# `bnpoly verify ... --json` prints, for each session report.  A refactor must
+# leave them alone; a change to a published report updates them on purpose.
+_REPORT_SHA256 = {
+    "n3_report": "47bdf35b906766ce2507b8d2e783e46cccb1d9c18c4c8dd446d45b61d805fe82",
+    "n4_report": "d584dd153943b063e10a4ce477ed1d7edc1c1a371e43adeee69bbd5c6cdf4c68",
+    "theorem3_n3_report": "abc206655543ff0057c6a3071c0d43c713a6ce85c24a488794b06e9e9ae0207c",
+    "theorem3_n4_report": "238f3c787a1b6b5b49da0601072902eab7ce6339f015f7491dc8f6edef8ea55c",
+    "theorem3_n5_report": "76718e8462fe3bba044f15f51b77eb56c95b6fbcb1179d713e6fec94c56fa90e",
+    "counterexample_report": "31b48ac3edf327347838ce5d8a337d0a113c63487ff08cc0c35d7d351939fb5b",
+    "conjecture_report": "32638f60a750136da60790fcbc2a2347c9feb7cff8a4591a32c3e01c55052a31",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_REPORT_SHA256))
+def test_report_json_bytes_unchanged(fixture, request):
+    report = request.getfixturevalue(fixture)
+    blob = json.dumps(report.to_json(), sort_keys=True, indent=2).encode()
+    assert hashlib.sha256(blob).hexdigest() == _REPORT_SHA256[fixture]
