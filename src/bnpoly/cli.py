@@ -353,6 +353,8 @@ def _cmd_export_lp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.budget is not None and args.pipeline in ("theorem3", "counterexample"):
+        raise BnPolyError(f"--budget does not apply to verify {args.pipeline}: it has no hull step")
     budget = _budget(args)
     if args.pipeline == "n3":
         report = verify_n3(budget=budget)
@@ -363,7 +365,7 @@ def _cmd_verify(args) -> int:
     elif args.pipeline == "counterexample":
         report = verify_counterexample()
     else:  # conjecture
-        report = explore_conjecture(args.n)
+        report = explore_conjecture(args.n, budget=budget)
     if args.json:
         print(json.dumps(report.to_json(include_elapsed=args.timings), sort_keys=True, indent=2))
     else:
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stretch", action="store_true", help="include the long-running n4 checks")
-    p.add_argument("--budget", type=float, help="wall-clock seconds for hull steps")
+    p.add_argument("--budget", type=float, help="wall-clock seconds for hull steps (n3, n4, conjecture)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON instead of a table")
     p.add_argument("--timings", action="store_true", help="include elapsed time (breaks byte determinism)")
     p.set_defaults(func=_cmd_verify)

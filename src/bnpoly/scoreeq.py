@@ -203,24 +203,24 @@ def is_se_face(
     for g in all_dags:
         row = _setfn_row(g, cai_order)
         if g.parents in face_keys:
-            A_eq.append([Fraction(v) for v in row] + [Fraction(-1), ZERO])
-            b_eq.append(ZERO)
+            A_eq.append(row + [-1, 0])
+            b_eq.append(0)
         else:
-            A_ub.append([Fraction(v) for v in row] + [Fraction(-1), Fraction(1)])
-            b_ub.append(ZERO)
+            A_ub.append(row + [-1, 1])
+            b_ub.append(0)
     for i in range(d):  # |m_i| <= 1
         for sign in (1, -1):
-            row = [ZERO] * nvars
-            row[i] = Fraction(sign)
+            row = [0] * nvars
+            row[i] = sign
             A_ub.append(row)
-            b_ub.append(Fraction(1))
-    row = [ZERO] * nvars  # t >= 0
-    row[-1] = Fraction(-1)
+            b_ub.append(1)
+    row = [0] * nvars  # t >= 0
+    row[-1] = -1
     A_ub.append(row)
-    b_ub.append(ZERO)
+    b_ub.append(0)
 
-    c = [ZERO] * nvars
-    c[-1] = Fraction(1)
+    c = [0] * nvars
+    c[-1] = 1
     result = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     if result.status != "optimal":
         raise BnPolyError(f"face LP ended with status {result.status}")

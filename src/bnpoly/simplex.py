@@ -1,4 +1,4 @@
-"""Exact two-phase primal simplex over rationals with Bland's rule.
+"""Exact two-phase primal simplex with Bland's rule on an integer tableau.
 
 Solves   maximize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq.
 
@@ -16,6 +16,19 @@ when the origin is feasible phase 1 makes no pivot.  All artificial columns
 stay in the tableau, where they track the basis inverse, so the duals are
 read off their reduced costs.
 
+The tableau is fraction-free: integers over one common denominator D, the
+determinant of the current basis, which starts at 1 on the unit slack and
+artificial columns.  Each input row is scaled to integers once together
+with its right-hand side (:func:`linalg.integer_row`), and so is the
+objective; phase 1 weights each artificial by the inverse of its row's
+scale, so the pivots are those of the rational tableau.  A pivot on entry p
+is a Bareiss step, row <- (p * row - row[s] * pivot_row) // D and then
+D <- p, and the division is exact because every entry is a minor of the
+scaled input (Edmonds 1967, Bareiss 1968; Azulay & Pique 1998).  A negative
+pivot, possible only while artificials are driven out, negates every row so
+that D stays positive.  The primal values are rhs / D, and each dual is the
+integer reduced cost unscaled by D, its row's scale and the objective's.
+
 Bland's smallest-index pivoting guarantees termination on the heavily
 degenerate 0/1 polytopes this package works with.  Every pivot is exact, so
 the returned dual vector is a genuine optimality certificate; it is checked
@@ -26,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import BnPolyError
+from .linalg import integer_row
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -51,12 +65,12 @@ def solve_lp(
     A_eq: Sequence[Sequence] | None = None,
     b_eq: Sequence | None = None,
 ) -> LpResult:
-    c = [Fraction(v) for v in c]
+    c = _exact(c)
     nvars = len(c)
-    A_ub = [list(map(Fraction, row)) for row in (A_ub or [])]
-    b_ub = [Fraction(v) for v in (b_ub or [])]
-    A_eq = [list(map(Fraction, row)) for row in (A_eq or [])]
-    b_eq = [Fraction(v) for v in (b_eq or [])]
+    A_ub = [_exact(row) for row in (A_ub or [])]
+    b_ub = _exact(b_ub or [])
+    A_eq = [_exact(row) for row in (A_eq or [])]
+    b_eq = _exact(b_eq or [])
     if len(A_ub) != len(b_ub) or len(A_eq) != len(b_eq):
         raise BnPolyError("constraint matrix / rhs size mismatch")
     for row in A_ub + A_eq:
@@ -82,6 +96,12 @@ def solve_lp(
         result.dual_ub = _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result)
         _check_certificate(c, A_ub, b_ub, A_eq, b_eq, result)
     return result
+
+
+def _exact(values) -> list:
+    """The values as exact numbers: ints and Fractions as they are, anything
+    else (a string such as "1/2", a Decimal) through Fraction."""
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
 
 
 def _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result: LpResult):
@@ -113,7 +133,7 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
     n_total = art_start + m  # artificials come last
 
     def expand(row):
-        out = [_ZERO] * n_struct
+        out = [0] * n_struct
         for v, (col, neg) in zip(row, split):
             if v:
                 out[col] = v
@@ -121,46 +141,53 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
                     out[neg] = -v
         return out
 
-    # Tableau rows: [structural | slack | artificial | rhs], rhs kept >= 0.
+    # Tableau rows: [structural | slack | artificial | rhs], integers over
+    # the common denominator D, rhs kept >= 0.  Each input row is scaled to
+    # integers with its rhs; its slack and artificial entries stay 1.
     # Artificial i starts basic only where slack i cannot: in equality rows
     # and in rows whose rhs had to be negated.
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
+    row_scale = []
     rhs_sign = []
     basis = []
-    for i in range(m):
-        slack = [_ZERO] * n_slack
+    for i, (row, rhs) in enumerate(zip(A_ub + A_eq, b_ub + b_eq)):
+        ints, scale = integer_row([*row, rhs])
+        body, rhs = expand(ints[:-1]), ints[-1]
+        slack = [0] * n_slack
         if i < m_ub:
-            body, rhs = expand(A_ub[i]), b_ub[i]
-            slack[i] = _ONE
-        else:
-            body, rhs = expand(A_eq[i - m_ub]), b_eq[i - m_ub]
+            slack[i] = 1
         sign = 1
         if rhs < 0:
             sign = -1
             body = [-v for v in body]
             slack = [-v for v in slack]
             rhs = -rhs
-        art = [_ZERO] * m
-        art[i] = _ONE
+        art = [0] * m
+        art[i] = 1
         tableau.append(body + slack + art + [rhs])
+        row_scale.append(scale)
         rhs_sign.append(sign)
         basis.append(n_struct + i if i < m_ub and sign > 0 else art_start + i)
+    D = 1  # the unit starting basis has determinant 1
 
-    # Phase 1: minimize the sum of the basic artificials.  Cost row holds
-    # reduced costs, so it is minus the sum of their rows, zero on their own
-    # columns.
-    cost1 = [_ZERO] * (n_total + 1)
-    for row, bv in zip(tableau, basis):
+    # Phase 1: minimize the sum of the basic artificials, each in the units
+    # of its unscaled row, so weight row i by lcm / scale_i.  Cost row holds
+    # reduced costs, so it is minus the weighted sum of their rows, zero on
+    # their own columns.
+    common = lcm(*(row_scale[i] for i, bv in enumerate(basis) if bv >= art_start))
+    cost1 = [0] * (n_total + 1)
+    for row, bv, scale in zip(tableau, basis, row_scale):
         if bv >= art_start:
+            w = common // scale
             for j in range(art_start):
                 if row[j]:
-                    cost1[j] -= row[j]
-            cost1[n_total] -= row[n_total]
+                    cost1[j] -= w * row[j]
+            cost1[n_total] -= w * row[n_total]
 
-    status, pivots1 = _bland_min(tableau, cost1, basis, entering_limit=art_start)
+    status, pivots1, D = _bland_min(tableau, cost1, basis, art_start, D)
     if status == "unbounded":  # cannot happen for a phase-1 objective
         raise BnPolyError("phase 1 reported unbounded")
-    if -cost1[n_total] != 0:
+    if cost1[n_total] != 0:
         return LpResult(status="infeasible", pivots=(pivots1, 0))
 
     # Drive any remaining artificial out of the basis; a row with no
@@ -168,71 +195,74 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
     drop_rows = []
     for i, bv in enumerate(basis):
         if bv >= art_start:
-            pivot_col = next(
-                (j for j in range(art_start) if tableau[i][j] != 0), None
-            )
+            pivot_col = next((j for j in range(art_start) if tableau[i][j]), None)
             if pivot_col is None:
                 drop_rows.append(i)
             else:
-                _pivot(tableau, [cost1], basis, i, pivot_col)
+                D = _pivot(tableau, None, basis, i, pivot_col, D)
                 pivots1 += 1
     dropped = set(drop_rows)
     if dropped:
         tableau = [row for i, row in enumerate(tableau) if i not in dropped]
         basis = [bv for i, bv in enumerate(basis) if i not in dropped]
 
-    # Phase 2: minimize -c.x over the feasible basis.
-    cost2 = [_ZERO] * (n_total + 1)
-    for v, (col, neg) in zip(c, split):
-        cost2[col] = -v
+    # Phase 2: minimize -c.x over the feasible basis, with c scaled to
+    # integers and the cost row over the same denominator D.
+    c_ints, c_scale = integer_row(c)
+    price = [0] * n_total
+    for v, (col, neg) in zip(c_ints, split):
+        price[col] = -v
         if neg is not None:
-            cost2[neg] = v
+            price[neg] = v
+    cost2 = [D * v for v in price] + [0]
     # Price out the current basis.
     for i, bv in enumerate(basis):
-        coef = cost2[bv]
+        coef = price[bv]
         if coef:
             row = tableau[i]
             for j in range(n_total + 1):
                 if row[j]:
                     cost2[j] -= coef * row[j]
 
-    status, pivots2 = _bland_min(tableau, cost2, basis, entering_limit=art_start)
+    status, pivots2, D = _bland_min(tableau, cost2, basis, art_start, D)
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=(pivots1, pivots2))
 
-    x_internal = [_ZERO] * n_total
+    x_internal = [0] * n_total
     for i, bv in enumerate(basis):
         x_internal[bv] = tableau[i][n_total]
     x = tuple(
-        x_internal[col] - (x_internal[neg] if neg is not None else _ZERO)
+        Fraction(x_internal[col] - (x_internal[neg] if neg is not None else 0), D)
         for col, neg in split
     )
     objective = sum((cv * xv for cv, xv in zip(c, x)), _ZERO)
 
     # The reduced cost of artificial column i is -y_i for the standard-form
-    # dual y = c_B B^{-1}; mapping back to the original maximization problem
-    # flips the sign once more and undoes the rhs sign normalization.
+    # dual y = c_B B^{-1} of the scaled rows; mapping back to the original
+    # maximization problem flips the sign once more, undoes the rhs sign
+    # normalization and the row and objective scales, and divides by D.
     dual = []
     for i in range(m):
         if i in dropped:
             dual.append(_ZERO)
         else:
-            dual.append(cost2[art_start + i] * rhs_sign[i])
+            y = cost2[art_start + i] * rhs_sign[i] * row_scale[i]
+            dual.append(Fraction(y, c_scale * D))
     dual_ub = tuple(dual[:m_ub])
     dual_eq = tuple(dual[m_ub:])
     return LpResult("optimal", objective, x, dual_ub, dual_eq, (pivots1, pivots2))
 
 
-def _bland_min(tableau, cost, basis, entering_limit) -> tuple[str, int]:
+def _bland_min(tableau, cost, basis, entering_limit, D) -> tuple[str, int, int]:
     """Run Bland-rule pivots until the cost row is optimal; return the final
-    status with the number of pivots made.
+    status, the number of pivots made and the final denominator.
 
     Entering variable: smallest column index with negative reduced cost;
     leaving variable: smallest ratio, ties broken by smallest basic index.
-    Columns >= entering_limit (the artificials) never enter.
+    Columns >= entering_limit (the artificials) never enter.  D > 0, so the
+    signs of the integer entries are those of the tableau, and the ratio
+    rhs_i / a_i beats rhs_l / a_l exactly when rhs_i * a_l < rhs_l * a_i.
     """
-    cost_rows = [cost]
-    m = len(tableau)
     rhs_col = len(cost) - 1
     pivots = 0
     while True:
@@ -242,41 +272,45 @@ def _bland_min(tableau, cost, basis, entering_limit) -> tuple[str, int]:
                 entering = j
                 break
         if entering is None:
-            return "optimal", pivots
+            return "optimal", pivots, D
         leaving = None
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            a = row[entering]
             if a > 0:
-                ratio = tableau[i][rhs_col] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+                if leaving is not None:
+                    lhs, rhs = row[rhs_col] * best_a, best_rhs * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                        continue
+                leaving, best_rhs, best_a = i, row[rhs_col], a
         if leaving is None:
-            return "unbounded", pivots
-        _pivot(tableau, cost_rows, basis, leaving, entering)
+            return "unbounded", pivots, D
+        D = _pivot(tableau, cost, basis, leaving, entering, D)
         pivots += 1
 
 
-def _pivot(tableau, cost_rows, basis, r, s) -> None:
+def _pivot(tableau, cost, basis, r, s, D) -> int:
+    """One Bareiss step on pivot (r, s) of the integer tableau over the
+    denominator D, the cost row (if any) included; returns the new
+    denominator.  Every division is exact: the entries are minors of the
+    scaled input, and the pivot p is the new basis determinant up to sign.
+    A negative pivot negates every row so the denominator stays positive."""
     prow = tableau[r]
-    pivot = prow[s]
-    if pivot != 1:
-        inv = _ONE / pivot
-        tableau[r] = prow = [v * inv for v in prow]
-    for i, row in enumerate(tableau):
-        if i != r and row[s]:
-            f = row[s]
-            tableau[i] = [v - f * w if w else v for v, w in zip(row, prow)]
-    for k, crow in enumerate(cost_rows):
-        if crow[s]:
-            f = crow[s]
-            cost_rows[k][:] = [v - f * w if w else v for v, w in zip(crow, prow)]
+    p = prow[s]
+    rows = tableau if cost is None else [*tableau, cost]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[s]
+        if f:
+            row[:] = [(p * v - f * w) // D for v, w in zip(row, prow)]
+        elif p != D:
+            row[:] = [p * v // D for v in row]
+    if p < 0:
+        for row in rows:
+            row[:] = [-v for v in row]
+        p = -p
     basis[r] = s
+    return p
 
 
 def _check_certificate(c, A_ub, b_ub, A_eq, b_eq, result: LpResult) -> None:

@@ -602,10 +602,11 @@ def smallest_face_containing(indices: frozenset[int], vrep: VRep, hull: HRep) ->
     return face
 
 
-def explore_conjecture(n: int = 3) -> VerificationReport:
+def explore_conjecture(n: int = 3, budget: Budget | None = None) -> VerificationReport:
     """Enumerate every face of the family-variable polytope, keep those whose
     DAG sets are closed under Markov equivalence, and confirm each one admits
-    a score-equivalent defining objective (via the exact-LP face test)."""
+    a score-equivalent defining objective (via the exact-LP face test).  The
+    budget bounds the facet enumeration."""
     if n != 3:
         raise ValueError("exhaustive face analysis is feasible only for n = 3")
     report = VerificationReport("conjecture-n3")
@@ -613,7 +614,7 @@ def explore_conjecture(n: int = 3) -> VerificationReport:
     gs = GroundSet.alpha(n)
     dags = enumerate_dags(gs)
     fvp = fvp_vrep(gs)
-    hull = facets_from_vertices(fvp)
+    hull = facets_from_vertices(fvp, budget=budget)
     report.check("facet count", 17, len(hull.inequalities))
 
     cai = enumerate_cai(gs)

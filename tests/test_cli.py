@@ -104,6 +104,12 @@ def test_polytope_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_verify_conjecture_budget_exit_code(capsys):
+    code, out, err = run_cli(capsys, "verify", "conjecture", "--budget", "0")
+    assert code == 3
+    assert out == "" and "budget exhausted" in err
+
+
 def test_verify_n3_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "n3")
     assert code == 0
@@ -143,6 +149,8 @@ def test_verify_json_deterministic(capsys):
         ("polytope", "hull", "--n", "3", "--polytope", "cip", "--budget", "nan"),
         ("verify", "n3", "--budget", "-1"),
         ("polytope", "hull", "--n", "3", "--polytope", "cip", "--max-rays", "-5"),
+        ("verify", "theorem3", "--n", "3", "--trials", "1", "--budget", "0"),
+        ("verify", "counterexample", "--budget", "0"),
     ],
     ids=[
         "unknown-command",
@@ -167,6 +175,8 @@ def test_verify_json_deterministic(capsys):
         "nan-budget",
         "negative-budget",
         "negative-max-rays",
+        "theorem3-budget",
+        "counterexample-budget",
     ],
 )
 def test_usage_error_exit_two(capsys, argv):

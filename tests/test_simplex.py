@@ -4,12 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from bnpoly import polyhedra, scoreeq, simplex
 from bnpoly.errors import BnPolyError
 from bnpoly.ground import FamVector, GroundSet
 from bnpoly.ineq import LinearInequality, modified_convexity, nonneg_constraints
 from bnpoly.polyhedra import HRep, max_over_vertices, vertices_from_inequalities
 from bnpoly.simplex import _check_certificate, solve_lp
-from bnpoly.verify import _n4_catalog_fam_rows, _random_se_objective
+from bnpoly.verify import (
+    _n4_catalog_fam_rows,
+    _random_se_objective,
+    explore_conjecture,
+    verify_theorem3,
+)
 
 
 def assert_certified(r, c, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
@@ -259,3 +265,122 @@ def test_certificate_check_refuses_tampered_results(name):
     _check_certificate(*args, result)  # the untouched result passes
     with pytest.raises(BnPolyError, match=message):
         _check_certificate(*args, dataclasses.replace(result, **tampering))
+
+
+def _lp_results(monkeypatch, run):
+    """Every ``LpResult`` that the pipeline ``run()`` gets, in call order."""
+    results = []
+
+    def recording(*args, **kwargs):
+        result = solve_lp(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(polyhedra, "solve_lp", recording)
+    monkeypatch.setattr(scoreeq, "solve_lp", recording)
+    run()
+    return results
+
+
+# Pivot counts, optimum and certificate of the pipelines' LPs, recorded with
+# the earlier Fraction tableau: the integer tableau takes the same Bland path.
+def test_theorem3_n4_pivot_path(monkeypatch):
+    results = _lp_results(monkeypatch, lambda: verify_theorem3(4, trials=1, seed=0))
+    assert [r.pivots for r in results] == [(0, 12), (0, 12), (0, 0), (0, 2)]
+    first = results[0]
+    assert {j: v for j, v in enumerate(first.x) if v} == {2: 1, 10: 1, 17: 1}
+    assert len(first.dual_ub) == 73 and first.dual_eq == ()
+    assert {i: y for i, y in enumerate(first.dual_ub) if y} == {
+        0: 2, 1: 4, 3: 3, 4: 7, 5: 5, 6: 2, 8: 5, 9: 1, 11: 4, 12: 5, 13: 2,
+        14: 2, 15: 5, 16: 3, 18: 2, 19: 5, 21: 1, 23: 5, 25: 1, 27: 2, 28: 2,
+        32: 1, 33: 3, 36: 3, 37: 2,
+    }
+
+
+def test_theorem3_n5_pivot_path(monkeypatch):
+    results = _lp_results(monkeypatch, lambda: verify_theorem3(5, trials=1))
+    assert [r.pivots for r in results] == [(0, 112), (0, 156)]
+    assert [r.objective for r in results] == [16, Fraction(35, 2)]
+
+
+def test_se_face_lps_pivot_totals(monkeypatch):
+    results = _lp_results(monkeypatch, lambda: explore_conjecture(3))
+    assert len(results) == 93
+    assert sum(r.pivots[0] for r in results) == 617
+    assert sum(r.pivots[1] for r in results) == 153
+
+
+def _random_small_lp(rng):
+    """A small integer LP with free and sign-row-bounded variables, boxes,
+    negative right-hand sides, equations that are sometimes repeated with a
+    factor of 2, -1 or -3, and sometimes one row divided by 2..5."""
+    n = rng.randint(1, 4)
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+
+    def unit(j, a):
+        row = [0] * n
+        row[j] = a
+        return row
+
+    for j in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            A_ub.append(unit(j, -rng.randint(1, 2)))
+            b_ub.append(0)
+        elif kind == 1:
+            A_ub += [unit(j, 1), unit(j, -1)]
+            b_ub += [rng.randint(0, 4), rng.randint(0, 4)]
+    for _ in range(rng.randint(0, 3)):
+        A_ub.append([rng.randint(-3, 3) for _ in range(n)])
+        b_ub.append(rng.randint(-4, 6))
+    for _ in range(rng.randint(0, 2)):
+        row, rhs = [rng.randint(-2, 2) for _ in range(n)], rng.randint(-3, 3)
+        A_eq.append(row)
+        b_eq.append(rhs)
+        if rng.random() < 0.5:
+            k = rng.choice([2, -1, -3])
+            A_eq.append([k * v for v in row])
+            b_eq.append(k * rhs)
+    if rng.random() < 0.3:
+        rows, rhs = (A_ub, b_ub) if A_ub and rng.random() < 0.5 else (A_eq, b_eq)
+        if rows:
+            i, q = rng.randrange(len(rows)), rng.randint(2, 5)
+            rows[i] = [Fraction(v, q) for v in rows[i]]
+            rhs[i] = Fraction(rhs[i], q)
+    return c, A_ub, b_ub, A_eq, b_eq
+
+
+def test_statuses_and_optima_match_highs(monkeypatch):
+    """Infeasible and unbounded results carry no certificate, so compare
+    every status, and every optimum both report, with HiGHS.  HiGHS presolve
+    reports some unbounded LPs here as infeasible, so it runs without."""
+    np = pytest.importorskip("numpy")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    drive_outs = []
+    pivot = simplex._pivot
+
+    def spying(tableau, cost, basis, r, s, D):
+        if cost is None:  # phase 1 is over: an artificial is driven out
+            drive_outs.append(tableau[r][s])
+        return pivot(tableau, cost, basis, r, s, D)
+
+    monkeypatch.setattr(simplex, "_pivot", spying)
+    highs_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    statuses, fractional_duals = set(), 0
+    for seed in range(200):
+        c, A_ub, b_ub, A_eq, b_eq = _random_small_lp(random.Random(seed))
+        ours = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        floats = lambda rows: np.array(rows, dtype=float) if rows else None
+        highs = linprog(
+            [-v for v in c],
+            A_ub=floats(A_ub), b_ub=floats(b_ub), A_eq=floats(A_eq), b_eq=floats(b_eq),
+            bounds=(None, None), method="highs", options={"presolve": False},
+        )
+        assert ours.status == highs_status.get(highs.status), (seed, highs.message)
+        statuses.add(ours.status)
+        if ours.status == "optimal":
+            assert float(ours.objective) == pytest.approx(-highs.fun, abs=1e-9), seed
+            fractional_duals += any(y.denominator > 1 for y in ours.dual_ub + ours.dual_eq)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert any(p < 0 for p in drive_outs) and fractional_duals > 0
