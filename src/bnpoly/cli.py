@@ -352,20 +352,42 @@ def _cmd_export_lp(args) -> int:
     return 0
 
 
+# The options each verify pipeline reads; any other one given is refused.
+_VERIFY_OPTIONS = {
+    "n3": {"--budget"},
+    "n4": {"--stretch", "--budget"},
+    "theorem3": {"--n", "--trials", "--seed"},
+    "counterexample": set(),
+    "conjecture": {"--n", "--budget"},
+}
+
+
 def _cmd_verify(args) -> int:
-    if args.budget is not None and args.pipeline in ("theorem3", "counterexample"):
-        raise BnPolyError(f"--budget does not apply to verify {args.pipeline}: it has no hull step")
+    given = {
+        "--n": args.n is not None,
+        "--trials": args.trials is not None,
+        "--seed": args.seed is not None,
+        "--stretch": args.stretch,
+        "--budget": args.budget is not None,
+    }
+    for option, is_given in given.items():
+        if is_given and option not in _VERIFY_OPTIONS[args.pipeline]:
+            reason = ": it has no hull step" if option == "--budget" else ""
+            raise BnPolyError(f"{option} does not apply to verify {args.pipeline}{reason}")
     budget = _budget(args)
+    n = 3 if args.n is None else args.n
     if args.pipeline == "n3":
         report = verify_n3(budget=budget)
     elif args.pipeline == "n4":
         report = verify_n4(stretch=args.stretch, budget=budget)
     elif args.pipeline == "theorem3":
-        report = verify_theorem3(args.n, trials=args.trials, seed=args.seed)
+        trials = 100 if args.trials is None else args.trials
+        seed = 0 if args.seed is None else args.seed
+        report = verify_theorem3(n, trials=trials, seed=seed)
     elif args.pipeline == "counterexample":
         report = verify_counterexample()
     else:  # conjecture
-        report = explore_conjecture(args.n, budget=budget)
+        report = explore_conjecture(n, budget=budget)
     if args.json:
         print(json.dumps(report.to_json(include_elapsed=args.timings), sort_keys=True, indent=2))
     else:
@@ -442,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification pipeline")
     p.add_argument("pipeline", choices=["n3", "n4", "theorem3", "counterexample", "conjecture"])
-    p.add_argument("--n", type=int, default=3, help="ground-set size for theorem3/conjecture")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, help="ground-set size for theorem3/conjecture (default 3)")
+    p.add_argument("--trials", type=int, help="random objectives for theorem3 (default 100)")
+    p.add_argument("--seed", type=int, help="random seed for theorem3 (default 0)")
     p.add_argument("--stretch", action="store_true", help="include the long-running n4 checks")
     p.add_argument("--budget", type=float, help="wall-clock seconds for hull steps (n3, n4, conjecture)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON instead of a table")

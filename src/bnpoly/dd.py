@@ -1,14 +1,22 @@
 """Exact double description: extreme rays of a rational polyhedral cone.
 
 Given rows a_1, ..., a_m, computes the lineality space and the extreme rays
-of {x : <a_i, x> >= 0 for all i}.  Constraints are inserted one at a time in
-colex order: rows are compared from their last entry backwards.  The order
-depends only on the set of rows and decides the size of the intermediate
-cones: on the 69-row score-equivalence relaxation at n = 4, colex peaks at
-about 1400 rays and lexicographic order at about 30 000.  While the
-intermediate cone still contains lines, each new constraint cuts the
-lineality space down by one, after which the classical ray-splitting step
-applies.  Each step evaluates its row from the row's nonzero entries only.
+of {x : <a_i, x> >= 0 for all i}.  Constraints are inserted one at a time,
+ordered first by the position of the row's last negative entry (rows with no
+negative entry last), then colex: rows compared from their last entry
+backwards.  The order depends only on the set of rows and decides the size
+of the intermediate cones.  For a hull, each row is (1, -v) for a point v,
+so on 0/1 points the rule inserts the points grouped by their last nonzero
+coordinate.  After each group, the points inserted so far are the nonzero
+points of a coordinate face (zero past that coordinate), so the
+intermediate cones describe the hulls of faces, which stay small.  The
+n = 4 characteristic-imset hull (185 rows) peaks at 362 intermediate rays
+(656 in plain colex order) and the 69-constraint score-equivalence
+relaxation at n = 4 at 1336, where lexicographic order peaks at about
+30 000.  While the intermediate cone still contains lines, each new
+constraint cuts the lineality space down by one, after which the classical
+ray-splitting step applies.  Each step evaluates its row from the row's
+nonzero entries only.
 
 Everything is integer arithmetic: input rows are scaled to primitive integer
 vectors and every ray is kept primitive, so there is no rounding and no
@@ -60,9 +68,22 @@ class Budget:
             )
 
 
-def _to_int_rows(rows: Iterable[Sequence]) -> list[tuple[int, ...]]:
-    """Each nonzero row as a primitive integer vector."""
-    return [primitive(integer_row(row)[0]) for row in rows if any(row)]
+def _insertion_order(rows: Iterable[Sequence]) -> list[tuple[int, ...]]:
+    """The constraints as distinct primitive integer rows, in insertion order.
+
+    Positive multiples coincide after primitive scaling, and a repeated row
+    would only burn a zero-set bit, so each constraint is kept once.  The
+    order depends only on the set of constraints: first by the position of
+    the row's last negative entry, rows with no negative entry last, then
+    colex (rows compared from their last entry backwards).
+    """
+    int_rows = {primitive(integer_row(row)[0]) for row in rows if any(row)}
+    return sorted(int_rows, key=_insertion_key)
+
+
+def _insertion_key(row: tuple[int, ...]) -> tuple:
+    last_negative = max((c for c, a in enumerate(row) if a < 0), default=len(row))
+    return last_negative, row[::-1]
 
 
 def _dot(support: Sequence[tuple[int, int]], vec: Sequence[int]) -> int:
@@ -80,9 +101,7 @@ def extreme_rays(
     Rays are primitive integer tuples, sorted; the lineality basis vectors
     are primitive with positive leading entry.
     """
-    # Positive multiples coincide after primitive scaling; repeated rows
-    # would only burn zero-set bits, so keep one copy of each, in colex order.
-    int_rows = sorted(set(_to_int_rows(rows)), key=lambda r: r[::-1])
+    int_rows = _insertion_order(rows)
 
     lineality: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)

@@ -186,6 +186,23 @@ def test_usage_error_exit_two(capsys, argv):
     assert argv == ("nonsense",) or err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("verify", "counterexample", "--n", "4", "--stretch", "--trials", "0"), "--n"),
+        (("verify", "n3", "--n", "5"), "--n"),
+        (("verify", "conjecture", "--trials", "0", "--seed", "9"), "--trials"),
+        (("verify", "conjecture", "--seed", "0"), "--seed"),
+        (("verify", "theorem3", "--stretch"), "--stretch"),
+        (("verify", "n4", "--n", "4"), "--n"),
+    ],
+)
+def test_verify_refuses_options_the_pipeline_ignores(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} does not apply to verify {argv[1]}")
+
+
 def test_violated_inequality_is_named_in_key_form(capsys):
     code, _, err = run_cli(
         capsys, "polytope", "face-dim", "--n", "3", "--polytope", "fvp",

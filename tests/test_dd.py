@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bnpoly.dd import Budget, extreme_rays
+from bnpoly.dd import Budget, _insertion_order, extreme_rays
 from bnpoly.errors import BudgetExceededError
 from bnpoly.ground import GroundSet
 from bnpoly.ineq import cluster_fam, nonneg_constraints
@@ -139,22 +139,22 @@ def _lifted(points):
     return [(1,) + tuple(-x for x in p) for p in points]
 
 
-# Ten points of {0, 1, 2}^4, found by search: for one plus ray, the cover
+# Eight points of {0, 1, 2}^4, found by search: for one plus ray, the cover
 # found for an earlier pair is a later minus ray, and that pair is an edge.
 # Reusing the cover there without skipping the minus ray loses the facet
-# (6, 4, -2, 3, -2).
+# (2, 3, 2, 0, -4).
 _COVER_IS_MINUS_RAY = [
-    (0, 0, 2, 0), (0, 1, 2, 0), (1, 0, 1, 2), (1, 0, 2, 2), (1, 1, 1, 1),
-    (1, 1, 2, 1), (1, 2, 0, 2), (1, 2, 1, 0), (1, 2, 2, 0), (2, 1, 0, 0),
+    (0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 2, 0), (0, 2, 0, 1),
+    (1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 2, 2), (2, 2, 2, 2),
 ]
 
-# Nine points of {0, 1, 2}^4, found by search: the cover found for a minus
+# Eight points of {0, 1, 2}^4, found by search: the cover found for a minus
 # ray on an earlier pair is a later plus ray, and that pair is an edge.
 # Reusing the cover there without skipping the plus ray loses the facet
-# (-2, 0, -2, -1, -2).
+# (2, -1, 0, -1, 2).
 _COVER_IS_PLUS_RAY = [
-    (0, 0, 0, 1), (0, 0, 1, 2), (0, 0, 2, 0), (1, 0, 0, 1), (1, 1, 0, 0),
-    (2, 0, 0, 1), (2, 0, 2, 1), (2, 1, 0, 1), (2, 2, 0, 2),
+    (0, 0, 2, 2), (0, 1, 0, 1), (0, 1, 2, 2), (0, 2, 2, 1),
+    (0, 2, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1), (2, 1, 1, 2),
 ]
 
 # Vertex sets of 0/1 polytopes give degenerate cones: many plus/minus pairs
@@ -203,14 +203,14 @@ def test_zeroset_and_rank_adjacency_agree_on_degenerate_cones(name):
 
 def test_cover_is_minus_ray_keeps_the_edge():
     rays, lin = extreme_rays(_lifted(_COVER_IS_MINUS_RAY), 5)
-    assert len(rays) == 12 and lin == []
-    assert (6, 4, -2, 3, -2) in rays
+    assert len(rays) == 11 and lin == []
+    assert (2, 3, 2, 0, -4) in rays
 
 
 def test_cover_is_plus_ray_keeps_the_edge():
     rays, lin = extreme_rays(_lifted(_COVER_IS_PLUS_RAY), 5)
-    assert len(rays) == 12 and lin == []
-    assert (-2, 0, -2, -1, -2) in rays
+    assert len(rays) == 13 and lin == []
+    assert (2, -1, 0, -1, 2) in rays
 
 
 def test_split_with_lineality_and_empty_common_set():
@@ -243,13 +243,32 @@ def test_budget_ray_cap():
         extreme_rays(rows, 7, budget=Budget(max_rays=5))
 
 
+def test_insertion_order():
+    # By the last negative entry; rows without one come last; ties colex.
+    rows = [(0, 0, 1), (1, -1, 0), (-1, 1, 1), (0, 1, -1), (-1, 0, 0),
+            (1, 0, 0), (-1, 0, 1), (0, -1, 0), (2, -1, -1), (0, 1, 0)]
+    expected = [(-1, 0, 0), (-1, 0, 1), (-1, 1, 1), (0, -1, 0), (1, -1, 0),
+                (2, -1, -1), (0, 1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _insertion_order(rows) == expected
+    # Scaled, shuffled and repeated rows, and zero rows, are the same set of
+    # constraints, so they give the same order.
+    rng = random.Random(3)
+    for _ in range(5):
+        factors = [rng.choice((1, 2, Fraction(1, 3))) for _ in rows]
+        scaled = [tuple(c * x for x in row) for c, row in zip(factors, rows)]
+        scaled += rng.sample(rows, 3) + [(0, 0, 0)]
+        rng.shuffle(scaled)
+        assert _insertion_order(scaled) == expected
+
+
 def test_deterministic_output():
     rng = random.Random(8)
     rows = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(9)]
     first = extreme_rays(rows, 4)
     second = extreme_rays(list(reversed(rows)), 4)
-    # Rows are deduplicated and inserted in colex order, so the input order
-    # changes neither the insertion order nor the output.
+    # Rows are deduplicated and inserted by their last negative entry, then
+    # colex, so the input order changes neither the insertion order nor the
+    # output.
     assert first == second
 
 
@@ -288,19 +307,20 @@ def test_row_permutation_invariance(name):
         assert extreme_rays(shuffled, dim) == expected
 
 
-# Peak intermediate rays (Budget.check's count) in colex order: 656 for the
-# n=4 CIP hull and 633 for the n=4 FVP hull, against 590 and 1768 in
-# lexicographic order.  The caps leave about 1.5x headroom, so an insertion
-# order that lets the intermediate cone grow fails here within seconds
-# instead of running on.
+# Peak intermediate rays (Budget.check's count) when rows are inserted by
+# their last negative entry, then colex: 362 for the n=4 CIP hull and 505 for
+# the n=4 FVP hull, against 656 and 633 in plain colex order and 590 and 1768
+# in lexicographic order.  The caps leave about 1.5x headroom, so an
+# insertion order that lets the intermediate cone grow fails here within
+# seconds instead of running on.
 @pytest.mark.parametrize(
-    "vrep, facets",
-    [(cip_vrep, 154), (fvp_vrep, 135)],
+    "vrep, facets, max_rays",
+    [(cip_vrep, 154, 550), (fvp_vrep, 135, 760)],
     ids=["cip4", "fvp4"],
 )
-def test_n4_hulls_stay_within_ray_budget(vrep, facets):
+def test_n4_hulls_stay_within_ray_budget(vrep, facets, max_rays):
     points = vrep(GroundSet.alpha(4)).points
-    budget = Budget(max_rays=1000)
+    budget = Budget(max_rays=max_rays)
     rays, lin = extreme_rays(_lifted(points), len(points[0]) + 1, budget=budget)
     assert lin == []
     assert len(rays) == facets

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bnpoly.dags import enumerate_equivalence_classes
+from bnpoly.dd import Budget
 from bnpoly.encodings import char_bits
 from bnpoly.errors import InvalidInequalityError, UnboundedError
 from bnpoly.ground import FamVector, GroundSet, enumerate_cai
@@ -197,7 +198,10 @@ def test_roundtrip_cip(n):
     gs = GroundSet.alpha(n)
     cip = cip_vrep(gs)
     hull = facets_from_vertices(cip)
-    back = vertices_from_inequalities(hull)
+    # The n=4 vertex enumeration from the 154 facets peaks at 1188
+    # intermediate rays, against 1783 in plain colex insertion order.
+    budget = Budget(max_rays=1500) if n == 4 else None
+    back = vertices_from_inequalities(hull, budget=budget)
     assert set(back.points) == set(cip.points)
 
 

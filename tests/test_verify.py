@@ -53,8 +53,9 @@ def test_counterexample_pipeline_passes(counterexample_report):
 
 def test_se_relaxation_vertices_within_ray_budget():
     # The relaxation behind criterion 3: non-negativity, convexity and the 37
-    # one-vertex catalog facets at n = 4.  Colex insertion peaks at 1415
-    # intermediate rays; the cap leaves 2x headroom, so an order that blows
+    # one-vertex catalog facets at n = 4.  Insertion by the last negative
+    # entry, then colex, peaks at 1336 intermediate rays (1415 in plain colex
+    # order); the cap leaves about 2x headroom, so an order that blows
     # the cone up fails within seconds.  The printed third witness is not a
     # vertex (criterion 3 reports that), so it is not checked here.
     summary = _fvp_star_summary(Budget(max_rays=2800))
