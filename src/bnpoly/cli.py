@@ -130,6 +130,17 @@ def _ineq_json(q: LinearInequality) -> dict:
     }
 
 
+def _refuse_unread(
+    command: str, given: dict[str, bool], reads: set[str], reasons: dict[str, str] | None = None
+) -> None:
+    """Refuse (exit 2) any given option that ``command`` does not read,
+    instead of dropping it silently; ``reasons`` adds a note per option."""
+    for option, is_given in given.items():
+        if is_given and option not in reads:
+            reason = (reasons or {}).get(option, "")
+            raise BnPolyError(f"{option} does not apply to {command}{reason}")
+
+
 def _budget(args) -> Budget | None:
     if getattr(args, "budget", None) is None and getattr(args, "max_rays", None) is None:
         return None
@@ -153,6 +164,7 @@ def _cmd_encode(args) -> int:
 def _cmd_dags(args) -> int:
     gs = _gs(args)
     if args.classes:
+        _refuse_unread("dags --classes", {"--list": args.list}, set())
         classes = enumerate_equivalence_classes(gs)
         payload = {
             "n": gs.n,
@@ -170,7 +182,23 @@ def _cmd_dags(args) -> int:
     return 0
 
 
+# The options each se action reads besides --n; any other one given is refused.
+_SE_OPTIONS = {
+    "check": {"--objective"},
+    "to-char": {"--objective"},
+    "from-setfn": {"--setfn"},
+    "to-setfn": {"--objective"},
+    "is-face": {"--dags"},
+}
+
+
 def _cmd_se(args) -> int:
+    given = {
+        "--objective": args.objective is not None,
+        "--setfn": args.setfn is not None,
+        "--dags": args.dags is not None,
+    }
+    _refuse_unread(f"se {args.action}", given, _SE_OPTIONS[args.action])
     gs = _gs(args)
     if args.action == "check":
         obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
@@ -213,16 +241,33 @@ def _cmd_supermod(args) -> int:
     return 0
 
 
+# The options each ineq action reads; any other one given is refused.
+_INEQ_OPTIONS = {
+    "cluster": {"--n", "--C", "--k", "--mode"},
+    "catalog": {"--n", "--which"},
+}
+
+
 def _cmd_ineq(args) -> int:
-    gs = _gs(args)
+    given = {
+        "--n": args.n is not None,
+        "--C": args.C is not None,
+        "--k": args.k is not None,
+        "--mode": args.mode is not None,
+        "--which": args.which is not None,
+    }
+    _refuse_unread(f"ineq {args.action}", given, _INEQ_OPTIONS[args.action])
     if args.action == "cluster":
         if args.C is None:
             raise BnPolyError("--C is required")
+        gs = GroundSet.alpha(4 if args.n is None else args.n)
         C = gs.mask_of(args.C)
-        build = cluster_fam if args.mode == "fam" else cluster_char
-        q = build(gs, C, args.k)
+        build = cluster_char if args.mode == "char" else cluster_fam
+        q = build(gs, C, 1 if args.k is None else args.k)
         _emit({"objective": _vector_json(q.objective), "bound": str(q.bound)})
     else:  # catalog
+        if args.n not in (None, 4):
+            raise BnPolyError(f"ineq catalog has four-node catalogs only, got --n {args.n}")
         if args.which is None:
             raise BnPolyError("--which is required: se4 or specific4")
         entries = catalog_se_n4() if args.which == "se4" else catalog_specific_n4()
@@ -259,9 +304,9 @@ def _vrep_from_args(args, gs: GroundSet) -> VRep:
 
 
 def _hrep_from_args(args, gs: GroundSet) -> HRep:
-    if getattr(args, "matrix", None):
+    if args.matrix:
         with open(args.matrix) as handle:
-            return hrep_from_matrix_text(gs, args.space, handle.read())
+            return hrep_from_matrix_text(gs, args.space or "fam", handle.read())
     data = _load_json_arg(args.hrep, "--matrix or --hrep")
     space, parse = _space_parser(data, "--hrep")
     rows = tuple(
@@ -294,7 +339,34 @@ def _parse_ineq_arg(args, gs: GroundSet) -> LinearInequality:
     )
 
 
+# The options each polytope action reads besides --n; any other one given
+# is refused, and so is a second source of the same input.
+_POLYTOPE_OPTIONS = {
+    "hull": {"--polytope", "--points", "--matrix-out", "--budget", "--max-rays"},
+    "vertices": {"--hrep", "--matrix", "--space", "--budget", "--max-rays"},
+    "face-dim": {"--polytope", "--points", "--ineq"},
+    "is-facet": {"--polytope", "--points", "--ineq"},
+}
+
+
 def _cmd_polytope(args) -> int:
+    given = {
+        "--polytope": args.polytope is not None,
+        "--points": args.points is not None,
+        "--hrep": args.hrep is not None,
+        "--matrix": args.matrix is not None,
+        "--matrix-out": args.matrix_out is not None,
+        "--space": args.space is not None,
+        "--ineq": args.ineq is not None,
+        "--budget": args.budget is not None,
+        "--max-rays": args.max_rays is not None,
+    }
+    _refuse_unread(f"polytope {args.action}", given, _POLYTOPE_OPTIONS[args.action])
+    for first, second in (("--polytope", "--points"), ("--hrep", "--matrix")):
+        if given[first] and given[second]:
+            raise BnPolyError(f"give {first} or {second}, not both")
+    if given["--space"] and not given["--matrix"]:
+        raise BnPolyError("--space applies only to --matrix input")
     gs = _gs(args)
     budget = _budget(args)
     if args.action == "hull":
@@ -353,10 +425,13 @@ def _cmd_export_lp(args) -> int:
 
 
 # The options each verify pipeline reads; any other one given is refused.
+# At n = 5 theorem3 solves the two fixed counterexample LPs instead of
+# random objectives.
 _VERIFY_OPTIONS = {
     "n3": {"--budget"},
     "n4": {"--stretch", "--budget"},
     "theorem3": {"--n", "--trials", "--seed"},
+    "theorem3 --n 5": {"--n"},
     "counterexample": set(),
     "conjecture": {"--n", "--budget"},
 }
@@ -370,10 +445,10 @@ def _cmd_verify(args) -> int:
         "--stretch": args.stretch,
         "--budget": args.budget is not None,
     }
-    for option, is_given in given.items():
-        if is_given and option not in _VERIFY_OPTIONS[args.pipeline]:
-            reason = ": it has no hull step" if option == "--budget" else ""
-            raise BnPolyError(f"{option} does not apply to verify {args.pipeline}{reason}")
+    name = "theorem3 --n 5" if args.pipeline == "theorem3" and args.n == 5 else args.pipeline
+    _refuse_unread(
+        f"verify {name}", given, _VERIFY_OPTIONS[name], {"--budget": ": it has no hull step"}
+    )
     budget = _budget(args)
     n = 3 if args.n is None else args.n
     if args.pipeline == "n3":
@@ -433,10 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ineq", help="inequality families and catalogs")
     p.add_argument("action", choices=["cluster", "catalog"])
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=int)
     p.add_argument("--C", help="cluster letters, e.g. abc")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--mode", choices=["fam", "char"], default="fam")
+    p.add_argument("--k", type=int)
+    p.add_argument("--mode", choices=["fam", "char"])
     p.add_argument("--which", choices=["se4", "specific4"])
     p.set_defaults(func=_cmd_ineq)
 
@@ -448,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hrep", help="HRep JSON (or @file)")
     p.add_argument("--matrix", help="H-representation in plain matrix text")
     p.add_argument("--matrix-out", dest="matrix_out", help="also write the hull in plain matrix text")
-    p.add_argument("--space", choices=["fam", "char"], default="fam", help="coordinate space for --matrix input")
+    p.add_argument("--space", choices=["fam", "char"], help="coordinate space for --matrix input")
     p.add_argument("--ineq", help="inequality JSON (or @file)")
     p.add_argument("--budget", type=float, help="wall-clock seconds")
     p.add_argument("--max-rays", type=int, dest="max_rays")

@@ -13,9 +13,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
-from .dags import enumerate_dags, enumerate_equivalence_classes
+from .dags import Dag, enumerate_dags, enumerate_equivalence_classes
 from .dd import Budget
 from .encodings import char_bits, char_from_fam
 from .errors import BudgetExceededError
@@ -23,7 +24,7 @@ from .ground import (
     CharVector,
     FamVector,
     GroundSet,
-    ZERO,
+    bit,
     enumerate_cai,
     enumerate_family_indices,
 )
@@ -40,10 +41,8 @@ from .ineq import (
 from .polyhedra import (
     HRep,
     VRep,
-    centroid,
     cip_vrep,
     dag_codes,
-    dense_to_vector,
     facets_from_vertices,
     fvp_vrep,
     incidence,
@@ -455,6 +454,41 @@ def _counterexample_optimum(report: VerificationReport, gs: GroundSet) -> None:
 # --- pipeline: five-node counterexample ----------------------------------------------
 
 
+def _dimension_witnesses(gs: GroundSet) -> list[Dag]:
+    """2^n - n DAGs whose characteristic imsets are affinely independent, so
+    they certify that the imset polytope spans all 2^n - n - 1 coordinates.
+
+    The first is the empty DAG, whose imset is 0.  Then, for each S in
+    :func:`enumerate_cai` order, the DAG in which a = max(S) has the parents
+    S \\ {a} and no other node has parents.  An imset coordinate c(T) is 1
+    iff some b in T has T \\ {b} among its parents; only a has parents, so
+    c(T) = 1 exactly when a is in T and T is a subset of S.  Every such T
+    other than S is smaller than S and comes earlier in cai order, which
+    sorts by size.  So the imsets minus the zero point are the rows of a
+    lower unitriangular matrix, and the 2^n - n points have full affine
+    rank."""
+    witnesses = [Dag(gs, [0] * gs.n)]
+    for S in enumerate_cai(gs):
+        parents = [0] * gs.n
+        a = S.bit_length() - 1
+        parents[a] = S & ~bit(a)
+        witnesses.append(Dag(gs, parents))
+    return witnesses
+
+
+def _integer_values(rows: list[LinearInequality], point: dict, den: int) -> list[tuple[int, int]]:
+    """``(V, B)`` for each inequality at the point ``point / den`` (integer
+    numerators by family key): its value and its bound on one positive
+    integer scale, so the inequality holds iff V <= B."""
+    out = []
+    for q in rows:
+        keys, coeffs = zip(*q.objective.items())
+        ints, _ = linalg.integer_row([*coeffs, q.bound])
+        value = sum(c * point.get(k, 0) for k, c in zip(keys, ints))
+        out.append((value, ints[-1] * den))
+    return out
+
+
 def verify_counterexample() -> VerificationReport:
     report = VerificationReport("counterexample")
     timer = _Timer(report)
@@ -495,24 +529,42 @@ def verify_counterexample() -> VerificationReport:
     fam_points = dag_codes(gs, tight)
     report.check("family-variable face dimension", 53, linalg.affine_rank(fam_points) - 1, source="published")
 
-    # (4) the characteristic side is a facet
+    # (4) the characteristic side is a facet; the polytope's dimension is
+    # certified by the unitriangular witnesses, read before any other DAG
     cai = enumerate_cai(gs)
     signatures = [char_bits(g, cai) for g in tight]
     chars = sorted(set(signatures))
     report.check("distinct characteristic imsets on the face", 59, len(chars), source="published")
     report.check("affine rank of those imsets", 26, linalg.affine_rank(chars), source="published")
+    stream = chain(_dimension_witnesses(gs), dags)
     report.check(
         "characteristic polytope has dimension 26",
         True,
-        linalg.incremental_rank_reaches((char_bits(g, cai) for g in dags), 27),
+        linalg.incremental_rank_reaches((char_bits(g, cai) for g in stream), 27),
     )
 
-    # (5) the uniform combination of the tight codes is the published vector
+    # (5) the uniform combination of the tight codes is the published vector.
+    # From here on the centroid is integer numerators over ``den``, and the
+    # objective, convexity and cluster values are integers on one scale per
+    # row; only the reported values and the char_from_fam image are Fractions.
     fai = enumerate_family_indices(gs)
-    centroid_vec = dense_to_vector(gs, "fam", fai, centroid(fam_points))
-    report.check("centroid of tight codes equals published vector", True, centroid_vec == cx.centroid)
-    value_at_centroid = sum((obj[k] * v for k, v in cx.centroid.items()), ZERO)
-    report.check("objective value at the centroid", Fraction(16), value_at_centroid, source="published")
+    nums, den = linalg.integer_row([v for _, v in cx.centroid.items()])
+    point = dict(zip(cx.centroid.support(), nums))
+    count = len(tight)
+    sums = {k: s for k, s in zip(fai, map(sum, zip(*fam_points))) if s}
+    report.check(
+        "centroid of tight codes equals published vector",
+        True,
+        sums.keys() == point.keys() and all(s * den == point[k] * count for k, s in sums.items()),
+    )
+    # the objective's integer row from (2), so the value is obj_value / (scale * den)
+    obj_value = sum(w * point.get(k, 0) for k, w in zip(keys, ints))
+    report.check(
+        "objective value at the centroid",
+        Fraction(16),
+        Fraction(obj_value, scale * den),
+        source="published",
+    )
 
     # The characteristic image of the centroid is the same average of the 59
     # tight imsets, each weighted by its number of tight codes, so it sits in
@@ -521,7 +573,7 @@ def verify_counterexample() -> VerificationReport:
     report.check(
         "characteristic image of the centroid averages the tight imsets",
         True,
-        tuple(image[S] for S in cai) == centroid(signatures),
+        all(image[S] * count == s for S, s in zip(cai, map(sum, zip(*signatures)))),
     )
     report.check(
         "that average has full support over the 59 face vertices",
@@ -531,40 +583,37 @@ def verify_counterexample() -> VerificationReport:
 
     # (6) no modified convexity constraint is tight there
     convexity = modified_convexity(gs)
-    conv_values = [q.value_at(cx.centroid) for q in convexity]
+    checked = convexity + [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs)]
+    scaled = _integer_values(checked, point, den)
     report.check(
         "no convexity constraint tight at the centroid",
         True,
-        all(v < 1 for v in conv_values),
+        all(v < b for v, b in scaled[: len(convexity)]),
     )
 
-    # (7) the scaled point stays feasible for the other constraint families
-    checked = convexity + [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs)]
-    slacks = []
-    for q in checked:
-        v = q.value_at(cx.centroid)
-        if v >= q.bound:
-            slacks = None
-            break
-        if v > 0:
-            slacks.append((q.bound - v) / (2 * v))
-    report.check("positive slack at every checked inequality", True, slacks is not None)
-    if slacks is None:
+    # (7) the scaled point stays feasible for the other constraint families:
+    # eps = p / r is the smallest (b - v) / (2v) over the rows with v > 0
+    feasible = all(v < b for v, b in scaled)
+    report.check("positive slack at every checked inequality", True, feasible)
+    if not feasible:
         return timer.finish()
-    eps = min(slacks)
-    report.check("perturbation size is positive", True, eps > 0)
-    star = cx.centroid * (1 + eps)
+    p, r = 1, 0  # 1 / 0 stands for no candidate yet
+    for v, b in scaled:
+        if v > 0 and (b - v) * r < p * 2 * v:
+            p, r = b - v, 2 * v
+    report.check("perturbation size is positive", True, p > 0)
     report.check(
         "scaled point satisfies non-negativity",
         True,
-        all(v >= 0 for _, v in star.items()),
+        all(x * (r + p) >= 0 for x in nums),
     )
     report.check(
         "scaled point strictly satisfies convexity and all 49 cluster cuts",
         True,
-        all(q.value_at(star) < q.bound for q in checked),
+        all((r + p) * v < r * b for v, b in scaled),
     )
-    star_value = sum((obj[k] * v for k, v in star.items()), ZERO)
+    eps = Fraction(p, r)
+    star_value = Fraction((r + p) * obj_value, r * scale * den)
     report.check("objective value at the scaled point", (1 + eps) * 16, star_value)
     report.check("scaled value exceeds the true maximum", True, star_value > 16)
     return timer.finish()

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from bnpoly import dags
+from bnpoly import cli, dags
 from bnpoly.cli import main
+from bnpoly.verify import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -195,12 +196,84 @@ def test_usage_error_exit_two(capsys, argv):
         (("verify", "conjecture", "--seed", "0"), "--seed"),
         (("verify", "theorem3", "--stretch"), "--stretch"),
         (("verify", "n4", "--n", "4"), "--n"),
+        (("verify", "theorem3", "--n", "5", "--seed", "3", "--trials", "77"), "--trials"),
+        (("verify", "theorem3", "--n", "5", "--trials", "0"), "--trials"),
+        (("verify", "theorem3", "--n", "5", "--seed", "0"), "--seed"),
     ],
 )
 def test_verify_refuses_options_the_pipeline_ignores(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {option} does not apply to verify {argv[1]}")
+
+
+def test_theorem3_n5_runs_without_trials_and_seed(capsys, monkeypatch):
+    calls = []
+
+    def record(n, trials, seed):
+        calls.append(n)
+        return VerificationReport(f"theorem3-n{n}")
+
+    monkeypatch.setattr(cli, "verify_theorem3", record)
+    code, out, _ = run_cli(capsys, "verify", "theorem3", "--n", "5")
+    assert code == 0 and calls == [5]
+    assert "theorem3-n5: PASSED" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ineq", "catalog", "--n", "3", "--which", "se4"), "ineq catalog has four-node catalogs only, got --n 3"),
+        (("ineq", "catalog", "--which", "se4", "--C", "ab"), "--C does not apply to ineq catalog"),
+        (("ineq", "catalog", "--which", "se4", "--k", "2"), "--k does not apply to ineq catalog"),
+        (("ineq", "catalog", "--which", "se4", "--mode", "char"), "--mode does not apply to ineq catalog"),
+        (("ineq", "cluster", "--C", "ab", "--which", "se4"), "--which does not apply to ineq cluster"),
+        (
+            ("polytope", "hull", "--n", "3", "--polytope", "fvp", "--points", '{"space":"fam","points":[]}'),
+            "give --polytope or --points, not both",
+        ),
+        (
+            ("polytope", "vertices", "--n", "3", "--hrep", "{}", "--matrix", "m.txt"),
+            "give --hrep or --matrix, not both",
+        ),
+        (("polytope", "hull", "--n", "3", "--polytope", "cip", "--ineq", "{}"), "--ineq does not apply to polytope hull"),
+        (("polytope", "vertices", "--n", "3", "--polytope", "cip"), "--polytope does not apply to polytope vertices"),
+        (("polytope", "vertices", "--n", "3", "--hrep", "{}", "--space", "char"), "--space applies only to --matrix input"),
+        (
+            ("polytope", "face-dim", "--n", "3", "--polytope", "fvp", "--ineq", "{}", "--budget", "1"),
+            "--budget does not apply to polytope face-dim",
+        ),
+        (("dags", "--n", "3", "--classes", "--list"), "--list does not apply to dags --classes"),
+        (("se", "check", "--n", "3", "--objective", "{}", "--setfn", "{}"), "--setfn does not apply to se check"),
+        (("se", "from-setfn", "--n", "3", "--setfn", "{}", "--dags", "[]"), "--dags does not apply to se from-setfn"),
+    ],
+    ids=[
+        "catalog-n3",
+        "catalog-C",
+        "catalog-k",
+        "catalog-mode",
+        "cluster-which",
+        "hull-polytope-and-points",
+        "vertices-hrep-and-matrix",
+        "hull-ineq",
+        "vertices-polytope",
+        "space-without-matrix",
+        "face-dim-budget",
+        "dags-classes-list",
+        "se-check-setfn",
+        "se-from-setfn-dags",
+    ],
+)
+def test_subcommands_refuse_options_they_do_not_read(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_catalog_accepts_n_four(capsys):
+    code, out, _ = run_cli(capsys, "ineq", "catalog", "--n", "4", "--which", "specific4")
+    assert code == 0
+    assert json.loads(out)["total"] == 117
 
 
 def test_violated_inequality_is_named_in_key_form(capsys):

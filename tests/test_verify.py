@@ -3,14 +3,19 @@ import json
 
 import pytest
 
+from bnpoly import linalg
 from bnpoly.dags import Dag, enumerate_dags, equivalence_class
 from bnpoly.dd import Budget
+from bnpoly.encodings import char_bits
+from bnpoly.ground import GroundSet, enumerate_cai
 from bnpoly.polyhedra import facets_from_vertices, fvp_vrep
 from bnpoly.verify import (
     VerificationReport,
+    _dimension_witnesses,
     _fvp_star_summary,
     all_faces_by_tight_sets,
     smallest_face_containing,
+    verify_counterexample,
     verify_n4,
     verify_theorem3,
 )
@@ -49,6 +54,39 @@ def test_counterexample_pipeline_passes(counterexample_report):
     assert checks["family-variable face dimension"].observed == 53
     assert checks["distinct characteristic imsets on the face"].observed == 59
     assert checks["affine rank of those imsets"].observed == 26
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dimension_witnesses_are_unitriangular(n):
+    gs = GroundSet.alpha(n)
+    cai = enumerate_cai(gs)
+    imsets = [char_bits(g, cai) for g in _dimension_witnesses(gs)]
+    assert len(imsets) == 2**n - n
+    assert imsets[0] == (0,) * len(cai)
+    # row i is 1 on the i-th cai subset and 0 on every later one
+    for i, row in enumerate(imsets[1:]):
+        assert row[i] == 1 and not any(row[i + 1 :])
+    assert linalg.affine_rank(imsets) == 2**n - n
+
+
+def test_counterexample_dimension_check_reads_only_the_witnesses(monkeypatch):
+    # The witnesses reach affine rank 27 after 27 imsets; the DAG stream
+    # behind them in lexicographic order would need 1601.
+    read = []
+    original = linalg.incremental_rank_reaches
+
+    def counting(points, target):
+        def tally():
+            for point in points:
+                read.append(point)
+                yield point
+
+        return original(tally(), target)
+
+    monkeypatch.setattr(linalg, "incremental_rank_reaches", counting)
+    report = verify_counterexample()
+    assert report.passed
+    assert 0 < len(read) <= 27
 
 
 def test_se_relaxation_vertices_within_ray_budget():
