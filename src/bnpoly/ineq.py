@@ -27,6 +27,7 @@ from .ground import (
     as_fraction,
     bit,
     char_from_json,
+    enumerate_family_indices,
     fam_from_json,
     fam_key,
     iter_bits,
@@ -133,46 +134,40 @@ def orbit(ineq: LinearInequality) -> list[LinearInequality]:
 
 def nonneg_constraints(gs: GroundSet) -> list[LinearInequality]:
     """-x(a : B) <= 0 for every family pair; tight at the empty graph."""
-    out = []
-    for a in range(gs.n):
-        for B in range(1, gs.full_mask + 1):
-            if not B & bit(a):
-                out.append(
-                    LinearInequality(
-                        "fam",
-                        FamVector(gs, {(a, B): -1}),
-                        ZERO,
-                        label=f"nonneg[{gs.labels[a]}|{gs.letters(B)}]",
-                    )
-                )
-    return out
+    return [
+        LinearInequality(
+            "fam",
+            FamVector(gs, {(a, B): -1}),
+            ZERO,
+            label=f"nonneg[{gs.labels[a]}|{gs.letters(B)}]",
+        )
+        for a, B in enumerate_family_indices(gs)
+    ]
 
 
 def modified_convexity(gs: GroundSet) -> list[LinearInequality]:
     """sum over nonempty B of x(a : B) <= 1, one inequality per node;
     facet-defining for n >= 3."""
-    out = []
-    for a in range(gs.n):
-        coords = {
-            (a, B): 1 for B in range(1, gs.full_mask + 1) if not B & bit(a)
-        }
-        out.append(
-            LinearInequality(
-                "fam", FamVector(gs, coords), Fraction(1), label=f"convexity[{gs.labels[a]}]"
-            )
+    coords = [{} for _ in range(gs.n)]
+    for a, B in enumerate_family_indices(gs):
+        coords[a][(a, B)] = 1
+    return [
+        LinearInequality(
+            "fam", FamVector(gs, row), Fraction(1), label=f"convexity[{gs.labels[a]}]"
         )
-    return out
+        for a, row in enumerate(coords)
+    ]
 
 
 def cluster_fam(gs: GroundSet, C: int, k: int) -> LinearInequality:
     """Generalized cluster inequality in family-variable coordinates:
     sum over a in C, B with |B n C| >= k of x(a : B) <= |C| - k."""
     check_cluster(gs, C, k)
-    coords = {}
-    for a in iter_bits(C):
-        for B in range(1, gs.full_mask + 1):
-            if not B & bit(a) and (B & C).bit_count() >= k:
-                coords[(a, B)] = 1
+    coords = {
+        (a, B): 1
+        for a, B in enumerate_family_indices(gs)
+        if C & bit(a) and (B & C).bit_count() >= k
+    }
     return LinearInequality(
         "fam",
         FamVector(gs, coords),
@@ -211,17 +206,13 @@ def fam_from_char_ineq(ineq: LinearInequality) -> LinearInequality:
     gs = ineq.gs
     z = ineq.objective
     coords = {}
-    for a in range(gs.n):
-        abit = bit(a)
-        for B in range(1, gs.full_mask + 1):
-            if B & abit:
-                continue
-            total = ZERO
-            for K in submasks(B):
-                if K:
-                    total += z[abit | K]
-            if total:
-                coords[(a, B)] = total
+    for a, B in enumerate_family_indices(gs):
+        total = ZERO
+        for K in submasks(B):
+            if K:
+                total += z[bit(a) | K]
+        if total:
+            coords[(a, B)] = total
     return LinearInequality(
         "fam", FamVector(gs, coords), ineq.bound, label=ineq.label + "/fam"
     )
@@ -401,33 +392,26 @@ def export_lp(
         lines.append(" obj:" + "".join(terms))
     else:
         lines.append(f" obj: 0 {_lp_var(gs, 0, 0)}")
+    # family pairs extended with the empty parent set, by node then mask
+    pairs = [(a, B) for a in range(gs.n) for B in range(gs.full_mask + 1) if not B & bit(a)]
     lines.append("Subject To")
     for a in range(gs.n):
-        vars_a = [
-            _lp_var(gs, a, B) for B in range(gs.full_mask + 1) if not B & bit(a)
-        ]
+        vars_a = [_lp_var(gs, b, B) for b, B in pairs if b == a]
         lines.append(f" conv_{gs.labels[a]}: " + " + ".join(vars_a) + " = 1")
     for C, k in clusters or []:
         check_cluster(gs, C, k)
         vars_c = [
             _lp_var(gs, a, B)
-            for a in iter_bits(C)
-            for B in range(gs.full_mask + 1)
-            if not B & bit(a) and (B & C).bit_count() < k
+            for a, B in pairs
+            if C & bit(a) and (B & C).bit_count() < k
         ]
         lines.append(
             f" cluster_{gs.letters(C)}_{k}: " + " + ".join(vars_c) + f" >= {k}"
         )
     lines.append("Bounds")
-    for a in range(gs.n):
-        for B in range(gs.full_mask + 1):
-            if not B & bit(a):
-                lines.append(f" 0 <= {_lp_var(gs, a, B)} <= 1")
+    lines += [f" 0 <= {_lp_var(gs, a, B)} <= 1" for a, B in pairs]
     if integer:
         lines.append("Binaries")
-        for a in range(gs.n):
-            for B in range(gs.full_mask + 1):
-                if not B & bit(a):
-                    lines.append(f" {_lp_var(gs, a, B)}")
+        lines += [f" {_lp_var(gs, a, B)}" for a, B in pairs]
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -141,15 +141,23 @@ class FaceInfo:
     dimension: int
 
 
-def _values(objective: FamVector | CharVector, vrep: VRep) -> tuple[list, int]:
-    """``(values, scale)``: ``scale * <objective, p>`` for every point p of
-    the vertex list, in point order, where the objective times ``scale`` is
-    its integer row; the values are integers at integer points."""
+def integer_values(
+    objective: FamVector | CharVector, bound, points: Sequence[Sequence]
+) -> tuple[list, int]:
+    """``(values, bound)``: the row ``<objective, x> <= bound`` times the
+    positive scale that makes all its coefficients and its bound integer,
+    evaluated at each point (dense over the objective's ambient index), and
+    the bound on that scale.  The values are integers at integer points, and
+    a bound of 1 comes back as the scale itself."""
+    index = ambient_index(objective.gs, objective.space)
+    ints, _ = integer_row([*vector_to_dense(objective, index), bound])
+    terms = [(j, c) for j, c in enumerate(ints[:-1]) if c]
+    return [sum(c * p[j] for j, c in terms) for p in points], ints[-1]
+
+
+def _check_space(objective: FamVector | CharVector, vrep: VRep) -> None:
     if objective.space != vrep.space or objective.gs != vrep.gs:
         raise BnPolyError("objective and V-representation spaces differ")
-    ints, scale = integer_row(vector_to_dense(objective, vrep.index))
-    terms = [(j, c) for j, c in enumerate(ints) if c]
-    return [sum(c * p[j] for j, c in terms) for p in vrep.points], scale
 
 
 def incidence(
@@ -159,10 +167,8 @@ def incidence(
     InvalidInequalityError if some point violates an inequality."""
     tight_sets = []
     for ineq in inequalities:
-        values, scale = _values(ineq.objective, vrep)
-        bound = ineq.bound * scale
-        if bound.denominator == 1:
-            bound = bound.numerator  # integer values compare without Fraction
+        _check_space(ineq.objective, vrep)
+        values, bound = integer_values(ineq.objective, ineq.bound, vrep.points)
         tight = set()
         for i, value in enumerate(values):
             if value > bound:
@@ -323,6 +329,7 @@ def max_over_vertices(
 ) -> tuple[Fraction, int]:
     """Maximum of the objective over a nonempty vertex list, with the first
     attaining index."""
-    values, scale = _values(objective, vrep)
+    _check_space(objective, vrep)
+    values, scale = integer_values(objective, 1, vrep.points)
     best = max(values)
     return Fraction(best, scale), values.index(best)

@@ -30,40 +30,31 @@ from .ground import (
     ZERO,
     bit,
     enumerate_cai,
+    enumerate_family_indices,
     iter_bits,
     submasks,
 )
 from .simplex import solve_lp
+from .supermod import elementary_triplets
 
 
 def is_se_objective(obj: FamVector) -> bool:
     """Check every exchange identity; the empty-parent terms are supplied by
     the extension convention (they read as 0)."""
-    gs = obj.gs
-    for a in range(gs.n):
-        for b in range(a + 1, gs.n):
-            rest = gs.full_mask & ~bit(a) & ~bit(b)
-            for Z in submasks(rest):
-                lhs = obj[(b, bit(a) | Z)] + obj[(a, Z)]
-                rhs = obj[(a, bit(b) | Z)] + obj[(b, Z)]
-                if lhs != rhs:
-                    return False
-    return True
+    return all(
+        obj[(b, bit(a) | Z)] + obj[(a, Z)] == obj[(a, bit(b) | Z)] + obj[(b, Z)]
+        for a, b, Z in elementary_triplets(obj.gs)
+    )
 
 
 def objective_from_setfn(m: CharVector) -> FamVector:
     """The SE objective parametrized by m: obj(a : B) = m({a} u B) - m(B)."""
-    gs = m.gs
     coords = {}
-    for a in range(gs.n):
-        abit = bit(a)
-        for B in range(1, gs.full_mask + 1):
-            if B & abit:
-                continue
-            value = m[abit | B] - m[B]
-            if value:
-                coords[(a, B)] = value
-    return FamVector(gs, coords)
+    for a, B in enumerate_family_indices(m.gs):
+        value = m[bit(a) | B] - m[B]
+        if value:
+            coords[(a, B)] = value
+    return FamVector(m.gs, coords)
 
 
 def setfn_from_objective(obj: FamVector) -> CharVector:

@@ -42,14 +42,6 @@ def delta(m: SetFunction, a: int, b: int, Z: int) -> Fraction:
     return m[ab | Z] + m[Z] - m[bit(a) | Z] - m[bit(b) | Z]
 
 
-def delta_sets(m: SetFunction, A: int, B: int, Z: int) -> Fraction:
-    """Set-pair version m(A u B u Z) + m(Z) - m(A u Z) - m(B u Z) for pairwise
-    disjoint masks; used only as a cross-check of the elementary form."""
-    if A & B or A & Z or B & Z:
-        raise BnPolyError("arguments must be pairwise disjoint")
-    return m[A | B | Z] + m[Z] - m[A | Z] - m[B | Z]
-
-
 def elementary_triplets(gs: GroundSet):
     """All (a, b, Z) with a < b and Z disjoint from both."""
     for a in range(gs.n):

@@ -38,6 +38,14 @@ def n4_report():
 
 
 @pytest.fixture(scope="session")
+def n4_stretch_report():
+    # fails on purpose: the third published witness is not a vertex
+    from bnpoly.verify import verify_n4
+
+    return verify_n4(stretch=True)
+
+
+@pytest.fixture(scope="session")
 def counterexample_report():
     from bnpoly.verify import verify_counterexample
 

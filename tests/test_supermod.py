@@ -15,7 +15,6 @@ from bnpoly.supermod import (
     cluster_supermodular,
     core_vertices,
     delta,
-    delta_sets,
     duality_transform,
     elementary_triplets,
     is_connected_matroid,
@@ -50,15 +49,6 @@ def test_delta_cluster_formula():
                 expected = 1 if pair & C == pair and inside.bit_count() == k + 1 else 0
                 assert delta(m, a, b, Z) == expected
                 assert delta(m, a, b, Z) == delta(m, a, b, Z & C)
-
-
-def test_delta_sets_matches_elementary(gs4):
-    rng = random.Random(2)
-    m = cluster_supermodular(gs4, gs4.mask_of("abc"), 1)
-    for a, b, Z in elementary_triplets(gs4):
-        assert delta_sets(m, 1 << a, 1 << b, Z) == delta(m, a, b, Z)
-    # m(abc) + m(0) - m(ab) - m(c) = 2 - 1 for the cluster function on abc, k=1
-    assert delta_sets(m, gs4.mask_of("ab"), gs4.mask_of("c"), 0) == Fraction(1)
 
 
 def test_is_supermodular_examples(gs3):

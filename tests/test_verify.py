@@ -8,13 +8,12 @@ from bnpoly.dags import Dag, enumerate_dags, equivalence_class
 from bnpoly.dd import Budget
 from bnpoly.encodings import char_bits
 from bnpoly.ground import GroundSet, enumerate_cai
-from bnpoly.polyhedra import facets_from_vertices, fvp_vrep
+from bnpoly.polyhedra import facets_from_vertices, fvp_vrep, incidence
 from bnpoly.verify import (
     VerificationReport,
     _dimension_witnesses,
     _fvp_star_summary,
     all_faces_by_tight_sets,
-    smallest_face_containing,
     verify_counterexample,
     verify_n4,
     verify_theorem3,
@@ -158,13 +157,17 @@ def test_face_enumeration_and_non_face_rejection(gs3):
 
     # the empty-graph class together with the full-graph class is closed
     # under equivalence but is not a face: no facet contains both, so the
-    # smallest containing face is the whole polytope
+    # smallest containing face, the intersection of the facet tight sets
+    # containing it, is the whole polytope
     dags = enumerate_dags(gs3)
     empty = Dag.from_json({"a": "", "b": "", "c": ""}, gs3)
     fulls = equivalence_class(Dag.from_json({"a": "", "b": "a", "c": "ab"}, gs3))
     chosen = fulls | {empty}
     picked = frozenset(i for i, g in enumerate(dags) if g in chosen)
-    closure = smallest_face_containing(picked, fvp, hull)
+    closure = frozenset(range(25))
+    for tight in incidence(hull.inequalities, fvp):
+        if picked <= tight:
+            closure &= tight
     assert picked < closure
     assert closure == frozenset(range(25))
     assert picked not in set(faces)
@@ -182,7 +185,6 @@ def test_stretch_checks_are_reported_when_disabled():
     [
         (2, 1, "verify theorem3 is supported for n in {3, 4, 5}, got 2"),
         (6, 0, "verify theorem3 is supported for n in {3, 4, 5}, got 6"),
-        (5, 0, "trials must be at least 1, got 0"),
     ],
 )
 def test_theorem3_refuses_unsupported_arguments(n, trials, message):
@@ -191,12 +193,18 @@ def test_theorem3_refuses_unsupported_arguments(n, trials, message):
     assert str(info.value) == message
 
 
+def test_theorem3_n5_ignores_trials(theorem3_n5_report):
+    # n = 5 checks the counterexample LP and reads neither trials nor seed
+    assert verify_theorem3(5, 0).to_json() == theorem3_n5_report.to_json()
+
+
 # sha256 of json.dumps(report.to_json(), sort_keys=True, indent=2), the bytes
 # `bnpoly verify ... --json` prints, for each session report.  A refactor must
 # leave them alone; a change to a published report updates them on purpose.
 _REPORT_SHA256 = {
     "n3_report": "47bdf35b906766ce2507b8d2e783e46cccb1d9c18c4c8dd446d45b61d805fe82",
     "n4_report": "d584dd153943b063e10a4ce477ed1d7edc1c1a371e43adeee69bbd5c6cdf4c68",
+    "n4_stretch_report": "0459fa010ecf7307aa5c3abd5882f83da0ff32683b45f23b3250f22f6a225a45",
     "theorem3_n3_report": "abc206655543ff0057c6a3071c0d43c713a6ce85c24a488794b06e9e9ae0207c",
     "theorem3_n4_report": "238f3c787a1b6b5b49da0601072902eab7ce6339f015f7491dc8f6edef8ea55c",
     "theorem3_n5_report": "76718e8462fe3bba044f15f51b77eb56c95b6fbcb1179d713e6fec94c56fa90e",
