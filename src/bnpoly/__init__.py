@@ -53,7 +53,6 @@ from .polyhedra import (
     HRep,
     VRep,
     affine_rank,
-    centroid,
     cip_vrep,
     face_of,
     facets_from_vertices,

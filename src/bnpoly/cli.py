@@ -414,7 +414,11 @@ def _cmd_export_lp(args) -> int:
         clusters = []
         for piece in args.clusters.split(","):
             letters, _, level = piece.partition(":")
-            clusters.append((gs.mask_of(letters), int(level)))
+            try:
+                k = int(level)
+            except ValueError:
+                raise BnPolyError(f"--clusters entry {piece!r} must be letters:level, e.g. ab:1") from None
+            clusters.append((gs.mask_of(letters), k))
     text = export_lp(gs, objective=objective, clusters=clusters, integer=args.integer)
     if args.out:
         with open(args.out, "w") as handle:

@@ -38,6 +38,7 @@ from .ground import (
     subset_key,
 )
 from .linalg import integer_row
+from .scoreeq import moebius_up, objective_from_setfn
 from .supermod import check_cluster
 
 
@@ -196,26 +197,13 @@ def cluster_char(gs: GroundSet, C: int, k: int) -> LinearInequality:
 
 
 def fam_from_char_ineq(ineq: LinearInequality) -> LinearInequality:
-    """Translate a characteristic-space inequality into family variables:
-
-        obj(a : B) = sum over nonempty K <= B of z({a} u K)
-
-    so that <z, char_image(x)> = <obj, x> for every family vector x."""
+    """Translate a characteristic-space inequality into family variables
+    through its set function moebius_up(z), so that
+    <z, char_image(x)> = <obj, x> for every family vector x."""
     if ineq.space != "char":
         raise BnPolyError("expected a characteristic-space inequality")
-    gs = ineq.gs
-    z = ineq.objective
-    coords = {}
-    for a, B in enumerate_family_indices(gs):
-        total = ZERO
-        for K in submasks(B):
-            if K:
-                total += z[bit(a) | K]
-        if total:
-            coords[(a, B)] = total
-    return LinearInequality(
-        "fam", FamVector(gs, coords), ineq.bound, label=ineq.label + "/fam"
-    )
+    objective = objective_from_setfn(moebius_up(ineq.objective))
+    return LinearInequality("fam", objective, ineq.bound, label=ineq.label + "/fam")
 
 
 # --- the combinatorial identity behind the char-mode cluster form ------------

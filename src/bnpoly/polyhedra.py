@@ -28,7 +28,6 @@ from .ground import (
     CharVector,
     FamVector,
     GroundSet,
-    ZERO,
     enumerate_cai,
     enumerate_family_indices,
 )
@@ -307,21 +306,6 @@ def hrep_from_matrix_text(gs: GroundSet, space: str, text: str) -> HRep:
         else:
             inequalities.append(LinearInequality(space, vec, values[-1], f"row{lineno}"))
     return HRep(space, gs, tuple(inequalities), tuple(equations))
-
-
-def centroid(points: Sequence[Sequence]) -> tuple[Fraction, ...]:
-    """Uniform average of the points."""
-    points = list(points)
-    if not points:
-        raise BnPolyError("centroid of an empty point list is undefined")
-    count = len(points)
-    width = len(points[0])
-    sums = [ZERO] * width
-    for p in points:
-        for i, x in enumerate(p):
-            if x:
-                sums[i] += x
-    return tuple(Fraction(s, count) for s in sums)
 
 
 def max_over_vertices(

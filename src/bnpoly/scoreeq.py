@@ -10,11 +10,21 @@ and is parametrized by vectors m over subsets of size >= 2 through
 
     obj(a : B) = m({a} u B) - m(B).
 
-This module provides the membership test, both directions of that
-parametrization, the translation of an SE objective into characteristic-imset
-coordinates, the Moebius pair connecting the two char-space forms, and an
-exact-LP decision procedure for whether a set of DAGs is an SE face of the
-family-variable polytope.
+The paper's correspondence links an SE objective, its standardized set
+function m and its characteristic-imset objective z one to one.  Four
+primitive maps make up those links:
+
+    objective_from_setfn / setfn_from_objective    obj <-> m
+    moebius_down / moebius_up                      m   <-> z
+
+and the two composites are stated through them only:
+
+    char_objective(obj)       = moebius_down(setfn_from_objective(obj))
+    ineq.fam_from_char_ineq   : objective_from_setfn(moebius_up(z))
+
+The module also holds the membership test and an exact-LP decision
+procedure for whether a set of DAGs is an SE face of the family-variable
+polytope.
 """
 
 from __future__ import annotations
@@ -31,8 +41,6 @@ from .ground import (
     bit,
     enumerate_cai,
     enumerate_family_indices,
-    iter_bits,
-    submasks,
 )
 from .simplex import solve_lp
 from .supermod import elementary_triplets
@@ -64,53 +72,13 @@ def setfn_from_objective(obj: FamVector) -> CharVector:
         raise NotScoreEquivalentError("objective violates an exchange identity")
     gs = obj.gs
     values: dict[int, Fraction] = {}
-
-    def value_of(mask: int) -> Fraction:
-        if mask.bit_count() < 2:
-            return ZERO
-        return values.get(mask, ZERO)
-
     for D in enumerate_cai(gs):  # ascending cardinality
         b = (D & -D).bit_length() - 1
         rest = D & ~bit(b)
-        v = obj[(b, rest)] + value_of(rest)
+        v = obj[(b, rest)] + values.get(rest, ZERO)
         if v:
             values[D] = v
     return CharVector(gs, values)
-
-
-def char_objective(obj: FamVector) -> CharVector:
-    """Characteristic-imset coordinates z of an SE objective:
-
-        z(T) = sum over nonempty K <= T \\ {b} of (-1)^(|T \\ {b}| - |K|) obj(b : K)
-
-    The value is the same for every choice of b in T; all choices are
-    evaluated and compared as a cheap internal soundness check.  The result
-    satisfies <obj, x> = <z, char_image(x)> for every family vector x."""
-    if not is_se_objective(obj):
-        raise NotScoreEquivalentError("objective violates an exchange identity")
-    gs = obj.gs
-    coords = {}
-    for T in enumerate_cai(gs):
-        value = None
-        for b in iter_bits(T):
-            R = T & ~bit(b)
-            rsize = R.bit_count()
-            total = ZERO
-            for K in submasks(R):
-                if K:
-                    term = obj[(b, K)]
-                    if term:
-                        total += term if (rsize - K.bit_count()) % 2 == 0 else -term
-            if value is None:
-                value = total
-            elif value != total:
-                raise BnPolyError(
-                    "char translation depends on the anchor node; objective inconsistent"
-                )
-        if value:
-            coords[T] = value
-    return CharVector(gs, coords)
 
 
 def moebius_down(m: CharVector) -> CharVector:
@@ -140,6 +108,13 @@ def moebius_up(z: CharVector) -> CharVector:
         if total:
             coords[S] = total
     return CharVector(gs, coords)
+
+
+def char_objective(obj: FamVector) -> CharVector:
+    """Characteristic-imset coordinates z of an SE objective, the Moebius
+    inversion of its standardized set function; the result satisfies
+    <obj, x> = <z, char_image(x)> for every family vector x."""
+    return moebius_down(setfn_from_objective(obj))
 
 
 def _setfn_row(graph: Dag, cai_order: list[int]) -> list[int]:

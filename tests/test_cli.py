@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bnpoly import cli, dags
+from bnpoly import cli, dags, supermod
 from bnpoly.cli import main
 from bnpoly.verify import VerificationReport
 
@@ -152,6 +152,9 @@ def test_verify_json_deterministic(capsys):
         ("polytope", "hull", "--n", "3", "--polytope", "cip", "--max-rays", "-5"),
         ("verify", "theorem3", "--n", "3", "--trials", "1", "--budget", "0"),
         ("verify", "counterexample", "--budget", "0"),
+        ("export-lp", "--n", "3", "--clusters", "ab"),
+        ("export-lp", "--n", "3", "--clusters", "ab:x"),
+        ("export-lp", "--n", "3", "--clusters", ","),
     ],
     ids=[
         "unknown-command",
@@ -178,6 +181,9 @@ def test_verify_json_deterministic(capsys):
         "negative-max-rays",
         "theorem3-budget",
         "counterexample-budget",
+        "cluster-without-level",
+        "cluster-level-not-integer",
+        "cluster-empty-entries",
     ],
 )
 def test_usage_error_exit_two(capsys, argv):
@@ -185,6 +191,12 @@ def test_usage_error_exit_two(capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert argv == ("nonsense",) or err.startswith("error: ")
+
+
+def test_export_lp_names_a_malformed_cluster_entry(capsys):
+    code, out, err = run_cli(capsys, "export-lp", "--n", "3", "--clusters", "ab")
+    assert code == 2 and out == ""
+    assert err == "error: --clusters entry 'ab' must be letters:level, e.g. ab:1\n"
 
 
 @pytest.mark.parametrize(
@@ -301,6 +313,18 @@ def test_dags_refuses_six_nodes_up_front(capsys, monkeypatch):
     assert code == 3
     assert out == "" and "budget exhausted" in err
     assert "3781503 DAGs over 6 nodes" in err
+
+
+def test_supermod_core_refuses_nine_nodes_up_front(capsys, monkeypatch):
+    def never(*_):
+        raise AssertionError("no work may start before the refusal")
+
+    monkeypatch.setattr(supermod, "permutations", never)
+    monkeypatch.setattr(supermod, "is_supermodular", never)
+    code, out, err = run_cli(capsys, "supermod", "core", "--n", "9", "--setfn", "{}")
+    assert code == 3
+    assert out == "" and "budget exhausted" in err
+    assert "362880 node orders over 9 nodes" in err
 
 
 def test_export_lp_roundtrip(tmp_path, capsys):

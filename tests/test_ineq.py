@@ -317,20 +317,22 @@ def test_fam_from_char_examples(gs3):
     assert fam_from_char_ineq(zero).objective == FamVector(gs3, {})
 
 
-def test_fam_from_char_preserves_pairing(gs4):
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fam_from_char_preserves_pairing(n):
     import random
 
+    gs = GroundSet.alpha(n)
     rng = random.Random(13)
-    cai = enumerate_cai(gs4)
+    cai = enumerate_cai(gs)
     from bnpoly.ground import enumerate_family_indices
 
-    fai = enumerate_family_indices(gs4)
+    fai = enumerate_family_indices(gs)
     for _ in range(20):
-        z = CharVector(gs4, {S: rng.randint(-4, 4) for S in rng.sample(cai, 6)})
+        z = CharVector(gs, {S: rng.randint(-4, 4) for S in rng.sample(cai, min(6, len(cai)))})
         q = LinearInequality("char", z, Fraction(0))
         fam_obj = fam_from_char_ineq(q).objective
-        x = FamVector(gs4, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                            for k in rng.sample(fai, 9)})
+        x = FamVector(gs, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                           for k in rng.sample(fai, 9)})
         assert scalar_product(z, char_from_fam(x)) == scalar_product(fam_obj, x)
 
 

@@ -19,7 +19,6 @@ from bnpoly.polyhedra import (
     HRep,
     VRep,
     affine_rank,
-    centroid,
     cip_vrep,
     dense_to_vector,
     face_of,
@@ -251,14 +250,6 @@ def test_combining_non_facets_never_gives_facets(gs3):
             alpha * q1.bound + beta * q2.bound,
         )
         assert not is_facet(combo, fvp)
-
-
-def test_centroid(gs3):
-    assert centroid([(0, 0), (1, 1)]) == (Fraction(1, 2), Fraction(1, 2))
-    pts = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
-    assert centroid(pts) == (4, 5, 6)
-    with pytest.raises(Exception):
-        centroid([])
 
 
 def test_matrix_text_roundtrip(gs3):
