@@ -10,11 +10,13 @@ x_j >= 0 -- so that row bounds its variable instead of entering the tableau;
 its dual multiplier is recovered after phase 2 as ((A^T y)_j - c_j) / a.
 
 Every ``<=`` row with a nonnegative right-hand side starts with its slack in
-the basis.  Artificial variables are basic only in equality rows and in rows
-with a negative right-hand side, and phase 1 minimizes the sum of just those;
-when the origin is feasible phase 1 makes no pivot.  All artificial columns
-stay in the tableau, where they track the basis inverse, so the duals are
-read off their reduced costs.
+the basis.  Only the rows whose slack cannot start basic -- equality rows
+and rows with a negative right-hand side -- get an artificial column, and
+phase 1 minimizes the sum of those; when the origin is feasible phase 1
+makes no pivot.  The artificial columns stay in the tableau, where they
+track the basis inverse, so the duals are read off their reduced costs; a
+row without one reads its dual off its slack, whose column starts as the
+same unit vector at the same price 0.
 
 The tableau is fraction-free: integers over one common denominator D, the
 determinant of the current basis, which starts at 1 on the unit slack and
@@ -24,15 +26,20 @@ objective; phase 1 weights each artificial by the inverse of its row's
 scale, so the pivots are those of the rational tableau.  A pivot on entry p
 is a Bareiss step, row <- (p * row - row[s] * pivot_row) // D and then
 D <- p, and the division is exact because every entry is a minor of the
-scaled input (Edmonds 1967, Bareiss 1968; Azulay & Pique 1998).  A negative
-pivot, possible only while artificials are driven out, negates every row so
-that D stays positive.  The primal values are rhs / D, and each dual is the
-integer reduced cost unscaled by D, its row's scale and the objective's.
+scaled input (Edmonds 1967, Bareiss 1968; Azulay & Pique 1998).  Most pivots
+are unit pivots, p == D; their step is row <- row - row[s] * pivot_row // D,
+which touches only the pivot row's nonzero columns of the rows with
+row[s] != 0.  A negative pivot, possible only while artificials are driven
+out, negates every row so that D stays positive.  The primal values are
+rhs / D, and each dual is the integer reduced cost unscaled by D, its row's
+scale and the objective's.
 
 Bland's smallest-index pivoting guarantees termination on the heavily
 degenerate 0/1 polytopes this package works with.  Every pivot is exact, so
 the returned dual vector is a genuine optimality certificate; it is checked
 against the caller's original rows, sign rows included, before returning.
+The check scales x and the duals to integers by their common denominators,
+so on integer input it creates no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -111,10 +118,13 @@ def _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result: LpResult):
     dual = [_ZERO] * len(A_ub)
     for i, y in zip(kept, result.dual_ub):
         dual[i] = y
+    # The kept rows' and the equations' multipliers over one denominator Y.
+    y, Y = integer_row((*result.dual_ub, *result.dual_eq))
+    rows = [(v, A_ub[k]) for v, k in zip(y, kept) if v]
+    rows += [(v, row) for v, row in zip(y[len(kept):], A_eq) if v]
     for j, (i, a) in first_sign_row.items():
-        combo = sum((y * A_ub[k][j] for k, y in zip(kept, result.dual_ub) if y), _ZERO)
-        combo += sum((y * row[j] for y, row in zip(result.dual_eq, A_eq) if y), _ZERO)
-        dual[i] = (combo - c[j]) / a
+        combo = sum(v * row[j] for v, row in rows)
+        dual[i] = Fraction(combo - c[j] * Y, a * Y)
     return tuple(dual)
 
 
@@ -128,9 +138,7 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
         n_struct += 1 if bounded[j] else 2
     m_ub, m_eq = len(A_ub), len(A_eq)
     m = m_ub + m_eq
-    n_slack = m_ub
-    art_start = n_struct + n_slack
-    n_total = art_start + m  # artificials come last
+    art_start = n_struct + m_ub
 
     def expand(row):
         out = [0] * n_struct
@@ -141,33 +149,35 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
                     out[neg] = -v
         return out
 
+    # Row i gets an artificial column only where its slack cannot start
+    # basic: in equality rows and in rows whose rhs has to be negated.
+    art_col = {}
+    for i, rhs in enumerate(b_ub + b_eq):
+        if i >= m_ub or rhs < 0:
+            art_col[i] = art_start + len(art_col)
+    n_total = art_start + len(art_col)  # artificials come last
+
     # Tableau rows: [structural | slack | artificial | rhs], integers over
     # the common denominator D, rhs kept >= 0.  Each input row is scaled to
-    # integers with its rhs; its slack and artificial entries stay 1.
-    # Artificial i starts basic only where slack i cannot: in equality rows
-    # and in rows whose rhs had to be negated.
+    # integers with its rhs and negated where the rhs is negative; its slack
+    # entry is then the sign and its artificial entry 1.
     tableau: list[list[int]] = []
     row_scale = []
     rhs_sign = []
     basis = []
     for i, (row, rhs) in enumerate(zip(A_ub + A_eq, b_ub + b_eq)):
         ints, scale = integer_row([*row, rhs])
-        body, rhs = expand(ints[:-1]), ints[-1]
-        slack = [0] * n_slack
+        sign = -1 if rhs < 0 else 1
+        out = expand([sign * v for v in ints[:-1]])
+        out += [0] * (n_total - n_struct) + [sign * ints[-1]]
         if i < m_ub:
-            slack[i] = 1
-        sign = 1
-        if rhs < 0:
-            sign = -1
-            body = [-v for v in body]
-            slack = [-v for v in slack]
-            rhs = -rhs
-        art = [0] * m
-        art[i] = 1
-        tableau.append(body + slack + art + [rhs])
+            out[n_struct + i] = sign
+        if i in art_col:
+            out[art_col[i]] = 1
+        tableau.append(out)
         row_scale.append(scale)
         rhs_sign.append(sign)
-        basis.append(n_struct + i if i < m_ub and sign > 0 else art_start + i)
+        basis.append(art_col.get(i, n_struct + i))
     D = 1  # the unit starting basis has determinant 1
 
     # Phase 1: minimize the sum of the basic artificials, each in the units
@@ -237,16 +247,18 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
     )
     objective = sum((cv * xv for cv, xv in zip(c, x)), _ZERO)
 
-    # The reduced cost of artificial column i is -y_i for the standard-form
-    # dual y = c_B B^{-1} of the scaled rows; mapping back to the original
-    # maximization problem flips the sign once more, undoes the rhs sign
-    # normalization and the row and objective scales, and divides by D.
+    # The reduced cost of row i's artificial column is -y_i for the
+    # standard-form dual y = c_B B^{-1} of the scaled rows; mapping back to
+    # the original maximization problem flips the sign once more, undoes the
+    # rhs sign normalization and the row and objective scales, and divides
+    # by D.  A row without an artificial has its slack there instead: both
+    # columns start as e_i with price 0, so their reduced costs agree.
     dual = []
     for i in range(m):
         if i in dropped:
             dual.append(_ZERO)
         else:
-            y = cost2[art_start + i] * rhs_sign[i] * row_scale[i]
+            y = cost2[art_col.get(i, n_struct + i)] * rhs_sign[i] * row_scale[i]
             dual.append(Fraction(y, c_scale * D))
     dual_ub = tuple(dual[:m_ub])
     dual_eq = tuple(dual[m_ub:])
@@ -297,45 +309,57 @@ def _pivot(tableau, cost, basis, r, s, D) -> int:
     prow = tableau[r]
     p = prow[s]
     rows = tableau if cost is None else [*tableau, cost]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[s]
-        if f:
-            row[:] = [(p * v - f * w) // D for v, w in zip(row, prow)]
-        elif p != D:
-            row[:] = [p * v // D for v in row]
-    if p < 0:
+    if p == D:
+        # (D * v - f * w) // D == v - f * w // D, exact: only the pivot
+        # row's support changes, and rows with f == 0 not at all.
+        support = [(j, w) for j, w in enumerate(prow) if w]
         for row in rows:
-            row[:] = [-v for v in row]
-        p = -p
+            f = row[s]
+            if f and row is not prow:
+                for j, w in support:
+                    row[j] -= f * w // D
+    else:
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[s]
+            if f:
+                row[:] = [(p * v - f * w) // D for v, w in zip(row, prow)]
+            else:
+                row[:] = [p * v // D for v in row]
+        if p < 0:
+            for row in rows:
+                row[:] = [-v for v in row]
+            p = -p
     basis[r] = s
     return p
 
 
 def _check_certificate(c, A_ub, b_ub, A_eq, b_eq, result: LpResult) -> None:
-    x = result.x
+    """Refuse the result unless x is feasible and the duals certify it.  The
+    check runs on x * X and y * Y, scaled to integers by their common
+    denominators X and Y, so integer input creates no Fraction."""
+    x, X = integer_row(result.x)
     support = [(j, v) for j, v in enumerate(x) if v]
     for row, rhs in zip(A_ub, b_ub):
-        if sum((row[j] * v for j, v in support if row[j]), _ZERO) > rhs:
+        if sum(row[j] * v for j, v in support if row[j]) > rhs * X:
             raise BnPolyError("simplex returned a primal-infeasible point")
     for row, rhs in zip(A_eq, b_eq):
-        if sum((row[j] * v for j, v in support if row[j]), _ZERO) != rhs:
+        if sum(row[j] * v for j, v in support if row[j]) != rhs * X:
             raise BnPolyError("simplex returned a primal-infeasible point")
-    y_ub, y_eq = result.dual_ub, result.dual_eq
-    if any(y < 0 for y in y_ub):
+    y, Y = integer_row((*result.dual_ub, *result.dual_eq))
+    if any(v < 0 for v in y[: len(A_ub)]):
         raise BnPolyError("dual certificate has a negative multiplier")
-    strong = sum((y * b for y, b in zip(y_ub, b_ub)), _ZERO) + sum(
-        (y * b for y, b in zip(y_eq, b_eq)), _ZERO
-    )
-    if strong != result.objective:
+    objective = result.objective
+    strong = sum(v * b for v, b in zip(y, (*b_ub, *b_eq)) if v)
+    if strong * objective.denominator != objective.numerator * Y:
         raise BnPolyError("strong duality failed; certificate invalid")
     # A^T y, accumulated row by row over the nonzero multipliers and entries.
-    combo = [_ZERO] * len(c)
-    for y, row in zip((*y_ub, *y_eq), (*A_ub, *A_eq)):
-        if y:
+    combo = [0] * len(c)
+    for v, row in zip(y, (*A_ub, *A_eq)):
+        if v:
             for j, a in enumerate(row):
                 if a:
-                    combo[j] += y * a
-    if any(s != cj for s, cj in zip(combo, c)):
+                    combo[j] += v * a
+    if any(s != cj * Y for s, cj in zip(combo, c)):
         raise BnPolyError("dual certificate infeasible")

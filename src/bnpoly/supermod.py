@@ -22,7 +22,6 @@ from .errors import BnPolyError, BudgetExceededError, NotSupermodularError
 from .ground import (
     GroundSet,
     SetFunction,
-    ZERO,
     bit,
     enumerate_cai,
     iter_bits,
@@ -110,23 +109,31 @@ def core_vertices(m: SetFunction) -> list[tuple[Fraction, ...]]:
             f" it stops at n = {MAX_CORE_NODES}"
         )
     _require_standardized_supermodular(m)
+    full = gs.full_mask
+    # m, and so every greedy vector, in integers: times the lcm of the
+    # denominators of m's values.
+    ms, scale = linalg.integer_row([m[S] for S in range(full + 1)])
     seen = set()
-    total = m[gs.full_mask]
     for order in permutations(range(gs.n)):
-        v = [ZERO] * gs.n
+        v = [0] * gs.n
         acc = 0
         for a in order:
             upper = acc | bit(a)
-            v[a] = m[upper] - m[acc]
+            v[a] = ms[upper] - ms[acc]
             acc = upper
         seen.add(tuple(v))
+    # Subset sums by the recurrence sum(S) = sum(S - low(S)) + v[low(S)].
+    steps = [(S & (S - 1), (S & -S).bit_length() - 1, ms[S]) for S in range(1, full + 1)]
     for v in seen:
-        if sum(v, ZERO) != total:
+        if sum(v) != ms[full]:
             raise BnPolyError("greedy vector misses the total mass")
-        for S in range(1, gs.full_mask + 1):
-            if sum((v[i] for i in iter_bits(S)), ZERO) < m[S]:
+        sums = [0]
+        for rest, a, bound in steps:
+            t = sums[rest] + v[a]
+            if t < bound:
                 raise BnPolyError("greedy vector violates a core constraint")
-    return sorted(seen)
+            sums.append(t)
+    return [tuple(Fraction(x, scale) for x in v) for v in sorted(seen)]
 
 
 def duality_transform(m: SetFunction) -> SetFunction:

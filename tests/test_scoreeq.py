@@ -132,16 +132,6 @@ def test_moebius_inverse_pair(n):
         assert moebius_down(moebius_up(m)) == m
 
 
-def test_moebius_matches_char_objective(gs4):
-    # The two char-space forms of one SE objective are a Moebius pair.
-    rng = random.Random(41)
-    for _ in range(25):
-        m = random_setfn(gs4, rng)
-        obj = objective_from_setfn(m)
-        assert char_objective(obj) == moebius_down(m)
-        assert moebius_up(char_objective(obj)) == m
-
-
 def test_se_dimension():
     # The exchange identities cut the objective space down to 2^n - n - 1.
     for n in (2, 3, 4):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bnpoly import polyhedra, scoreeq, simplex
+from bnpoly.dags import enumerate_dags
 from bnpoly.errors import BnPolyError
 from bnpoly.ground import FamVector, GroundSet
 from bnpoly.ineq import LinearInequality, modified_convexity, nonneg_constraints
@@ -246,6 +247,17 @@ _TAMPERED = {
         dict(dual_ub=(Fraction(1), Fraction(1))),
         "dual certificate infeasible",
     ),
+    # Fraction rows and rhs: 3x + 2y <= 5 scaled by 1/6, so the optimum is
+    # x = (0, 5/2); moving x_0 up to 1/100 breaks the row by 1/200.
+    "rational-primal-infeasible": (
+        dict(
+            c=[1, 1],
+            A_ub=[[Fraction(1, 2), Fraction(1, 3)], [-1, 0], [0, -1]],
+            b_ub=[Fraction(5, 6), 0, 0],
+        ),
+        dict(x=(Fraction(1, 100), Fraction(5, 2))),
+        "primal-infeasible",
+    ),
     # y = (0, 1, 0, 0): strong duality holds, but A^T y = (1, -1) differs from
     # c = (1, 0) on variables that sign rows bound.
     "dual-infeasible-bounded": (
@@ -310,6 +322,25 @@ def test_se_face_lps_pivot_totals(monkeypatch):
     assert sum(r.pivots[1] for r in results) == 153
 
 
+def test_se_face_lp_tableau_has_artificials_only_where_needed(gs3, monkeypatch):
+    # The face of one DAG: 33 kept <= rows (t >= 0 is a sign row) and one
+    # equation over 5 free variables and t.  Only the equation needs an
+    # artificial, so the tableau is 11 + 32 + 1 + 1 columns wide; one
+    # artificial per row would make it 77.
+    widths = []
+    bland_min = simplex._bland_min
+
+    def spying(tableau, cost, *args):
+        widths.append(len(cost))
+        assert all(len(row) == len(cost) for row in tableau)
+        return bland_min(tableau, cost, *args)
+
+    monkeypatch.setattr(simplex, "_bland_min", spying)
+    is_face, _ = scoreeq.is_se_face([enumerate_dags(gs3)[0]])
+    assert is_face
+    assert widths == [45, 45]
+
+
 def _random_small_lp(rng):
     """A small integer LP with free and sign-row-bounded variables, boxes,
     negative right-hand sides, equations that are sometimes repeated with a
@@ -357,12 +388,13 @@ def test_statuses_and_optima_match_highs(monkeypatch):
     reports some unbounded LPs here as infeasible, so it runs without."""
     np = pytest.importorskip("numpy")
     linprog = pytest.importorskip("scipy.optimize").linprog
-    drive_outs = []
+    drive_outs, unit_pivots = [], []
     pivot = simplex._pivot
 
     def spying(tableau, cost, basis, r, s, D):
         if cost is None:  # phase 1 is over: an artificial is driven out
             drive_outs.append(tableau[r][s])
+        unit_pivots.append(tableau[r][s] == D)  # sparse step, else dense
         return pivot(tableau, cost, basis, r, s, D)
 
     monkeypatch.setattr(simplex, "_pivot", spying)
@@ -384,3 +416,4 @@ def test_statuses_and_optima_match_highs(monkeypatch):
             fractional_duals += any(y.denominator > 1 for y in ours.dual_ub + ours.dual_eq)
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert any(p < 0 for p in drive_outs) and fractional_duals > 0
+    assert set(unit_pivots) == {True, False}

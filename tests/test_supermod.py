@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -105,6 +106,33 @@ def test_core_vertices_examples(gs3):
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(1), Fraction(0), Fraction(0)),
     ]
+
+
+def test_core_vertices_n6_match_a_fraction_check():
+    # m(S) = C(|S|, 2) / 2 is strictly supermodular, so the 6! node orders
+    # give 720 distinct greedy vectors; the halving makes the integer check
+    # scale m by 2.  Oracle: the greedy walk and every core constraint in
+    # plain Fraction sums.
+    n = 6
+    gs = GroundSet.alpha(n)
+    full = gs.full_mask
+    m = SetFunction(
+        gs, {S: Fraction(math.comb(S.bit_count(), 2), 2) for S in range(full + 1)}
+    )
+    expected = set()
+    for order in itertools.permutations(range(n)):
+        v, acc = [Fraction(0)] * n, 0
+        for a in order:
+            v[a] = m[acc | 1 << a] - m[acc]
+            acc |= 1 << a
+        expected.add(tuple(v))
+    for v in expected:
+        assert sum(v) == m[full]
+        for S in range(1, full + 1):
+            assert sum(v[i] for i in range(n) if S >> i & 1) >= m[S]
+    vertices = core_vertices(m)
+    assert len(vertices) == 720
+    assert vertices == sorted(expected)
 
 
 def test_core_vertices_are_vertices(gs4):
