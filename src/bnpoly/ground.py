@@ -357,8 +357,8 @@ def fam_to_json(vec: FamVector) -> dict[str, str]:
 
 def rational_from_json(value) -> Fraction:
     """An exact rational from JSON: an integer or a "p/q" string.  Anything
-    else, floats included, is a ``BnPolyError``."""
-    if not isinstance(value, (int, str)):
+    else, floats and booleans included, is a ``BnPolyError``."""
+    if not isinstance(value, (int, str)) or isinstance(value, bool):
         raise BnPolyError(f"expected an integer or a 'p/q' string, got {value!r}")
     return as_fraction(value)
 

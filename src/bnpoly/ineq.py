@@ -6,6 +6,16 @@ inequalities in both family-variable and characteristic-imset coordinates,
 the two four-node facet catalogs (one representative per permutation type,
 orbits generated on the fly), and the five-node constants used by the
 counterexample pipeline.
+
+Orbits are computed in integers.  :func:`orbit` takes the primitive integer
+row of the inequality once (a relabeling moves coefficients without changing
+them), maps its keys through a table of permuted masks (n! * 2^n ints per n,
+built on first use), keeps each image whose integer key is new, and rebuilds
+the members from the input's own coefficients.  ``canonical_key`` comes from
+the same integer form.  A catalog type is translated into family variables
+once, by :func:`fam_from_char_ineq`; since the translation commutes with
+relabeling, each member's translation is the representative's, relabeled by
+the permutation that made the member.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .ground import (
     enumerate_family_indices,
     fam_from_json,
     fam_key,
-    iter_bits,
     parse_fam_key,
     parse_subset_key,
     scalar_product,
@@ -87,47 +96,81 @@ class LinearInequality:
 
     def normalized(self) -> "LinearInequality":
         """Scale to integer coefficients with gcd 1 (bound scales along)."""
-        if not self.objective:
+        items, bound = _integer_form(self)
+        if not items:
             return self
-        ints, scale = integer_row([v for _, v in self.objective.items()])
-        factor = Fraction(scale, gcd(*ints))
-        return LinearInequality(
-            self.space, self.objective * factor, self.bound * factor, self.label
-        )
+        obj = self.objective
+        return LinearInequality(self.space, type(obj)(obj.gs, items), bound, self.label)
 
     def canonical_key(self):
-        norm = self.normalized()
-        return (norm.space, tuple(norm.objective.sorted_items()), norm.bound)
-
-    def permuted(self, perm: tuple[int, ...]) -> "LinearInequality":
-        """Relabel nodes by the permutation (node i becomes perm[i])."""
-        obj = self.objective
-        if self.space == "fam":
-            coords = {
-                (perm[a], _permute_mask(B, perm)): v for (a, B), v in obj.items()
-            }
-            new_obj = FamVector(obj.gs, coords)
-        else:
-            new_obj = CharVector(
-                obj.gs, {_permute_mask(S, perm): v for S, v in obj.items()}
-            )
-        return LinearInequality(self.space, new_obj, self.bound, self.label)
+        """(space, sorted primitive integer coefficients, bound scaled along);
+        two inequalities with nonzero objectives share it exactly when one
+        is a positive multiple of the other."""
+        items, bound = _integer_form(self)
+        return (self.space, tuple(sorted(items, key=self.objective._sort_key)), bound)
 
 
-def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for i in iter_bits(mask):
-        out |= bit(perm[i])
-    return out
+def _integer_form(ineq: LinearInequality) -> tuple[list, Fraction]:
+    """The objective's ``(key, coefficient)`` pairs, in its own order, as a
+    primitive integer row, and the bound scaled by the same positive factor.
+    The zero objective keeps its bound."""
+    items = list(ineq.objective.items())
+    if not items:
+        return [], ineq.bound
+    ints, scale = integer_row([v for _, v in items])
+    g = gcd(*ints)
+    return [(k, x // g) for (k, _), x in zip(items, ints)], ineq.bound * Fraction(scale, g)
+
+
+@lru_cache(maxsize=None)
+def _mask_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """One row per permutation of the n nodes, in ``permutations`` order:
+    the image of every mask 0 .. 2^n - 1 when node i becomes perm[i]."""
+    table = []
+    for perm in permutations(range(n)):
+        row = [0] * (1 << n)
+        for i, p in enumerate(perm):
+            top = 1 << i
+            for mask in range(top, 2 * top):
+                row[mask] = row[mask - top] | (1 << p)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _relabel(space: str, row: tuple[int, ...]):
+    """The coordinate-key map of the relabeling whose mask images are ``row``."""
+    if space == "char":
+        return row.__getitem__
+    return lambda key: (row[1 << key[0]].bit_length() - 1, row[key[1]])
+
+
+def _relabeled(ineq: LinearInequality, row: tuple[int, ...]) -> LinearInequality:
+    """The inequality with its coordinate keys relabeled, coefficients kept."""
+    obj = ineq.objective
+    relabel = _relabel(ineq.space, row)
+    coords = {relabel(k): v for k, v in obj.items()}
+    return LinearInequality(ineq.space, type(obj)(obj.gs, coords), ineq.bound, ineq.label)
+
+
+def _orbit_rows(ineq: LinearInequality) -> list[tuple[int, ...]]:
+    """One relabeling per distinct image of the inequality, in canonical-key
+    order: the mask-image row of the first permutation that reaches it.  A
+    relabeling moves coefficients without changing them, so the primitive
+    integer row is taken once and serves every image."""
+    items, bound = _integer_form(ineq)
+    sort_key = ineq.objective._sort_key
+    seen = {}
+    for row in _mask_images(ineq.gs.n):
+        relabel = _relabel(ineq.space, row)
+        image = sorted([(relabel(k), v) for k, v in items], key=sort_key)
+        seen.setdefault((ineq.space, tuple(image), bound), row)
+    return [seen[key] for key in sorted(seen)]
 
 
 def orbit(ineq: LinearInequality) -> list[LinearInequality]:
-    """All distinct images of the inequality under node relabelings."""
-    seen = {}
-    for perm in permutations(range(ineq.gs.n)):
-        image = ineq.permuted(perm)
-        seen.setdefault(image.canonical_key(), image)
-    return [seen[key] for key in sorted(seen)]
+    """All distinct images of the inequality under node relabelings, sorted
+    by canonical key."""
+    return [_relabeled(ineq, row) for row in _orbit_rows(ineq)]
 
 
 # --- the basic facet families ------------------------------------------------
@@ -248,6 +291,7 @@ class CatalogEntry:
     char_ineq: LinearInequality
     fam_ineq: LinearInequality
     char_orbit: tuple[LinearInequality, ...]
+    relabelings: tuple[tuple[int, ...], ...]  # mask images making each member
     expected_orbit_size: int
     kind: str  # "cluster" | "noncluster" | "specific"
     cluster: tuple[int, int] | None = None  # (cluster mask, level)
@@ -255,7 +299,10 @@ class CatalogEntry:
     certificate: dict | None = None  # conic-combination data, where applicable
 
     def fam_orbit(self) -> list[LinearInequality]:
-        return [fam_from_char_ineq(member) for member in self.char_orbit]
+        """``fam_from_char_ineq`` of each orbit member, in orbit order.  The
+        translation commutes with relabeling, so each is the representative's
+        translation relabeled the way the member was."""
+        return [_relabeled(self.fam_ineq, row) for row in self.relabelings]
 
 
 def _load_data(name: str) -> dict:
@@ -268,10 +315,10 @@ def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry
     char_ineq = LinearInequality(
         "char", char_obj, as_fraction(record["bound"]), label=record["type_id"]
     )
-    members = orbit(char_ineq)
-    if len(members) != record["count"]:
+    rows = _orbit_rows(char_ineq)
+    if len(rows) != record["count"]:
         raise BnPolyError(
-            f"catalog type {record['type_id']}: orbit has {len(members)} members, "
+            f"catalog type {record['type_id']}: orbit has {len(rows)} members, "
             f"expected {record['count']}"
         )
     cluster = None
@@ -285,7 +332,8 @@ def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry
         type_id=record["type_id"],
         char_ineq=char_ineq,
         fam_ineq=fam_from_char_ineq(char_ineq),
-        char_orbit=tuple(members),
+        char_orbit=tuple(_relabeled(char_ineq, row) for row in rows),
+        relabelings=tuple(rows),
         expected_orbit_size=record["count"],
         kind=kind,
         cluster=cluster,

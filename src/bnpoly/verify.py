@@ -183,7 +183,7 @@ def _n4_catalog_fam_rows(se_only: bool) -> list[LinearInequality]:
     if not se_only:
         for entry in catalog_specific_n4():
             if entry.char_ineq.bound != 0:
-                rows.extend(fam_from_char_ineq(m) for m in entry.char_orbit)
+                rows.extend(entry.fam_orbit())
     return rows
 
 

@@ -137,6 +137,7 @@ def test_verify_json_deterministic(capsys):
         ("supermod", "check", "--n", "3", "--setfn", "[1]"),
         ("verify", "conjecture", "--n", "4"),
         ("se", "check", "--n", "3", "--objective", '{"a|b":1.5}'),
+        ("se", "check", "--n", "3", "--objective", '{"a|b": true}'),
         ("polytope", "hull", "--n", "3", "--points", '{"space":"fam","points":[[1]]}'),
         ("polytope", "vertices", "--n", "3", "--hrep", '{"space":"fam","inequalities":[1]}'),
         ("se", "is-face", "--n", "3", "--dags", "[1]"),
@@ -166,6 +167,7 @@ def test_verify_json_deterministic(capsys):
         "setfn-not-object",
         "conjecture-n4",
         "float-coordinate",
+        "bool-coordinate",
         "point-not-object",
         "row-not-object",
         "dag-not-object",

@@ -15,6 +15,7 @@ from bnpoly.ground import (
     enumerate_family_indices,
     fam_from_json,
     fam_to_json,
+    rational_from_json,
     scalar_product,
 )
 
@@ -139,6 +140,16 @@ def test_json_roundtrip_random(gs4):
         }
         vec = FamVector(gs4, coords)
         assert fam_from_json(gs4, fam_to_json(vec)) == vec
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, None, [1], {"p": 1}])
+def test_rational_from_json_takes_only_integers_and_strings(gs3, value):
+    # bool is an int subclass; JSON true must not read as 1
+    with pytest.raises(BnPolyError):
+        rational_from_json(value)
+    with pytest.raises(BnPolyError):
+        fam_from_json(gs3, {"a|b": value})
+    assert rational_from_json(3) == 3 and rational_from_json("-2/4") == Fraction(-1, 2)
 
 
 def test_setfn_allows_all_subsets(gs3):

@@ -1,4 +1,8 @@
+import hashlib
+import random
 from fractions import Fraction
+from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 
@@ -10,6 +14,7 @@ from bnpoly.ground import (
     FamVector,
     GroundSet,
     enumerate_cai,
+    enumerate_family_indices,
     fam_from_json,
     scalar_product,
 )
@@ -31,6 +36,7 @@ from bnpoly.ineq import (
 from bnpoly.scoreeq import char_objective, is_se_objective
 from bnpoly.supermod import cluster_pairs, cluster_supermodular
 from bnpoly.scoreeq import objective_from_setfn
+from bnpoly.verify import _n4_catalog_fam_rows, verify_theorem3
 
 
 def test_nonneg_constraints(gs3, gs4):
@@ -291,6 +297,134 @@ def test_orbit_generation(gs4):
     assert {tuple(i.objective.support()) for i in images} == {
         (m(p),) for p in ("ab", "ac", "ad", "bc", "bd", "cd")
     }
+
+
+def _relabel_mask(mask, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+def _oracle_orbit(q):
+    """Every relabeling applied to the keys directly, deduplicated by
+    canonical key and sorted by it."""
+    gs = q.gs
+    seen = {}
+    for perm in permutations(range(gs.n)):
+        if q.space == "char":
+            obj = CharVector(gs, {_relabel_mask(S, perm): v for S, v in q.objective.items()})
+        else:
+            obj = FamVector(
+                gs,
+                {(perm[a], _relabel_mask(B, perm)): v for (a, B), v in q.objective.items()},
+            )
+        image = LinearInequality(q.space, obj, q.bound, q.label)
+        seen.setdefault(image.canonical_key(), image)
+    return [seen[key] for key in sorted(seen)]
+
+
+def _random_inequalities(gs, rng):
+    values = [-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+    cai, fai = enumerate_cai(gs), enumerate_family_indices(gs)
+    out = []
+    for size in (1, 2, 3, 5):
+        for _ in range(3):
+            z = CharVector(
+                gs, {S: rng.choice(values) for S in rng.sample(cai, min(size, len(cai)))}
+            )
+            x = FamVector(gs, {k: rng.choice(values) for k in rng.sample(fai, size)})
+            out.append(LinearInequality("char", z, rng.choice(values), label="z"))
+            out.append(LinearInequality("fam", x, rng.choice(values), label="x"))
+    out.append(LinearInequality("char", CharVector(gs, {}), Fraction(1, 3)))
+    out.append(LinearInequality("fam", FamVector(gs, {}), 0))
+    out.append(cluster_fam(gs, gs.mask_of("ab"), 1))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_matches_brute_force_relabeling(n):
+    gs = GroundSet.alpha(n)
+    rng = random.Random(20 + n)
+    for q in _random_inequalities(gs, rng):
+        assert orbit(q) == _oracle_orbit(q), str(q)
+
+
+def test_canonical_key_is_the_primitive_multiple(gs4):
+    rng = random.Random(5)
+    for q in _random_inequalities(gs4, rng):
+        values = [v for _, v in q.objective.items()]
+        if not values:
+            assert q.canonical_key() == (q.space, (), q.bound)
+            continue
+        # the gcd of reduced fractions is gcd(numerators) / lcm(denominators)
+        factor = Fraction(
+            lcm(*(v.denominator for v in values)), gcd(*(v.numerator for v in values))
+        )
+        scaled = q.objective * factor
+        key = (q.space, tuple(scaled.sorted_items()), q.bound * factor)
+        assert q.canonical_key() == key
+        assert hash(q.canonical_key()) == hash(key)
+        norm = q.normalized()
+        assert norm.objective == scaled and norm.bound == q.bound * factor
+
+
+# sha256 of the newline-joined str() of the 154 char members (SE catalog then
+# specific catalog, orbit order) and of the fam rows the theorem3 LPs read;
+# the LP row order, and with it the pivot path, follows these lists.
+_CATALOG_SHA256 = {
+    "char members": "01c0157ae8cdc1a969d4a2d2abad8cd25c6a7a2dd5f40735cdfb58178bae6856",
+    "fam rows, reduced": "a84ee8a2b0d0f8aae5f8a984c2f61fd5bc3cdcb3a7789f8f15fa83e36465a884",
+    "fam rows, one-vertex": "778df66b4444b3baeab54725ad64bb366663694758de08e30e8e04ca1d36f398",
+}
+
+
+def _text_sha256(rows):
+    return hashlib.sha256("\n".join(str(q) for q in rows).encode()).hexdigest()
+
+
+def test_catalog_orbits_and_translations_pinned():
+    entries = catalog_se_n4() + catalog_specific_n4()
+    members = [m for e in entries for m in e.char_orbit]
+    assert len(members) == 154
+    for e in entries:
+        assert e.fam_orbit() == [fam_from_char_ineq(m) for m in e.char_orbit]
+    reduced, one_vertex = _n4_catalog_fam_rows(False), _n4_catalog_fam_rows(True)
+    assert (len(reduced), len(one_vertex)) == (41, 37)
+    assert {
+        "char members": _text_sha256(members),
+        "fam rows, reduced": _text_sha256(reduced),
+        "fam rows, one-vertex": _text_sha256(one_vertex),
+    } == _CATALOG_SHA256
+
+
+def test_cold_theorem3_n4_translates_each_type_once(monkeypatch):
+    import bnpoly.ineq as ineq_module
+    import bnpoly.verify as verify_module
+
+    counts = {"normalized": 0, "fam_from_char_ineq": 0}
+    normalized = LinearInequality.normalized
+
+    def counting_normalized(self):
+        counts["normalized"] += 1
+        return normalized(self)
+
+    def counting_translation(q):
+        counts["fam_from_char_ineq"] += 1
+        return fam_from_char_ineq(q)
+
+    monkeypatch.setattr(LinearInequality, "normalized", counting_normalized)
+    for module in (ineq_module, verify_module):
+        monkeypatch.setattr(module, "fam_from_char_ineq", counting_translation)
+    catalog_se_n4.cache_clear()
+    catalog_specific_n4.cache_clear()
+    try:
+        report = verify_theorem3(4, trials=1)
+    finally:
+        catalog_se_n4.cache_clear()
+        catalog_specific_n4.cache_clear()
+    assert report.passed
+    # 10 + 20 catalog types, one translation each; no orbit member is
+    # normalized or translated on its own
+    assert counts["normalized"] == 0
+    assert counts["fam_from_char_ineq"] <= 30
 
 
 def test_counterexample_constants():
