@@ -5,6 +5,11 @@ supermod, ineq, polytope, export-lp, verify.  All vector I/O is JSON with
 rationals as "p/q" strings; outputs are byte-deterministic (sorted keys, no
 timestamps unless --timings is given).  Exit codes: 0 success, 1 failed
 verification, 2 usage error, 3 budget exhaustion.
+
+The se, ineq, polytope and verify subcommands each have one reads table
+(``_SE_OPTIONS`` ...), the one list of their actions and of the options each
+reads: the parser takes its choices from it, and any other option given is
+refused with exit 2.
 """
 
 from __future__ import annotations
@@ -130,13 +135,20 @@ def _ineq_json(q: LinearInequality) -> dict:
     }
 
 
-def _refuse_unread(
-    command: str, given: dict[str, bool], reads: set[str], reasons: dict[str, str] | None = None
-) -> None:
-    """Refuse (exit 2) any given option that ``command`` does not read,
-    instead of dropping it silently; ``reasons`` adds a note per option."""
-    for option, is_given in given.items():
-        if is_given and option not in reads:
+# Parsed destinations that name the subcommand, its action or its handler.
+_NOT_OPTIONS = {"command", "action", "pipeline", "func"}
+
+
+def _refuse_unread(args, command: str, reads: set[str], reasons: dict[str, str] | None = None) -> None:
+    """Refuse (exit 2) any option given in ``args`` that ``command`` does
+    not read; ``reasons`` adds a note per option.  Destination ``d`` is the
+    option ``--d`` ("-" for "_"), given unless None or False, so that
+    ``--trials 0`` is given."""
+    for dest, value in vars(args).items():
+        if dest in _NOT_OPTIONS or value is None or value is False:
+            continue
+        option = "--" + dest.replace("_", "-")
+        if option not in reads:
             reason = (reasons or {}).get(option, "")
             raise BnPolyError(f"{option} does not apply to {command}{reason}")
 
@@ -164,7 +176,7 @@ def _cmd_encode(args) -> int:
 def _cmd_dags(args) -> int:
     gs = _gs(args)
     if args.classes:
-        _refuse_unread("dags --classes", {"--list": args.list}, set())
+        _refuse_unread(args, "dags --classes", {"--n", "--classes"})
         classes = enumerate_equivalence_classes(gs)
         payload = {
             "n": gs.n,
@@ -182,23 +194,18 @@ def _cmd_dags(args) -> int:
     return 0
 
 
-# The options each se action reads besides --n; any other one given is refused.
+# The se actions and the options each reads; any other one given is refused.
 _SE_OPTIONS = {
-    "check": {"--objective"},
-    "to-char": {"--objective"},
-    "from-setfn": {"--setfn"},
-    "to-setfn": {"--objective"},
-    "is-face": {"--dags"},
+    "check": {"--n", "--objective"},
+    "to-char": {"--n", "--objective"},
+    "from-setfn": {"--n", "--setfn"},
+    "to-setfn": {"--n", "--objective"},
+    "is-face": {"--n", "--dags"},
 }
 
 
 def _cmd_se(args) -> int:
-    given = {
-        "--objective": args.objective is not None,
-        "--setfn": args.setfn is not None,
-        "--dags": args.dags is not None,
-    }
-    _refuse_unread(f"se {args.action}", given, _SE_OPTIONS[args.action])
+    _refuse_unread(args, f"se {args.action}", _SE_OPTIONS[args.action])
     gs = _gs(args)
     if args.action == "check":
         obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
@@ -241,7 +248,7 @@ def _cmd_supermod(args) -> int:
     return 0
 
 
-# The options each ineq action reads; any other one given is refused.
+# The ineq actions and the options each reads; any other one given is refused.
 _INEQ_OPTIONS = {
     "cluster": {"--n", "--C", "--k", "--mode"},
     "catalog": {"--n", "--which"},
@@ -249,14 +256,7 @@ _INEQ_OPTIONS = {
 
 
 def _cmd_ineq(args) -> int:
-    given = {
-        "--n": args.n is not None,
-        "--C": args.C is not None,
-        "--k": args.k is not None,
-        "--mode": args.mode is not None,
-        "--which": args.which is not None,
-    }
-    _refuse_unread(f"ineq {args.action}", given, _INEQ_OPTIONS[args.action])
+    _refuse_unread(args, f"ineq {args.action}", _INEQ_OPTIONS[args.action])
     if args.action == "cluster":
         if args.C is None:
             raise BnPolyError("--C is required")
@@ -303,6 +303,16 @@ def _vrep_from_args(args, gs: GroundSet) -> VRep:
     return VRep(space, gs, points)
 
 
+def _ineq_from_json(gs: GroundSet, space: str, parse, item, option: str) -> LinearInequality:
+    """One inequality from its JSON object: objective, bound, optional label."""
+    return LinearInequality(
+        space,
+        parse(gs, _field(item, "objective", option)),
+        rational_from_json(_field(item, "bound", option)),
+        item.get("label", ""),
+    )
+
+
 def _hrep_from_args(args, gs: GroundSet) -> HRep:
     if args.matrix:
         with open(args.matrix) as handle:
@@ -310,12 +320,7 @@ def _hrep_from_args(args, gs: GroundSet) -> HRep:
     data = _load_json_arg(args.hrep, "--matrix or --hrep")
     space, parse = _space_parser(data, "--hrep")
     rows = tuple(
-        LinearInequality(
-            space,
-            parse(gs, _field(item, "objective", "--hrep")),
-            rational_from_json(_field(item, "bound", "--hrep")),
-            item.get("label", ""),
-        )
+        _ineq_from_json(gs, space, parse, item, "--hrep")
         for item in _field(data, "inequalities", "--hrep", list)
     )
     equations = tuple(
@@ -330,46 +335,38 @@ def _hrep_from_args(args, gs: GroundSet) -> HRep:
 
 def _parse_ineq_arg(args, gs: GroundSet) -> LinearInequality:
     data = _load_json_arg(args.ineq, "--ineq")
-    space, parse = _space_parser(data, "--ineq")
-    return LinearInequality(
-        space,
-        parse(gs, _field(data, "objective", "--ineq")),
-        rational_from_json(_field(data, "bound", "--ineq")),
-        data.get("label", ""),
-    )
+    return _ineq_from_json(gs, *_space_parser(data, "--ineq"), data, "--ineq")
 
 
-# The options each polytope action reads besides --n; any other one given
-# is refused, and so is a second source of the same input.
+# The polytope actions and the options each reads; any other one given is
+# refused, and so is a second source of the same input.
 _POLYTOPE_OPTIONS = {
-    "hull": {"--polytope", "--points", "--matrix-out", "--budget", "--max-rays"},
-    "vertices": {"--hrep", "--matrix", "--space", "--budget", "--max-rays"},
-    "face-dim": {"--polytope", "--points", "--ineq"},
-    "is-facet": {"--polytope", "--points", "--ineq"},
+    "hull": {"--n", "--polytope", "--points", "--matrix-out", "--budget", "--max-rays"},
+    "vertices": {"--n", "--hrep", "--matrix", "--space", "--budget", "--max-rays"},
+    "face-dim": {"--n", "--polytope", "--points", "--ineq"},
+    "is-facet": {"--n", "--polytope", "--points", "--ineq"},
 }
 
 
+# Plain DD on the 8782-vertex five-node CIP is short of row 1250 after 600 s.
+_MAX_HULL_NODES = 4
+
+
 def _cmd_polytope(args) -> int:
-    given = {
-        "--polytope": args.polytope is not None,
-        "--points": args.points is not None,
-        "--hrep": args.hrep is not None,
-        "--matrix": args.matrix is not None,
-        "--matrix-out": args.matrix_out is not None,
-        "--space": args.space is not None,
-        "--ineq": args.ineq is not None,
-        "--budget": args.budget is not None,
-        "--max-rays": args.max_rays is not None,
-    }
-    _refuse_unread(f"polytope {args.action}", given, _POLYTOPE_OPTIONS[args.action])
-    for first, second in (("--polytope", "--points"), ("--hrep", "--matrix")):
-        if given[first] and given[second]:
-            raise BnPolyError(f"give {first} or {second}, not both")
-    if given["--space"] and not given["--matrix"]:
+    _refuse_unread(args, f"polytope {args.action}", _POLYTOPE_OPTIONS[args.action])
+    for first, second in (("polytope", "points"), ("hrep", "matrix")):
+        if getattr(args, first) is not None and getattr(args, second) is not None:
+            raise BnPolyError(f"give --{first} or --{second}, not both")
+    if args.space is not None and args.matrix is None:
         raise BnPolyError("--space applies only to --matrix input")
     gs = _gs(args)
     budget = _budget(args)
     if args.action == "hull":
+        if args.polytope is not None and gs.n > _MAX_HULL_NODES:
+            raise BudgetExceededError(
+                f"the {args.polytope} hull over {gs.n} nodes is out of reach;"
+                f" built-in hulls stop at n = {_MAX_HULL_NODES}"
+            )
         vrep = _vrep_from_args(args, gs)
         hull = facets_from_vertices(vrep, budget=budget)
         if args.matrix_out:
@@ -428,30 +425,26 @@ def _cmd_export_lp(args) -> int:
     return 0
 
 
-# The options each verify pipeline reads; any other one given is refused.
-# At n = 5 theorem3 solves the two fixed counterexample LPs instead of
-# random objectives.
+# Every verify pipeline reads how its report is printed.
+_REPORT_OPTIONS = {"--json", "--timings"}
+
+# The verify pipelines and the options each reads; any other one given is
+# refused.  At n = 5 theorem3 (a key with a space, not a pipeline) solves
+# the two fixed counterexample LPs instead of random objectives.
 _VERIFY_OPTIONS = {
-    "n3": {"--budget"},
-    "n4": {"--stretch", "--budget"},
-    "theorem3": {"--n", "--trials", "--seed"},
-    "theorem3 --n 5": {"--n"},
-    "counterexample": set(),
-    "conjecture": {"--n", "--budget"},
+    "n3": {"--budget"} | _REPORT_OPTIONS,
+    "n4": {"--stretch", "--budget"} | _REPORT_OPTIONS,
+    "theorem3": {"--n", "--trials", "--seed"} | _REPORT_OPTIONS,
+    "theorem3 --n 5": {"--n"} | _REPORT_OPTIONS,
+    "counterexample": _REPORT_OPTIONS,
+    "conjecture": {"--n", "--budget"} | _REPORT_OPTIONS,
 }
 
 
 def _cmd_verify(args) -> int:
-    given = {
-        "--n": args.n is not None,
-        "--trials": args.trials is not None,
-        "--seed": args.seed is not None,
-        "--stretch": args.stretch,
-        "--budget": args.budget is not None,
-    }
     name = "theorem3 --n 5" if args.pipeline == "theorem3" and args.n == 5 else args.pipeline
     _refuse_unread(
-        f"verify {name}", given, _VERIFY_OPTIONS[name], {"--budget": ": it has no hull step"}
+        args, f"verify {name}", _VERIFY_OPTIONS[name], {"--budget": ": it has no hull step"}
     )
     budget = _budget(args)
     n = 3 if args.n is None else args.n
@@ -497,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dags)
 
     p = sub.add_parser("se", help="score-equivalence operations")
-    p.add_argument("action", choices=["check", "to-char", "from-setfn", "to-setfn", "is-face"])
+    p.add_argument("action", choices=list(_SE_OPTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--objective", help="fam-vector JSON (or @file)")
     p.add_argument("--setfn", help="char-vector JSON (or @file)")
@@ -511,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_supermod)
 
     p = sub.add_parser("ineq", help="inequality families and catalogs")
-    p.add_argument("action", choices=["cluster", "catalog"])
+    p.add_argument("action", choices=list(_INEQ_OPTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--C", help="cluster letters, e.g. abc")
     p.add_argument("--k", type=int)
@@ -520,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ineq)
 
     p = sub.add_parser("polytope", help="exact polyhedral computations")
-    p.add_argument("action", choices=["hull", "vertices", "face-dim", "is-facet"])
+    p.add_argument("action", choices=list(_POLYTOPE_OPTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--polytope", choices=["fvp", "cip"], help="built-in vertex set")
     p.add_argument("--points", help="VRep JSON (or @file)")
@@ -542,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export_lp)
 
     p = sub.add_parser("verify", help="run a verification pipeline")
-    p.add_argument("pipeline", choices=["n3", "n4", "theorem3", "counterexample", "conjecture"])
+    p.add_argument("pipeline", choices=[name for name in _VERIFY_OPTIONS if " " not in name])
     p.add_argument("--n", type=int, help="ground-set size for theorem3/conjecture (default 3)")
     p.add_argument("--trials", type=int, help="random objectives for theorem3 (default 100)")
     p.add_argument("--seed", type=int, help="random seed for theorem3 (default 0)")

@@ -29,10 +29,10 @@ MAX_NODES = 16
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int / str ('p/q') / Fraction to an exact Fraction."""
+    """Coerce int (not bool) / str ('p/q') / Fraction to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

@@ -41,7 +41,6 @@ from .ground import (
     fam_from_json,
     fam_key,
     parse_fam_key,
-    parse_subset_key,
     scalar_product,
     submasks,
     subset_key,
@@ -295,7 +294,6 @@ class CatalogEntry:
     expected_orbit_size: int
     kind: str  # "cluster" | "noncluster" | "specific"
     cluster: tuple[int, int] | None = None  # (cluster mask, level)
-    sperner: tuple[int, ...] | None = None  # clutter of subset masks
     certificate: dict | None = None  # conic-combination data, where applicable
 
     def fam_orbit(self) -> list[LinearInequality]:
@@ -325,9 +323,6 @@ def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry
     kind = record.get("kind", kind_default)
     if "cluster" in record:
         cluster = (gs.mask_of(record["cluster"]["C"]), record["cluster"]["k"])
-    sperner = None
-    if "sperner" in record:
-        sperner = tuple(parse_subset_key(gs, text) for text in record["sperner"])
     return CatalogEntry(
         type_id=record["type_id"],
         char_ineq=char_ineq,
@@ -337,7 +332,6 @@ def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry
         expected_orbit_size=record["count"],
         kind=kind,
         cluster=cluster,
-        sperner=sperner,
         certificate=record.get("certificate"),
     )
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .dags import Dag, enumerate_dags
-from .errors import BnPolyError, NotScoreEquivalentError
+from .errors import BnPolyError, BudgetExceededError, NotScoreEquivalentError
 from .ground import (
     CharVector,
     FamVector,
@@ -132,11 +132,16 @@ def _setfn_row(graph: Dag, cai_order: list[int]) -> list[int]:
     return row
 
 
+# The face LP has a row per DAG: 29281 at n = 5, still running after 60 s.
+MAX_SE_FACE_NODES = 4
+
+
 def is_se_face(
     graphs: Iterable[Dag], all_dags: list[Dag] | None = None
 ) -> tuple[bool, FamVector | None]:
     """Decide whether the given nonempty set of DAGs is exactly the tight set
-    of some valid SE inequality over the family-variable polytope.
+    of some valid SE inequality over the family-variable polytope; refused
+    with BudgetExceededError above MAX_SE_FACE_NODES nodes, up front.
 
     Decided by an exact margin-maximization LP over the parametrizing vector
     m (boxed to |m(S)| <= 1 to prevent unbounded scaling), the shared value u
@@ -148,6 +153,11 @@ def is_se_face(
     if not graphs:
         raise BnPolyError("need a nonempty set of graphs")
     gs = graphs[0].gs
+    if gs.n > MAX_SE_FACE_NODES:
+        raise BudgetExceededError(
+            f"the face LP has a row per DAG over {gs.n} nodes;"
+            f" it stops at n = {MAX_SE_FACE_NODES}"
+        )
     if all_dags is None:
         all_dags = enumerate_dags(gs)
     universe = {g.parents for g in all_dags}

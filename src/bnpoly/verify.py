@@ -161,9 +161,10 @@ class _Timer:
 # --- shared constructions --------------------------------------------------------
 
 
-def _fvp_facet_hrep(gs: GroundSet) -> list[LinearInequality]:
-    """Non-negativity + modified convexity + all generalized cluster cuts;
-    the full facet list of the family-variable polytope for n = 3."""
+def _cluster_relaxation(gs: GroundSet) -> list[LinearInequality]:
+    """Non-negativity + modified convexity + all generalized cluster cuts,
+    in that order (it fixes the simplex's Bland path); at n = 3 the full
+    facet list of the family-variable polytope."""
     rows = nonneg_constraints(gs) + modified_convexity(gs)
     rows += [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs)]
     return rows
@@ -204,7 +205,7 @@ def verify_n3(budget: Budget | None = None) -> VerificationReport:
     hull = facets_from_vertices(fvp, budget=budget)
     report.check("family-variable polytope facet count", 17, len(hull.inequalities), source="published")
     report.check("affine hull equations", 0, len(hull.equations))
-    expected = _facet_keyset(_fvp_facet_hrep(gs))
+    expected = _facet_keyset(_cluster_relaxation(gs))
     report.check(
         "facets = 9 non-negativity + 3 convexity + 5 cluster",
         True,
@@ -398,11 +399,10 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
         return timer.finish()
     fvp = fvp_vrep(gs)
 
-    base = nonneg_constraints(gs) + modified_convexity(gs)
     if n == 3:
-        reduced = base + [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs)]
-        variants = {"reduced polyhedron": HRep("fam", gs, tuple(reduced))}
+        variants = {"reduced polyhedron": HRep("fam", gs, tuple(_cluster_relaxation(gs)))}
     else:
+        base = nonneg_constraints(gs) + modified_convexity(gs)
         no_zero = base + _n4_catalog_fam_rows(se_only=False)
         se_only = base + _n4_catalog_fam_rows(se_only=True)
         variants = {
@@ -442,9 +442,8 @@ def _counterexample_optimum(report: VerificationReport, gs: GroundSet) -> None:
     published facet translation included the LP optimum is exactly 16, and
     dropping it lifts the optimum strictly above 16."""
     cx = counterexample_constants()
-    clusters = [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs)]
-    report.check("generalized cluster inequality count", 49, len(clusters))
-    base = nonneg_constraints(gs) + modified_convexity(gs) + clusters
+    report.check("generalized cluster inequality count", 49, len(cluster_pairs(gs)))
+    base = _cluster_relaxation(gs)
 
     with_facet = HRep("fam", gs, tuple(base + [cx.fam_ineq]))
     optimum, _ = lp_maximize(cx.objective, with_facet)

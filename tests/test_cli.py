@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from bnpoly import cli, dags, supermod
+from bnpoly import cli, dags, scoreeq, supermod
 from bnpoly.cli import main
 from bnpoly.verify import VerificationReport
 
@@ -284,6 +285,60 @@ def test_subcommands_refuse_options_they_do_not_read(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+_READS_TABLES = {
+    "se": cli._SE_OPTIONS,
+    "ineq": cli._INEQ_OPTIONS,
+    "polytope": cli._POLYTOPE_OPTIONS,
+    "verify": cli._VERIFY_OPTIONS,
+}
+_REQUIRED = {"se": ["--n", "3"], "polytope": ["--n", "3"]}
+
+
+def _given(action: argparse.Action) -> list[str]:
+    """The option with a value its parser accepts."""
+    option = action.option_strings[0]
+    if action.nargs == 0:
+        return [option]
+    return [option, action.choices[0] if action.choices else "1"]
+
+
+@pytest.mark.parametrize("command", sorted(_READS_TABLES))
+def test_every_option_an_action_does_not_read_is_refused(capsys, command):
+    options = [a for a in _subparsers()[command]._actions if a.option_strings and a.dest != "help"]
+    refused = 0
+    for key, reads in _READS_TABLES[command].items():
+        for action in options:
+            option = action.option_strings[0]
+            if option in reads:
+                continue
+            # "theorem3 --n 5" is the pipeline with its --n given.
+            argv = [command, *key.split(), *_REQUIRED.get(command, []), *_given(action)]
+            reason = ": it has no hull step" if command == "verify" and option == "--budget" else ""
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {option} does not apply to {command} {key}{reason}\n"), argv
+            refused += 1
+    assert refused >= len(_READS_TABLES[command])
+
+
+@pytest.mark.parametrize("command", sorted(_READS_TABLES))
+def test_reads_tables_name_only_options_of_their_parser(command):
+    declared = {s for a in _subparsers()[command]._actions for s in a.option_strings}
+    for key, reads in _READS_TABLES[command].items():
+        assert reads <= declared, (key, reads - declared)
+
+
+@pytest.mark.parametrize("command", ["", *sorted(_subparsers())])
+def test_help_renders(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: bnpoly {command}".rstrip())
+
+
 def test_catalog_accepts_n_four(capsys):
     code, out, _ = run_cli(capsys, "ineq", "catalog", "--n", "4", "--which", "specific4")
     assert code == 0
@@ -327,6 +382,27 @@ def test_supermod_core_refuses_nine_nodes_up_front(capsys, monkeypatch):
     assert code == 3
     assert out == "" and "budget exhausted" in err
     assert "362880 node orders over 9 nodes" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polytope", "hull", "--n", "5", "--polytope", "cip"),
+        ("polytope", "hull", "--n", "5", "--polytope", "fvp"),
+        ("se", "is-face", "--n", "5", "--dags", '[{"a":"","b":"","c":"","d":"","e":""}]'),
+    ],
+    ids=["hull-cip", "hull-fvp", "is-face"],
+)
+def test_five_node_hulls_and_face_lps_are_refused_up_front(capsys, monkeypatch, argv):
+    def never(*_, **__):
+        raise AssertionError("no work may start before the refusal")
+
+    for module, name in [(cli, "cip_vrep"), (cli, "fvp_vrep"), (dags, "_acyclic_parent_tuples"),
+                         (scoreeq, "enumerate_dags"), (scoreeq, "solve_lp")]:
+        monkeypatch.setattr(module, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "" and "budget exhausted" in err
 
 
 def test_export_lp_roundtrip(tmp_path, capsys):

@@ -9,6 +9,7 @@ from bnpoly.ground import (
     FamVector,
     GroundSet,
     SetFunction,
+    as_fraction,
     char_from_json,
     char_to_json,
     enumerate_cai,
@@ -150,6 +151,14 @@ def test_rational_from_json_takes_only_integers_and_strings(gs3, value):
     with pytest.raises(BnPolyError):
         fam_from_json(gs3, {"a|b": value})
     assert rational_from_json(3) == 3 and rational_from_json("-2/4") == Fraction(-1, 2)
+
+
+def test_as_fraction_refuses_booleans(gs3):
+    # bool is an int subclass; a Python True must not build a 1 either
+    with pytest.raises(TypeError):
+        FamVector(gs3, {(0, 2): True})
+    with pytest.raises(TypeError):
+        as_fraction(False)
 
 
 def test_setfn_allows_all_subsets(gs3):

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bnpoly import linalg
+from bnpoly import linalg, scoreeq
 from bnpoly.dags import Dag, enumerate_dags, enumerate_equivalence_classes, equivalence_class
 from bnpoly.encodings import char_bits, char_from_fam, fam_vector
-from bnpoly.errors import BnPolyError, NotScoreEquivalentError
+from bnpoly.errors import BnPolyError, BudgetExceededError, NotScoreEquivalentError
 from bnpoly.ground import (
     CharVector,
     FamVector,
@@ -202,6 +202,19 @@ def test_is_se_face_whole_polytope_and_errors(gs3):
     foreign = Dag.from_json({"a": "", "b": "a", "c": "ab"}, gs3)
     with pytest.raises(BnPolyError):
         is_se_face([foreign], all_dags=[g for g in dags if g != foreign])
+
+
+def test_is_se_face_refuses_five_nodes_even_with_all_dags(monkeypatch):
+    def never(*_, **__):
+        raise AssertionError("no work may start before the refusal")
+
+    monkeypatch.setattr(scoreeq, "enumerate_dags", never)
+    monkeypatch.setattr(scoreeq, "solve_lp", never)
+    empty = Dag.from_json({x: "" for x in "abcde"}, GroundSet.alpha(5))
+    with pytest.raises(BudgetExceededError):
+        is_se_face([empty], all_dags=[empty])
+    with pytest.raises(BudgetExceededError):
+        is_se_face([empty])
 
 
 def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
