@@ -207,17 +207,16 @@ _SE_OPTIONS = {
 def _cmd_se(args) -> int:
     _refuse_unread(args, f"se {args.action}", _SE_OPTIONS[args.action])
     gs = _gs(args)
-    if args.action == "check":
+    if "--objective" in _SE_OPTIONS[args.action]:
         obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
+    if args.action == "check":
         _emit({"score_equivalent": is_se_objective(obj)})
     elif args.action == "to-char":
-        obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
         _emit({"vector": char_to_json(char_objective(obj))})
     elif args.action == "from-setfn":
         m = char_from_json(gs, _load_json_arg(args.setfn, "--setfn"))
         _emit({"vector": fam_to_json(objective_from_setfn(m))})
     elif args.action == "to-setfn":
-        obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
         _emit({"vector": char_to_json(setfn_from_objective(obj))})
     else:  # is-face
         graphs = [Dag.from_json(obj, gs) for obj in _load_json_arg(args.dags, "--dags", list)]
@@ -251,7 +250,7 @@ def _cmd_supermod(args) -> int:
 # The ineq actions and the options each reads; any other one given is refused.
 _INEQ_OPTIONS = {
     "cluster": {"--n", "--C", "--k", "--mode"},
-    "catalog": {"--n", "--which"},
+    "catalog": {"--which"},
 }
 
 
@@ -266,8 +265,6 @@ def _cmd_ineq(args) -> int:
         q = build(gs, C, 1 if args.k is None else args.k)
         _emit({"objective": _vector_json(q.objective), "bound": str(q.bound)})
     else:  # catalog
-        if args.n not in (None, 4):
-            raise BnPolyError(f"ineq catalog has four-node catalogs only, got --n {args.n}")
         if args.which is None:
             raise BnPolyError("--which is required: se4 or specific4")
         entries = catalog_se_n4() if args.which == "se4" else catalog_specific_n4()
@@ -437,7 +434,7 @@ _VERIFY_OPTIONS = {
     "theorem3": {"--n", "--trials", "--seed"} | _REPORT_OPTIONS,
     "theorem3 --n 5": {"--n"} | _REPORT_OPTIONS,
     "counterexample": _REPORT_OPTIONS,
-    "conjecture": {"--n", "--budget"} | _REPORT_OPTIONS,
+    "conjecture": {"--budget"} | _REPORT_OPTIONS,
 }
 
 
@@ -447,7 +444,6 @@ def _cmd_verify(args) -> int:
         args, f"verify {name}", _VERIFY_OPTIONS[name], {"--budget": ": it has no hull step"}
     )
     budget = _budget(args)
-    n = 3 if args.n is None else args.n
     if args.pipeline == "n3":
         report = verify_n3(budget=budget)
     elif args.pipeline == "n4":
@@ -455,11 +451,11 @@ def _cmd_verify(args) -> int:
     elif args.pipeline == "theorem3":
         trials = 100 if args.trials is None else args.trials
         seed = 0 if args.seed is None else args.seed
-        report = verify_theorem3(n, trials=trials, seed=seed)
+        report = verify_theorem3(3 if args.n is None else args.n, trials=trials, seed=seed)
     elif args.pipeline == "counterexample":
         report = verify_counterexample()
     else:  # conjecture
-        report = explore_conjecture(n, budget=budget)
+        report = explore_conjecture(budget=budget)
     if args.json:
         print(json.dumps(report.to_json(include_elapsed=args.timings), sort_keys=True, indent=2))
     else:
@@ -536,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification pipeline")
     p.add_argument("pipeline", choices=[name for name in _VERIFY_OPTIONS if " " not in name])
-    p.add_argument("--n", type=int, help="ground-set size for theorem3/conjecture (default 3)")
+    p.add_argument("--n", type=int, help="ground-set size for theorem3 (default 3)")
     p.add_argument("--trials", type=int, help="random objectives for theorem3 (default 100)")
     p.add_argument("--seed", type=int, help="random seed for theorem3 (default 0)")
     p.add_argument("--stretch", action="store_true", help="include the long-running n4 checks")

@@ -293,11 +293,6 @@ class SetFunction(_Vector):
     def _sort_key(item):
         return (item[0].bit_count(), item[0])
 
-    @classmethod
-    def from_char(cls, cv: CharVector) -> "SetFunction":
-        """Zero-extension of a size>=2 vector to the whole power set."""
-        return cls(cv.gs, dict(cv.items()))
-
     def restrict_char(self) -> CharVector:
         """Drop the (necessarily zero) values on subsets of size <= 1."""
         for mask, value in self._c.items():

@@ -93,14 +93,6 @@ class LinearInequality:
                 text = f"-{term}" if v < 0 else term
         return f"{text or '0'} <= {self.bound}"
 
-    def normalized(self) -> "LinearInequality":
-        """Scale to integer coefficients with gcd 1 (bound scales along)."""
-        items, bound = _integer_form(self)
-        if not items:
-            return self
-        obj = self.objective
-        return LinearInequality(self.space, type(obj)(obj.gs, items), bound, self.label)
-
     def canonical_key(self):
         """(space, sorted primitive integer coefficients, bound scaled along);
         two inequalities with nonzero objectives share it exactly when one
@@ -336,28 +328,27 @@ def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry
     )
 
 
+def _build_catalog(name: str, kind: str, total: int, title: str) -> tuple[CatalogEntry, ...]:
+    """The four-node catalog in data file ``name``; it must total ``total``."""
+    gs = GroundSet.alpha(4)
+    entries = tuple(_build_entry(gs, record, kind) for record in _load_data(name)["types"])
+    if sum(e.expected_orbit_size for e in entries) != total:
+        raise BnPolyError(f"{title} catalog does not total {total} inequalities")
+    return entries
+
+
 @lru_cache(maxsize=1)
 def catalog_se_n4() -> tuple[CatalogEntry, ...]:
     """The 37 four-node facets containing the all-ones vertex, in 10 types
     with orbit sizes 6, 4, 4, 1, 1, 1, 4, 6, 4, 6."""
-    data = _load_data("se_facets_n4.json")
-    gs = GroundSet.alpha(4)
-    entries = tuple(_build_entry(gs, record, "noncluster") for record in data["types"])
-    if sum(e.expected_orbit_size for e in entries) != 37:
-        raise BnPolyError("SE catalog does not total 37 inequalities")
-    return entries
+    return _build_catalog("se_facets_n4.json", "noncluster", 37, "SE")
 
 
 @lru_cache(maxsize=1)
 def catalog_specific_n4() -> tuple[CatalogEntry, ...]:
     """The 117 remaining four-node facets, in 20 types; only the last type
     (bound 1) misses the zero vertex."""
-    data = _load_data("specific_facets_n4.json")
-    gs = GroundSet.alpha(4)
-    entries = tuple(_build_entry(gs, record, "specific") for record in data["types"])
-    if sum(e.expected_orbit_size for e in entries) != 117:
-        raise BnPolyError("specific catalog does not total 117 inequalities")
-    return entries
+    return _build_catalog("specific_facets_n4.json", "specific", 117, "specific")
 
 
 @dataclass(frozen=True)

@@ -227,8 +227,8 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
 
 
 def vertices_from_inequalities(hrep: HRep, budget: Budget | None = None) -> VRep:
-    """All vertices of the polyhedron; raises UnboundedError when recession
-    directions exist."""
+    """All vertices of the polyhedron, none if it is empty; raises
+    UnboundedError when recession directions exist."""
     A_ub, b_ub, A_eq, b_eq = hrep.matrix()
     dim = len(hrep.index)
     rows = [(b,) + tuple(-c for c in a) for a, b in zip(A_ub, b_ub)]
@@ -237,6 +237,8 @@ def vertices_from_inequalities(hrep: HRep, budget: Budget | None = None) -> VRep
         rows.append((-b,) + a)
     rows.append((1,) + (0,) * dim)  # homogenization coordinate t >= 0
     rays, lineality = extreme_rays(rows, dim + 1, budget=budget)
+    if not any(ray[0] for ray in rays):  # no ray with t > 0: no point at all
+        return VRep(hrep.space, hrep.gs, ())
     if lineality:
         raise UnboundedError("polyhedron contains lines")
     points = []

@@ -50,6 +50,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import BnPolyError
+from .ground import as_fraction
 from .linalg import integer_row
 
 _ZERO = Fraction(0)
@@ -106,9 +107,9 @@ def solve_lp(
 
 
 def _exact(values) -> list:
-    """The values as exact numbers: ints and Fractions as they are, anything
-    else (a string such as "1/2", a Decimal) through Fraction."""
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    """The values as exact numbers: ints (not bools) and Fractions as they
+    are, anything else through ``as_fraction``, which refuses floats."""
+    return [v if type(v) is int or isinstance(v, Fraction) else as_fraction(v) for v in values]
 
 
 def _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result: LpResult):

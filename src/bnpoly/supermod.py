@@ -70,7 +70,8 @@ def _require_standardized_supermodular(m: SetFunction) -> None:
 def is_extreme(m: SetFunction) -> bool:
     """Whether a nonzero standardized supermodular function spans an extreme
     ray of the cone: the space of standardized functions vanishing on all of
-    m's tight elementary differences must be one-dimensional."""
+    m's tight elementary differences must be one-dimensional.  ``m`` may be
+    a CharVector, which reads 0 on sets of size <= 1."""
     if not m:
         raise NotSupermodularError("the zero function spans no ray")
     _require_standardized_supermodular(m)
@@ -166,13 +167,11 @@ def is_matroid_rank(r: SetFunction, ground: int) -> bool:
             step = r[S | bit(x)] - r[S]
             if step < 0 or step > 1:
                 return False
-    for a in iter_bits(ground):
-        for b in iter_bits(ground & ~((bit(a) << 1) - 1)):  # b > a
-            rest = ground & ~bit(a) & ~bit(b)
-            for Z in submasks(rest):
-                if delta(r, a, b, Z) > 0:
-                    return False
-    return True
+    return all(
+        delta(r, a, b, Z) <= 0
+        for a, b, Z in elementary_triplets(gs)
+        if not (bit(a) | bit(b) | Z) & ~ground
+    )
 
 
 def is_connected_matroid(r: SetFunction, ground: int) -> bool:

@@ -9,6 +9,7 @@ Nothing is cached on disk: every run computes what it reports.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -19,12 +20,10 @@ from . import linalg
 from .dags import Dag, enumerate_dags, enumerate_equivalence_classes
 from .dd import Budget
 from .encodings import char_bits, char_from_fam
-from .errors import BudgetExceededError
 from .ground import (
     CharVector,
     FamVector,
     GroundSet,
-    SetFunction,
     bit,
     enumerate_cai,
     enumerate_family_indices,
@@ -102,12 +101,10 @@ class VerificationReport:
 
     def check(
         self, description: str, expected, observed, note: str = "", source: str = "derived"
-    ) -> bool:
-        ok = expected == observed
+    ) -> None:
         self.checks.append(
-            Check(description, expected, observed, ok, note=note, source=source)
+            Check(description, expected, observed, expected == observed, note=note, source=source)
         )
-        return ok
 
     def skip(self, description: str, reason: str) -> None:
         self.checks.append(
@@ -148,14 +145,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _Timer:
-    def __init__(self, report: VerificationReport):
-        self.report = report
-        self.start = time.monotonic()
+def _timed(pipeline):
+    """Set the returned report's ``elapsed`` to the pipeline's wall time."""
 
-    def finish(self) -> VerificationReport:
-        self.report.elapsed = time.monotonic() - self.start
-        return self.report
+    @functools.wraps(pipeline)
+    def run(*args, **kwargs) -> VerificationReport:
+        start = time.monotonic()
+        report = pipeline(*args, **kwargs)
+        report.elapsed = time.monotonic() - start
+        return report
+    return run
 
 
 # --- shared constructions --------------------------------------------------------
@@ -191,9 +190,9 @@ def _n4_catalog_fam_rows(se_only: bool) -> list[LinearInequality]:
 # --- pipeline: three nodes --------------------------------------------------------
 
 
+@_timed
 def verify_n3(budget: Budget | None = None) -> VerificationReport:
     report = VerificationReport("n3")
-    timer = _Timer(report)
     gs = GroundSet.alpha(3)
 
     dags = enumerate_dags(gs)
@@ -234,15 +233,18 @@ def verify_n3(budget: Budget | None = None) -> VerificationReport:
         True,
         set(full.points) == set(fvp.points),
     )
-    return timer.finish()
+    return report
 
 
 # --- pipeline: four nodes ---------------------------------------------------------
 
 
+@_timed
 def verify_n4(stretch: bool = False, budget: Budget | None = None) -> VerificationReport:
+    """The four-node counts and catalogs; ``stretch`` adds the fvp hull and
+    the relaxation, whose third published witness is known to FAIL.  A spent
+    budget raises BudgetExceededError, in the stretch steps too."""
     report = VerificationReport("n4")
-    timer = _Timer(report)
     gs = GroundSet.alpha(4)
 
     dags = enumerate_dags(gs)
@@ -288,50 +290,35 @@ def verify_n4(stretch: bool = False, budget: Budget | None = None) -> Verificati
         [len(e.char_orbit) for e in spec_entries],
     )
 
-    extreme_flags = []
-    for entry in se_entries:
-        for member in entry.char_orbit:
-            m = SetFunction.from_char(moebius_up(member.objective))
-            extreme_flags.append(is_extreme(m))
-    report.check("all 37 one-vertex facet set functions extreme", 37, sum(extreme_flags))
+    extreme = sum(is_extreme(moebius_up(m.objective)) for e in se_entries for m in e.char_orbit)
+    report.check("all 37 one-vertex facet set functions extreme", 37, extreme)
 
     if not stretch:
         report.skip("family-variable polytope facet count", "stretch check disabled")
         report.skip("relaxation vertex enumeration", "stretch check disabled")
-        return timer.finish()
+        return report
 
-    try:
-        count = _fvp4_facet_count(budget)
-        report.check("family-variable polytope facet count", 135, count, source="published")
-    except BudgetExceededError as exc:
-        report.skip("family-variable polytope facet count", f"budget exhausted: {exc}")
+    count = len(facets_from_vertices(fvp_vrep(gs), budget=budget).inequalities)
+    report.check("family-variable polytope facet count", 135, count, source="published")
 
-    try:
-        summary = _fvp_star_summary(budget)
-        report.check("relaxation vertex count", 1329, summary["total"], source="published")
-        report.check("fractional vertices", 786, summary["fractional"], source="published")
-        report.check("first published fractional vertex found", True, summary["witness1"])
-        report.check("second published fractional vertex found", True, summary["witness2"])
-        report.check(
-            "third published fractional vertex found",
-            True,
-            summary["witness3"],
-            note=(
-                "the printed third witness satisfies all 69 constraints but its tight"
-                " rows only reach rank 24 of 28, so it lies inside a 4-face; a true"
-                " vertex with identical support and leading coefficient 2/3 exists"
-            )
-            if not summary["witness3"]
-            else "",
+    summary = _fvp_star_summary(budget)
+    report.check("relaxation vertex count", 1329, summary["total"], source="published")
+    report.check("fractional vertices", 786, summary["fractional"], source="published")
+    report.check("first published fractional vertex found", True, summary["witness1"])
+    report.check("second published fractional vertex found", True, summary["witness2"])
+    report.check(
+        "third published fractional vertex found",
+        True,
+        summary["witness3"],
+        note=(
+            "the printed third witness satisfies all 69 constraints but its tight"
+            " rows only reach rank 24 of 28, so it lies inside a 4-face; a true"
+            " vertex with identical support and leading coefficient 2/3 exists"
         )
-    except BudgetExceededError as exc:
-        report.skip("relaxation vertex enumeration", f"budget exhausted: {exc}")
-    return timer.finish()
-
-
-def _fvp4_facet_count(budget: Budget | None) -> int:
-    gs = GroundSet.alpha(4)
-    return len(facets_from_vertices(fvp_vrep(gs), budget=budget).inequalities)
+        if not summary["witness3"]
+        else "",
+    )
+    return report
 
 
 def _published_fractional_witnesses(gs: GroundSet) -> list[FamVector]:
@@ -380,6 +367,7 @@ def _random_se_objective(gs: GroundSet, rng: random.Random) -> FamVector:
     return objective_from_setfn(m)
 
 
+@_timed
 def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
     """Maximizing a score-equivalent objective over the reduced constraint
     polyhedron (imset facets missing the zero vertex, in fam mode, plus
@@ -392,11 +380,10 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
     if n != 5 and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     report = VerificationReport(f"theorem3-n{n}")
-    timer = _Timer(report)
     gs = GroundSet.alpha(n)
     if n == 5:
         _counterexample_optimum(report, gs)
-        return timer.finish()
+        return report
     fvp = fvp_vrep(gs)
 
     if n == 3:
@@ -434,7 +421,7 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
         Fraction(1),
         max_over_vertices(cl.objective, fvp)[0],
     )
-    return timer.finish()
+    return report
 
 
 def _counterexample_optimum(report: VerificationReport, gs: GroundSet) -> None:
@@ -479,9 +466,9 @@ def _dimension_witnesses(gs: GroundSet) -> list[Dag]:
     return witnesses
 
 
+@_timed
 def verify_counterexample() -> VerificationReport:
     report = VerificationReport("counterexample")
-    timer = _Timer(report)
     gs = GroundSet.alpha(5)
     cx = counterexample_constants()
     obj = cx.objective
@@ -591,7 +578,7 @@ def verify_counterexample() -> VerificationReport:
     feasible = all(v < b for v, b in scaled)
     report.check("positive slack at every checked inequality", True, feasible)
     if not feasible:
-        return timer.finish()
+        return report
     p, r = 1, 0  # 1 / 0 stands for no candidate yet
     for v, b in scaled:
         if v > 0 and (b - v) * r < p * 2 * v:
@@ -611,7 +598,7 @@ def verify_counterexample() -> VerificationReport:
     star_value = Fraction((r + p) * obj_value, r * unit * den)
     report.check("objective value at the scaled point", (1 + eps) * 16, star_value)
     report.check("scaled value exceeds the true maximum", True, star_value > 16)
-    return timer.finish()
+    return report
 
 
 # --- pipeline: equivalence-closed faces ------------------------------------------------
@@ -636,16 +623,14 @@ def all_faces_by_tight_sets(vrep: VRep, hull: HRep | None = None) -> list[frozen
     return sorted(faces, key=lambda f: (len(f), sorted(f)))
 
 
-def explore_conjecture(n: int = 3, budget: Budget | None = None) -> VerificationReport:
-    """Enumerate every face of the family-variable polytope, keep those whose
-    DAG sets are closed under Markov equivalence, and confirm each one admits
-    a score-equivalent defining objective (via the exact-LP face test).  The
-    budget bounds the facet enumeration."""
-    if n != 3:
-        raise ValueError("exhaustive face analysis is feasible only for n = 3")
+@_timed
+def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
+    """Enumerate every face of the three-node family-variable polytope (no
+    larger one is feasible), keep those whose DAG sets are closed under Markov
+    equivalence, and confirm each admits a score-equivalent defining objective
+    (via the exact-LP face test).  The budget bounds the facet enumeration."""
     report = VerificationReport("conjecture-n3")
-    timer = _Timer(report)
-    gs = GroundSet.alpha(n)
+    gs = GroundSet.alpha(3)
     dags = enumerate_dags(gs)
     fvp = fvp_vrep(gs)
     hull = facets_from_vertices(fvp, budget=budget)
@@ -681,4 +666,4 @@ def explore_conjecture(n: int = 3, budget: Budget | None = None) -> Verification
     full_class = [g for g in dags if g.adjacency_pairs() == all_pairs]
     ok, witness = is_se_face(full_class, all_dags=dags)
     report.check("the class of complete graphs is an SE face", True, ok and witness is not None)
-    return timer.finish()
+    return report

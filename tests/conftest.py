@@ -77,4 +77,4 @@ def theorem3_n5_report():
 def conjecture_report():
     from bnpoly.verify import explore_conjecture
 
-    return explore_conjecture(3)
+    return explore_conjecture()

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -50,6 +51,9 @@ def test_dags_subcommand(capsys):
     assert code == 0 and json.loads(out)["count"] == 25
     code, out, _ = run_cli(capsys, "dags", "--n", "3", "--classes")
     assert json.loads(out)["count"] == 11
+    code, out, _ = run_cli(capsys, "dags", "--n", "2", "--list")
+    assert code == 0
+    assert json.loads(out)["dags"] == [{"a": "", "b": ""}, {"a": "", "b": "a"}, {"a": "b", "b": ""}]
 
 
 def test_se_subcommands(capsys):
@@ -69,6 +73,22 @@ def test_se_subcommands(capsys):
     assert json.loads(out)["vector"] == {
         "a|b": "1", "a|bc": "1", "b|a": "1", "b|ac": "1"
     }
+    code, out, _ = run_cli(
+        capsys, "se", "to-setfn", "--n", "3",
+        "--objective", '{"a|b":"1","a|bc":"1","b|a":"1","b|ac":"1"}',
+    )
+    assert code == 0 and json.loads(out)["vector"] == {"ab": "1", "abc": "1"}
+
+
+def test_json_options_read_at_path(tmp_path, capsys):
+    objective = tmp_path / "objective.json"
+    objective.write_text('{"a|b":"1","a|bc":"1","b|a":"1","b|ac":"1"}')
+    code, out, _ = run_cli(capsys, "se", "to-char", "--n", "3", "--objective", f"@{objective}")
+    assert code == 0 and json.loads(out)["vector"] == {"ab": "1"}
+    code, out, err = run_cli(
+        capsys, "se", "to-char", "--n", "3", "--objective", f"@{tmp_path / 'missing.json'}"
+    )
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_supermod_subcommands(capsys):
@@ -83,6 +103,19 @@ def test_supermod_subcommands(capsys):
         {"a": "0", "b": "1", "c": "0"},
         {"a": "1", "b": "0", "c": "0"},
     ]
+    code, out, _ = run_cli(
+        capsys, "supermod", "check", "--n", "3", "--setfn", '{"ab":"1","abc":"1"}'
+    )
+    assert code == 0 and json.loads(out)["supermodular"] is True
+    code, out, _ = run_cli(capsys, "supermod", "check", "--n", "3", "--setfn", '{"ab":"-1"}')
+    assert code == 0 and json.loads(out)["supermodular"] is False
+    # r(T) = m(abc) - m(abc - T): 1 wherever T meets c or is all of ab
+    code, out, _ = run_cli(
+        capsys, "supermod", "dual", "--n", "3", "--setfn", '{"ab":"1","abc":"1"}'
+    )
+    assert code == 0 and json.loads(out)["vector"] == {
+        "a": "1", "b": "1", "ab": "1", "ac": "1", "bc": "1", "abc": "1"
+    }
 
 
 def test_catalog_subcommand(capsys):
@@ -116,6 +149,14 @@ def test_verify_n3_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "n3")
     assert code == 0
     assert "n3: PASSED" in out
+
+
+def test_verify_timings_are_opt_in(capsys):
+    code, out, _ = run_cli(capsys, "verify", "n3", "--timings")
+    assert code == 0
+    assert re.fullmatch(r"== n3: PASSED in \d+\.\ds ==", out.splitlines()[-1])
+    code, out, _ = run_cli(capsys, "verify", "n3", "--json", "--timings")
+    assert code == 0 and json.loads(out)["elapsed_seconds"] >= 0
 
 
 def test_verify_json_deterministic(capsys):
@@ -157,6 +198,7 @@ def test_verify_json_deterministic(capsys):
         ("export-lp", "--n", "3", "--clusters", "ab"),
         ("export-lp", "--n", "3", "--clusters", "ab:x"),
         ("export-lp", "--n", "3", "--clusters", ","),
+        ("se", "check", "--n", "3", "--objective", "@no-such-file.json"),
     ],
     ids=[
         "unknown-command",
@@ -187,6 +229,7 @@ def test_verify_json_deterministic(capsys):
         "cluster-without-level",
         "cluster-level-not-integer",
         "cluster-empty-entries",
+        "missing-at-file",
     ],
 )
 def test_usage_error_exit_two(capsys, argv):
@@ -214,6 +257,7 @@ def test_export_lp_names_a_malformed_cluster_entry(capsys):
         (("verify", "theorem3", "--n", "5", "--seed", "3", "--trials", "77"), "--trials"),
         (("verify", "theorem3", "--n", "5", "--trials", "0"), "--trials"),
         (("verify", "theorem3", "--n", "5", "--seed", "0"), "--seed"),
+        (("verify", "conjecture", "--n", "3"), "--n"),
     ],
 )
 def test_verify_refuses_options_the_pipeline_ignores(capsys, argv, option):
@@ -238,7 +282,7 @@ def test_theorem3_n5_runs_without_trials_and_seed(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("ineq", "catalog", "--n", "3", "--which", "se4"), "ineq catalog has four-node catalogs only, got --n 3"),
+        (("ineq", "catalog", "--n", "3", "--which", "se4"), "--n does not apply to ineq catalog"),
         (("ineq", "catalog", "--which", "se4", "--C", "ab"), "--C does not apply to ineq catalog"),
         (("ineq", "catalog", "--which", "se4", "--k", "2"), "--k does not apply to ineq catalog"),
         (("ineq", "catalog", "--which", "se4", "--mode", "char"), "--mode does not apply to ineq catalog"),
@@ -339,12 +383,6 @@ def test_help_renders(capsys, command):
     assert out.startswith(f"usage: bnpoly {command}".rstrip())
 
 
-def test_catalog_accepts_n_four(capsys):
-    code, out, _ = run_cli(capsys, "ineq", "catalog", "--n", "4", "--which", "specific4")
-    assert code == 0
-    assert json.loads(out)["total"] == 117
-
-
 def test_violated_inequality_is_named_in_key_form(capsys):
     code, _, err = run_cli(
         capsys, "polytope", "face-dim", "--n", "3", "--polytope", "fvp",
@@ -405,6 +443,33 @@ def test_five_node_hulls_and_face_lps_are_refused_up_front(capsys, monkeypatch, 
     assert out == "" and "budget exhausted" in err
 
 
+_LP_CONVEXITY = " conv_a: x_a_ + x_a_b = 1\n conv_b: x_b_ + x_b_a = 1\n"
+
+
+@pytest.mark.parametrize(
+    "options, objective, clusters",
+    [
+        ((), " obj: 0 x_a_\n", " cluster_ab_1: x_a_ + x_b_ >= 1\n"),
+        (("--clusters", "all"), " obj: 0 x_a_\n", " cluster_ab_1: x_a_ + x_b_ >= 1\n"),
+        (("--clusters", "none"), " obj: 0 x_a_\n", ""),
+        (
+            ("--clusters", "none", "--objective", '{"a|b":"2","b|a":"-1"}'),
+            " obj: + 2 x_a_b - 1 x_b_a\n",
+            "",
+        ),
+    ],
+    ids=["default-clusters", "all-clusters", "no-clusters", "objective"],
+)
+def test_export_lp_to_stdout(capsys, options, objective, clusters):
+    code, out, err = run_cli(capsys, "export-lp", "--n", "2", *options)
+    assert code == 0 and err == ""
+    bounds = "".join(f" 0 <= {v} <= 1\n" for v in ("x_a_", "x_a_b", "x_b_", "x_b_a"))
+    assert out == (
+        "\\ family-variable relaxation\nMaximize\n" + objective
+        + "Subject To\n" + _LP_CONVEXITY + clusters + "Bounds\n" + bounds + "End\n"
+    )
+
+
 def test_export_lp_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "model.lp"
     code, _, _ = run_cli(
@@ -439,6 +504,32 @@ def test_polytope_matrix_io(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 11
+
+
+_SUM_AB = {"a|b": "1", "b|a": "1"}
+
+
+@pytest.mark.parametrize(
+    "cut, equations, vertices",
+    [
+        ((_SUM_AB, "1"), None, [{}, {"a|b": "1"}, {"b|a": "1"}]),
+        ((_SUM_AB, "1"), [{"objective": _SUM_AB, "rhs": "1"}], [{"a|b": "1"}, {"b|a": "1"}]),
+        # empty, though its recession cone (the quadrant) is not
+        (({"a|b": "1"}, "-1"), None, []),
+    ],
+    ids=["triangle", "with-equation", "empty"],
+)
+def test_polytope_vertices_from_hrep(capsys, cut, equations, vertices):
+    rows = [{"objective": {key: "-1"}, "bound": "0"} for key in ("a|b", "b|a")]
+    rows.append({"objective": cut[0], "bound": cut[1]})
+    hrep = {"space": "fam", "inequalities": rows}
+    if equations is not None:
+        hrep["equations"] = equations
+    code, out, err = run_cli(capsys, "polytope", "vertices", "--n", "2", "--hrep", json.dumps(hrep))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["count"] == len(vertices)
+    assert sorted(payload["vertices"], key=json.dumps) == sorted(vertices, key=json.dumps)
 
 
 def test_polytope_face_dim_and_is_facet(capsys):

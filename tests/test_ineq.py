@@ -362,8 +362,6 @@ def test_canonical_key_is_the_primitive_multiple(gs4):
         key = (q.space, tuple(scaled.sorted_items()), q.bound * factor)
         assert q.canonical_key() == key
         assert hash(q.canonical_key()) == hash(key)
-        norm = q.normalized()
-        assert norm.objective == scaled and norm.bound == q.bound * factor
 
 
 # sha256 of the newline-joined str() of the 154 char members (SE catalog then
@@ -399,18 +397,12 @@ def test_cold_theorem3_n4_translates_each_type_once(monkeypatch):
     import bnpoly.ineq as ineq_module
     import bnpoly.verify as verify_module
 
-    counts = {"normalized": 0, "fam_from_char_ineq": 0}
-    normalized = LinearInequality.normalized
-
-    def counting_normalized(self):
-        counts["normalized"] += 1
-        return normalized(self)
+    counts = {"fam_from_char_ineq": 0}
 
     def counting_translation(q):
         counts["fam_from_char_ineq"] += 1
         return fam_from_char_ineq(q)
 
-    monkeypatch.setattr(LinearInequality, "normalized", counting_normalized)
     for module in (ineq_module, verify_module):
         monkeypatch.setattr(module, "fam_from_char_ineq", counting_translation)
     catalog_se_n4.cache_clear()
@@ -422,8 +414,7 @@ def test_cold_theorem3_n4_translates_each_type_once(monkeypatch):
         catalog_specific_n4.cache_clear()
     assert report.passed
     # 10 + 20 catalog types, one translation each; no orbit member is
-    # normalized or translated on its own
-    assert counts["normalized"] == 0
+    # translated on its own
     assert counts["fam_from_char_ineq"] <= 30
 
 
@@ -468,20 +459,6 @@ def test_fam_from_char_preserves_pairing(n):
         x = FamVector(gs, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                            for k in rng.sample(fai, 9)})
         assert scalar_product(z, char_from_fam(x)) == scalar_product(fam_obj, x)
-
-
-def test_normalized_integer_form(gs3):
-    m = gs3.mask_of
-    q = LinearInequality(
-        "char",
-        CharVector(gs3, {m("ab"): Fraction(2, 3), m("abc"): Fraction(-4, 3)}),
-        Fraction(2, 3),
-    )
-    norm = q.normalized()
-    values = dict(norm.objective.items())
-    assert values == {m("ab"): 1, m("abc"): -2} and norm.bound == 1
-    facet_like = cluster_char(gs3, m("abc"), 1).normalized()
-    assert facet_like.bound.denominator == 1
 
 
 def test_text_form_uses_keys(gs3):

@@ -6,7 +6,7 @@ import pytest
 from bnpoly.dags import enumerate_equivalence_classes
 from bnpoly.dd import Budget
 from bnpoly.encodings import char_bits
-from bnpoly.errors import InvalidInequalityError, UnboundedError
+from bnpoly.errors import InfeasibleError, InvalidInequalityError, UnboundedError
 from bnpoly.ground import FamVector, GroundSet, enumerate_cai
 from bnpoly.ineq import (
     LinearInequality,
@@ -185,6 +185,21 @@ def test_vertex_enumeration_unbounded(gs3):
         vertices_from_inequalities(only_lower)
 
 
+def _empty_orthant_cut(gs):
+    """Non-negativity plus a|b <= -1: empty, though its recession cone (the
+    orthant) is not."""
+    cut = LinearInequality("fam", FamVector(gs, {(0, gs.mask_of("b")): 1}), Fraction(-1))
+    return HRep("fam", gs, tuple(nonneg_constraints(gs)) + (cut,))
+
+
+def test_vertex_enumeration_empty(gs3):
+    hrep = _empty_orthant_cut(gs3)
+    assert vertices_from_inequalities(hrep).points == ()
+    # bounded by convexity it is empty all the same
+    bounded = HRep("fam", gs3, hrep.inequalities + tuple(modified_convexity(gs3)))
+    assert vertices_from_inequalities(bounded).points == ()
+
+
 def test_roundtrip_fvp3(gs3):
     fvp = fvp_vrep(gs3)
     hull = facets_from_vertices(fvp)
@@ -222,6 +237,16 @@ def test_lp_examples(gs3):
     assert q.value_at(point) == 1
     zero = FamVector(gs3, {})
     assert lp_maximize(zero, hull)[0] == 0
+
+
+def test_lp_infeasible_and_unbounded(gs3):
+    some = FamVector(gs3, {(0, gs3.mask_of("b")): 1})
+    with pytest.raises(InfeasibleError, match="polyhedron is empty"):
+        lp_maximize(some, _empty_orthant_cut(gs3))
+    only_lower = HRep("fam", gs3, tuple(nonneg_constraints(gs3)))
+    with pytest.raises(UnboundedError, match="objective is unbounded"):
+        lp_maximize(some, only_lower)
+    assert lp_maximize(-some, only_lower)[0] == 0
 
 
 def test_lp_matches_vertex_maximum_random(gs3):
@@ -264,3 +289,20 @@ def test_matrix_text_roundtrip(gs3):
     }
     back = vertices_from_inequalities(parsed)
     assert set(back.points) == set(cip_vrep(gs3).points)
+
+
+def test_matrix_text_equations_and_comments(gs3):
+    from bnpoly.polyhedra import hrep_from_matrix_text, hrep_to_matrix_text
+
+    fvp = fvp_vrep(gs3)
+    hull = facets_from_vertices(VRep("fam", gs3, (fvp.points[0], fvp.points[1])))
+    text = hrep_to_matrix_text(hull)
+    lines = text.splitlines()
+    assert lines.count("=") == 1
+    assert len(lines) == len(hull.inequalities) + 1 + len(hull.equations)
+    commented = "# a segment\n\n" + text.replace("=\n", "=\n  # its affine hull\n")
+    parsed = hrep_from_matrix_text(gs3, "fam", commented)
+    assert [q.objective for q in parsed.inequalities] == [q.objective for q in hull.inequalities]
+    assert [q.bound for q in parsed.inequalities] == [q.bound for q in hull.inequalities]
+    assert parsed.equations == hull.equations
+    assert hrep_to_matrix_text(parsed) == text

@@ -117,6 +117,19 @@ def test_size_mismatch_raises():
         solve_lp([1], A_ub=[[1]], b_ub=[1, 2])
 
 
+@pytest.mark.parametrize("value", [0.1, True, 1.0])
+def test_inexact_numbers_are_refused(value):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        solve_lp([value], A_ub=[[1]], b_ub=[1])
+    with pytest.raises(TypeError, match="not an exact rational"):
+        solve_lp([1], A_ub=[[value]], b_ub=[1])
+
+
+def test_exact_numbers_are_accepted():
+    r = solve_lp(["1/2"], A_ub=[[Fraction(2)]], b_ub=[3])
+    assert r.objective == Fraction(3, 4) and r.x == (Fraction(3, 2),)
+
+
 def test_mixed_free_and_bounded_variables():
     # max x + z with y >= 0 as a sign row, x and z free; z ends negative
     c = [1, 0, 1]
@@ -316,7 +329,7 @@ def test_theorem3_n5_pivot_path(monkeypatch):
 
 
 def test_se_face_lps_pivot_totals(monkeypatch):
-    results = _lp_results(monkeypatch, lambda: explore_conjecture(3))
+    results = _lp_results(monkeypatch, explore_conjecture)
     assert len(results) == 93
     assert sum(r.pivots[0] for r in results) == 617
     assert sum(r.pivots[1] for r in results) == 153

@@ -7,6 +7,7 @@ from bnpoly import linalg
 from bnpoly.dags import Dag, enumerate_dags, equivalence_class
 from bnpoly.dd import Budget
 from bnpoly.encodings import char_bits
+from bnpoly.errors import BudgetExceededError
 from bnpoly.ground import GroundSet, enumerate_cai
 from bnpoly.polyhedra import facets_from_vertices, fvp_vrep, incidence
 from bnpoly.verify import (
@@ -171,6 +172,29 @@ def test_face_enumeration_and_non_face_rejection(gs3):
     assert picked < closure
     assert closure == frozenset(range(25))
     assert picked not in set(faces)
+
+
+def test_spent_budget_under_stretch_raises():
+    # The CIP and FVP hulls stay under the cap (362 and 505 intermediate
+    # rays) and the relaxation passes it: the spent budget reaches the
+    # caller instead of turning the relaxation checks into skips.
+    with pytest.raises(BudgetExceededError):
+        verify_n4(stretch=True, budget=Budget(max_rays=1000))
+
+
+def test_report_table_notes_and_elapsed_time():
+    report = VerificationReport("demo")
+    report.check("count", 3, 3, note="three of them")
+    report.elapsed = 1.5
+    assert report.format_table() == (
+        "== demo ==\n[pass] count: expected 3, observed 3  (three of them)\n== demo: PASSED =="
+    )
+    assert report.format_table(include_elapsed=True).endswith("\n== demo: PASSED in 1.5s ==")
+    assert report.to_json(include_elapsed=True)["elapsed_seconds"] == 1.5
+
+
+def test_pipelines_time_themselves(counterexample_report):
+    assert counterexample_report.elapsed > 0
 
 
 def test_stretch_checks_are_reported_when_disabled():
