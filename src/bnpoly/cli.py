@@ -385,13 +385,14 @@ def _cmd_polytope(args) -> int:
             "count": len(vrep.points),
             "vertices": [_vector_json(vec) for vec in vrep.vectors()],
         })
-    elif args.action == "face-dim":
+    else:  # face-dim, is-facet: a malformed --ineq is refused before the points are built
+        ineq = _parse_ineq_arg(args, gs)
         vrep = _vrep_from_args(args, gs)
-        info = face_of(_parse_ineq_arg(args, gs), vrep)
-        _emit({"tight_points": len(info.tight_indices), "dimension": info.dimension})
-    else:  # is-facet
-        vrep = _vrep_from_args(args, gs)
-        _emit({"is_facet": is_facet(_parse_ineq_arg(args, gs), vrep)})
+        if args.action == "face-dim":
+            info = face_of(ineq, vrep)
+            _emit({"tight_points": len(info.tight_indices), "dimension": info.dimension})
+        else:
+            _emit({"is_facet": is_facet(ineq, vrep)})
     return 0
 
 

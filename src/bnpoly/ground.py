@@ -29,11 +29,15 @@ MAX_NODES = 16
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int (not bool) / str ('p/q') / Fraction to an exact Fraction."""
+    """Coerce int (not bool) / str ('p/q') / Fraction to an exact Fraction;
+    a zero denominator is a BnPolyError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise BnPolyError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

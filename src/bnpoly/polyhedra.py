@@ -28,6 +28,7 @@ from .ground import (
     CharVector,
     FamVector,
     GroundSet,
+    as_fraction,
     enumerate_cai,
     enumerate_family_indices,
 )
@@ -159,35 +160,36 @@ def _check_space(objective: FamVector | CharVector, vrep: VRep) -> None:
         raise BnPolyError("objective and V-representation spaces differ")
 
 
-def incidence(
-    inequalities: Sequence[LinearInequality], vrep: VRep
-) -> list[frozenset[int]]:
-    """Indices of the points each inequality is tight at; raises
-    InvalidInequalityError if some point violates an inequality."""
+def incidence(inequalities: Sequence[LinearInequality], vrep: VRep) -> list[int]:
+    """The tight set of each inequality as an int bitmask, bit i set when
+    the inequality is tight at point i; raises InvalidInequalityError if some
+    point violates an inequality."""
     tight_sets = []
     for ineq in inequalities:
         _check_space(ineq.objective, vrep)
         values, bound = integer_values(ineq.objective, ineq.bound, vrep.points)
-        tight = set()
+        tight = 0
         for i, value in enumerate(values):
             if value > bound:
                 raise InvalidInequalityError(
                     f"inequality {ineq.label or ineq} violated at point {i}"
                 )
             if value == bound:
-                tight.add(i)
-        tight_sets.append(frozenset(tight))
+                tight |= 1 << i
+        tight_sets.append(tight)
     return tight_sets
 
 
 def face_of(ineq: LinearInequality, vrep: VRep) -> FaceInfo:
     """Tight points of a valid inequality and the dimension of their affine
     hull (-1 for the empty face); raises if the inequality is violated."""
-    tight = sorted(incidence([ineq], vrep)[0])
+    # the mask's binary digits, lowest bit first: linear in the point count
+    digits = f"{incidence([ineq], vrep)[0]:b}"[::-1]
+    tight = tuple(i for i, digit in enumerate(digits) if digit == "1")
     if not tight:
         return FaceInfo((), -1)
     dim = affine_rank([vrep.points[i] for i in tight]) - 1
-    return FaceInfo(tuple(tight), dim)
+    return FaceInfo(tight, dim)
 
 
 def is_facet(ineq: LinearInequality, vrep: VRep) -> bool:
@@ -301,7 +303,10 @@ def hrep_from_matrix_text(gs: GroundSet, space: str, text: str) -> HRep:
             raise BnPolyError(
                 f"matrix line {lineno}: expected {width} entries, got {len(parts)}"
             )
-        values = [Fraction(p) for p in parts]
+        try:
+            values = [as_fraction(p) for p in parts]
+        except BnPolyError as exc:
+            raise BnPolyError(f"matrix line {lineno}: {exc}") from None
         vec = dense_to_vector(gs, space, index, values[:-1])
         if in_equations:
             equations.append((vec, values[-1]))

@@ -27,6 +27,7 @@ from .ground import (
     bit,
     enumerate_cai,
     enumerate_family_indices,
+    iter_bits,
 )
 from .ineq import (
     LinearInequality,
@@ -217,8 +218,8 @@ def verify_n3(budget: Budget | None = None) -> VerificationReport:
     width = len(cip.index)
     one, zero = cip.points.index((1,) * width), cip.points.index((0,) * width)
     tight_sets = incidence(chull.inequalities, cip)
-    tight_one = sum(one in tight for tight in tight_sets)
-    tight_zero = sum(zero in tight for tight in tight_sets)
+    tight_one = sum(tight >> one & 1 for tight in tight_sets)
+    tight_zero = sum(tight >> zero & 1 for tight in tight_sets)
     report.check("imset facets tight at the all-ones vertex", 5, tight_one, source="published")
     report.check("imset facets tight at the zero vertex", 8, tight_zero, source="published")
 
@@ -258,7 +259,7 @@ def verify_n4(stretch: bool = False, budget: Budget | None = None) -> Verificati
     report.check("characteristic-imset polytope facet count", 154, len(chull.inequalities), source="published")
 
     one = cip.points.index((1,) * len(cip.index))
-    at_one = [one in tight for tight in incidence(chull.inequalities, cip)]
+    at_one = [tight >> one & 1 for tight in incidence(chull.inequalities, cip)]
     tight_one = [q for q, flag in zip(chull.inequalities, at_one) if flag]
     rest = [q for q, flag in zip(chull.inequalities, at_one) if not flag]
     report.check("facets containing the all-ones vertex", 37, len(tight_one), source="published")
@@ -604,23 +605,46 @@ def verify_counterexample() -> VerificationReport:
 # --- pipeline: equivalence-closed faces ------------------------------------------------
 
 
-def all_faces_by_tight_sets(vrep: VRep, hull: HRep | None = None) -> list[frozenset[int]]:
-    """Every nonempty face of conv(points) as a vertex-index set: the whole
-    polytope plus the closure of the facet tight-sets under intersection."""
+def all_faces_by_tight_sets(vrep: VRep, hull: HRep | None = None) -> list[int]:
+    """Every nonempty face of conv(points) as an int bitmask, bit i set when
+    point i lies on the face: the whole polytope plus the closure of the
+    facet tight sets under ``&``.  Faces come by size, then by sorted index
+    list."""
     if hull is None:
         hull = facets_from_vertices(vrep)
-    tight_sets = incidence(hull.inequalities, vrep)
-    everything = frozenset(range(len(vrep.points)))
-    faces = {everything}
-    frontier = [everything]
-    while frontier:
-        face = frontier.pop()
-        for tight in tight_sets:
-            smaller = face & tight
-            if smaller and smaller not in faces:
-                faces.add(smaller)
-                frontier.append(smaller)
-    return sorted(faces, key=lambda f: (len(f), sorted(f)))
+    width = len(vrep.points)
+    # after the k-th tight set, faces holds the & of every subset of the first k
+    faces = {(1 << width) - 1}
+    for tight in incidence(hull.inequalities, vrep):
+        faces |= {face & tight for face in faces}
+    faces.discard(0)
+    # Of two equal-sized masks, the one holding the lowest bit of their xor
+    # has the larger bit-reversed binary string; a stable sort by size follows.
+    by_index = sorted(faces, key=lambda f: f"{f:0{width}b}"[::-1], reverse=True)
+    return sorted(by_index, key=int.bit_count)
+
+
+def _markov_closed(faces: list[int], dags: list[Dag]) -> list[int]:
+    """The faces, bitmasks over the DAG indices, that are closed under Markov
+    equivalence: each class that meets the face, found by its lowest bit
+    left in the face, lies inside it."""
+    cai = enumerate_cai(dags[0].gs)
+    class_masks: dict[tuple, int] = {}
+    for i, g in enumerate(dags):
+        signature = char_bits(g, cai)
+        class_masks[signature] = class_masks.get(signature, 0) | 1 << i
+    class_at = {1 << i: mask for mask in class_masks.values() for i in iter_bits(mask)}
+    closed = []
+    for face in faces:
+        rest = face
+        while rest:
+            members = class_at[rest & -rest]
+            if face & members != members:
+                break
+            rest ^= members
+        else:
+            closed.append(face)
+    return closed
 
 
 @_timed
@@ -628,7 +652,9 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     """Enumerate every face of the three-node family-variable polytope (no
     larger one is feasible), keep those whose DAG sets are closed under Markov
     equivalence, and confirm each admits a score-equivalent defining objective
-    (via the exact-LP face test).  The budget bounds the facet enumeration."""
+    (via the exact-LP face test).  Faces and Markov classes are bitmasks over
+    the DAG indices, and member lists are built only for the closed faces.
+    The budget bounds the facet enumeration."""
     report = VerificationReport("conjecture-n3")
     gs = GroundSet.alpha(3)
     dags = enumerate_dags(gs)
@@ -636,29 +662,17 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     hull = facets_from_vertices(fvp, budget=budget)
     report.check("facet count", 17, len(hull.inequalities))
 
-    cai = enumerate_cai(gs)
-    class_of = {}
-    for i, g in enumerate(dags):
-        class_of[i] = char_bits(g, cai)
     faces = all_faces_by_tight_sets(fvp, hull)
+    closed_faces = _markov_closed(faces, dags)
 
-    closed_faces = []
-    for face in faces:
-        signatures = {class_of[i] for i in face}
-        closure = {i for i in range(len(dags)) if class_of[i] in signatures}
-        if closure == set(face):
-            closed_faces.append(face)
-
-    violations = []
-    for face in closed_faces:
-        graphs = [dags[i] for i in face]
-        ok, _ = is_se_face(graphs, all_dags=dags)
-        if not ok:
-            violations.append(sorted(face))
+    violations = sum(
+        not is_se_face([dags[i] for i in iter_bits(face)], all_dags=dags)[0]
+        for face in closed_faces
+    )
     report.check(
         "equivalence-closed faces that are not SE faces",
         0,
-        len(violations),
+        violations,
         note=f"{len(faces)} faces, {len(closed_faces)} closed under Markov equivalence",
     )
 

@@ -548,3 +548,38 @@ def test_polytope_face_dim_and_is_facet(capsys):
         capsys, "polytope", "is-facet", "--n", "3", "--polytope", "fvp", "--ineq", ineq
     )
     assert json.loads(out)["is_facet"] is True
+
+
+def _zero_denominator_argv(tmp_path, source):
+    if source == "objective":
+        return ("se", "check", "--n", "3", "--objective", '{"a|b": "1/0"}')
+    if source == "matrix":
+        matrix = tmp_path / "zero.txt"
+        matrix.write_text("1/0 0 1\n")
+        return ("polytope", "vertices", "--n", "2", "--space", "fam", "--matrix", str(matrix))
+    points = {"space": "fam", "points": [{"a|b": "1/0"}]}
+    return ("polytope", "hull", "--n", "2", "--points", json.dumps(points))
+
+
+@pytest.mark.parametrize("source", ["objective", "matrix", "points"])
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, source):
+    code, out, err = run_cli(capsys, *_zero_denominator_argv(tmp_path, source))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert "Traceback" not in err
+    if source == "matrix":
+        assert "matrix line 1" in err
+
+
+@pytest.mark.parametrize("action", ["face-dim", "is-facet"])
+def test_malformed_ineq_is_refused_before_the_points_are_built(capsys, monkeypatch, action):
+    def never(*_, **__):
+        raise AssertionError("the points must not be built before --ineq is read")
+
+    monkeypatch.setattr(cli, "cip_vrep", never)
+    monkeypatch.setattr(cli, "fvp_vrep", never)
+    code, out, err = run_cli(
+        capsys, "polytope", action, "--n", "5", "--polytope", "cip", "--ineq", '{"space": "fam"}'
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --ineq")

@@ -73,7 +73,7 @@ def _two_node_relaxation(gs):
 def _sparse_incidence(inequalities, vrep):
     vectors = vrep.vectors()
     return [
-        frozenset(i for i, v in enumerate(vectors) if q.is_tight_at(v))
+        sum(1 << i for i, v in enumerate(vectors) if q.is_tight_at(v))
         for q in inequalities
     ]
 

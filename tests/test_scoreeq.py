@@ -13,6 +13,7 @@ from bnpoly.ground import (
     GroundSet,
     enumerate_cai,
     enumerate_family_indices,
+    iter_bits,
     scalar_product,
 )
 from bnpoly.ineq import cluster_fam
@@ -225,7 +226,8 @@ def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
     cai = enumerate_cai(gs3)
     signature = [char_bits(g, cai) for g in dags]
     closed = []
-    for face in all_faces_by_tight_sets(fvp_vrep(gs3)):
+    for mask in all_faces_by_tight_sets(fvp_vrep(gs3)):
+        face = set(iter_bits(mask))
         classes = {signature[i] for i in face}
         if {i for i, s in enumerate(signature) if s in classes} == face:
             closed.append(face)

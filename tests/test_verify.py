@@ -8,12 +8,13 @@ from bnpoly.dags import Dag, enumerate_dags, equivalence_class
 from bnpoly.dd import Budget
 from bnpoly.encodings import char_bits
 from bnpoly.errors import BudgetExceededError
-from bnpoly.ground import GroundSet, enumerate_cai
+from bnpoly.ground import GroundSet, enumerate_cai, iter_bits
 from bnpoly.polyhedra import facets_from_vertices, fvp_vrep, incidence
 from bnpoly.verify import (
     VerificationReport,
     _dimension_witnesses,
     _fvp_star_summary,
+    _markov_closed,
     all_faces_by_tight_sets,
     verify_counterexample,
     verify_n4,
@@ -150,10 +151,11 @@ def test_face_enumeration_and_non_face_rejection(gs3):
     fvp = fvp_vrep(gs3)
     hull = facets_from_vertices(fvp)
     faces = all_faces_by_tight_sets(fvp, hull)
-    assert frozenset(range(25)) in faces
+    everything = (1 << 25) - 1
+    assert everything in faces
     assert all(faces.count(f) == 1 for f in faces[:10])
     # single vertices are faces
-    sizes = {len(f) for f in faces}
+    sizes = {f.bit_count() for f in faces}
     assert 1 in sizes and 25 in sizes
 
     # the empty-graph class together with the full-graph class is closed
@@ -164,14 +166,53 @@ def test_face_enumeration_and_non_face_rejection(gs3):
     empty = Dag.from_json({"a": "", "b": "", "c": ""}, gs3)
     fulls = equivalence_class(Dag.from_json({"a": "", "b": "a", "c": "ab"}, gs3))
     chosen = fulls | {empty}
-    picked = frozenset(i for i, g in enumerate(dags) if g in chosen)
-    closure = frozenset(range(25))
+    picked = sum(1 << i for i, g in enumerate(dags) if g in chosen)
+    closure = everything
     for tight in incidence(hull.inequalities, fvp):
-        if picked <= tight:
+        if picked & tight == picked:
             closure &= tight
-    assert picked < closure
-    assert closure == frozenset(range(25))
+    assert picked & closure == picked and picked != closure
+    assert closure == everything
     assert picked not in set(faces)
+
+
+def test_face_lattice_masks_match_frozenset_closure(gs3):
+    # oracle: the frontier closure over frozensets, from sparse tight tests
+    fvp = fvp_vrep(gs3)
+    hull = facets_from_vertices(fvp)
+    vectors = fvp.vectors()
+    tight_sets = [
+        frozenset(i for i, v in enumerate(vectors) if q.is_tight_at(v))
+        for q in hull.inequalities
+    ]
+    everything = frozenset(range(len(vectors)))
+    expected = {everything}
+    frontier = [everything]
+    while frontier:
+        face = frontier.pop()
+        for tight in tight_sets:
+            smaller = face & tight
+            if smaller and smaller not in expected:
+                expected.add(smaller)
+                frontier.append(smaller)
+    expected = sorted(expected, key=lambda f: (len(f), sorted(f)))
+
+    masks = all_faces_by_tight_sets(fvp, hull)
+    decoded = [frozenset(iter_bits(m)) for m in masks]
+    assert len(decoded) == 4911
+    assert decoded == expected
+
+    # the Markov-closed faces: the old set-comprehension closure
+    dags = enumerate_dags(gs3)
+    cai = enumerate_cai(gs3)
+    class_of = [char_bits(g, cai) for g in dags]
+    closed = []
+    for face in expected:
+        signatures = {class_of[i] for i in face}
+        if {i for i in range(len(dags)) if class_of[i] in signatures} == set(face):
+            closed.append(face)
+    assert len(closed) == 93
+    assert [frozenset(iter_bits(m)) for m in _markov_closed(masks, dags)] == closed
 
 
 def test_spent_budget_under_stretch_raises():
