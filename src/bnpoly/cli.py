@@ -94,6 +94,14 @@ def _load_json_arg(text: str | None, option: str, kind: type = dict):
     return data
 
 
+def _named(option: str, parse, *args):
+    """``parse(*args)`` on what ``option`` holds; a refusal names the option."""
+    try:
+        return parse(*args)
+    except BnPolyError as exc:
+        raise BnPolyError(f"{option}: {exc}") from None
+
+
 def _field(data: dict, key: str, option: str, kind: type = object):
     """``data[key]``, where ``data`` must be a JSON object holding ``key``
     with a value of type ``kind``."""
@@ -208,13 +216,15 @@ def _cmd_se(args) -> int:
     _refuse_unread(args, f"se {args.action}", _SE_OPTIONS[args.action])
     gs = _gs(args)
     if "--objective" in _SE_OPTIONS[args.action]:
-        obj = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
+        obj = _named(
+            "--objective", fam_from_json, gs, _load_json_arg(args.objective, "--objective")
+        )
     if args.action == "check":
         _emit({"score_equivalent": is_se_objective(obj)})
     elif args.action == "to-char":
         _emit({"vector": char_to_json(char_objective(obj))})
     elif args.action == "from-setfn":
-        m = char_from_json(gs, _load_json_arg(args.setfn, "--setfn"))
+        m = _named("--setfn", char_from_json, gs, _load_json_arg(args.setfn, "--setfn"))
         _emit({"vector": fam_to_json(objective_from_setfn(m))})
     elif args.action == "to-setfn":
         _emit({"vector": char_to_json(setfn_from_objective(obj))})
@@ -230,7 +240,7 @@ def _cmd_se(args) -> int:
 
 def _cmd_supermod(args) -> int:
     gs = _gs(args)
-    m = setfn_from_json(gs, _load_json_arg(args.setfn, "--setfn"))
+    m = _named("--setfn", setfn_from_json, gs, _load_json_arg(args.setfn, "--setfn"))
     if args.action == "check":
         _emit({"supermodular": is_supermodular(m)})
     elif args.action == "extreme":
@@ -294,7 +304,7 @@ def _vrep_from_args(args, gs: GroundSet) -> VRep:
     space, parse = _space_parser(data, "--points")
     index = ambient_index(gs, space)
     points = tuple(
-        tuple(parse(gs, obj)[key] for key in index)
+        tuple(_named("--points", parse, gs, obj)[key] for key in index)
         for obj in _field(data, "points", "--points", list)
     )
     return VRep(space, gs, points)
@@ -304,8 +314,8 @@ def _ineq_from_json(gs: GroundSet, space: str, parse, item, option: str) -> Line
     """One inequality from its JSON object: objective, bound, optional label."""
     return LinearInequality(
         space,
-        parse(gs, _field(item, "objective", option)),
-        rational_from_json(_field(item, "bound", option)),
+        _named(option, parse, gs, _field(item, "objective", option)),
+        _named(option, rational_from_json, _field(item, "bound", option)),
         item.get("label", ""),
     )
 
@@ -322,8 +332,8 @@ def _hrep_from_args(args, gs: GroundSet) -> HRep:
     )
     equations = tuple(
         (
-            parse(gs, _field(item, "objective", "--hrep")),
-            rational_from_json(_field(item, "rhs", "--hrep")),
+            _named("--hrep", parse, gs, _field(item, "objective", "--hrep")),
+            _named("--hrep", rational_from_json, _field(item, "rhs", "--hrep")),
         )
         for item in (_field(data, "equations", "--hrep", list) if "equations" in data else [])
     )
@@ -400,7 +410,9 @@ def _cmd_export_lp(args) -> int:
     gs = _gs(args)
     objective = None
     if args.objective:
-        objective = fam_from_json(gs, _load_json_arg(args.objective, "--objective"))
+        objective = _named(
+            "--objective", fam_from_json, gs, _load_json_arg(args.objective, "--objective")
+        )
     if args.clusters == "all":
         clusters = cluster_pairs(gs)
     elif args.clusters == "none":

@@ -10,9 +10,9 @@ cross-checked in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import product
 from math import comb
-from typing import Iterable, Sequence
 
 from .errors import BnPolyError, BudgetExceededError, IndexFamilyMismatchError
 from .ground import GroundSet, bit, iter_bits, submasks

@@ -38,7 +38,7 @@ a cover, so every pair gets the same answer as a scan over all rays.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .linalg import integer_row, primitive

@@ -14,12 +14,17 @@ Extension conventions are baked into reads: a ``FamVector`` yields 0 at any
 (node, empty set) coordinate and a ``CharVector`` yields 0 on subsets of size
 <= 1, so downstream formulas need no special cases.  Vectors are immutable
 after construction and store only nonzero coordinates (absent means zero).
+
+:class:`Record` and :class:`FrozenRecord` are the bases of the package's
+value classes (inequalities, representations, LP results, reports): plain
+classes with field-wise ``==`` and ``repr``, so importing the package loads
+no ``dataclasses``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
 
 from .errors import BnPolyError, IndexFamilyMismatchError
 
@@ -30,7 +35,7 @@ MAX_NODES = 16
 
 def as_fraction(value) -> Fraction:
     """Coerce int (not bool) / str ('p/q') / Fraction to an exact Fraction;
-    a zero denominator is a BnPolyError."""
+    a zero denominator or malformed text is a BnPolyError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
@@ -38,6 +43,8 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise BnPolyError(f"zero denominator in {value!r}") from None
+        except ValueError:
+            raise BnPolyError(f"malformed rational {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -61,6 +68,39 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+class Record:
+    """A plain value class: ``==`` and ``repr`` read the attributes named in
+    ``_fields``, in that order.  Mutable, so unhashable."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({body})"
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` whose fields cannot be reassigned or deleted, hashed
+    by their values.  ``__init__`` sets them through ``self.__dict__``."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class GroundSet:

@@ -13,18 +13,18 @@ them), maps its keys through a table of permuted masks (n! * 2^n ints per n,
 built on first use), keeps each image whose integer key is new, and rebuilds
 the members from the input's own coefficients.  ``canonical_key`` comes from
 the same integer form.  A catalog type is translated into family variables
-once, by :func:`fam_from_char_ineq`; since the translation commutes with
-relabeling, each member's translation is the representative's, relabeled by
-the permutation that made the member.
+once, by :func:`fam_from_char_ineq`, on the first read of
+``CatalogEntry.fam_ineq``; since the translation commutes with relabeling,
+each member's translation is the representative's, relabeled by the
+permutation that made the member.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from fractions import Fraction
-from functools import lru_cache
-from importlib import resources
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import comb, gcd
 
@@ -32,6 +32,7 @@ from .errors import BnPolyError
 from .ground import (
     CharVector,
     FamVector,
+    FrozenRecord,
     GroundSet,
     ZERO,
     as_fraction,
@@ -50,19 +51,17 @@ from .scoreeq import moebius_up, objective_from_setfn
 from .supermod import check_cluster
 
 
-@dataclass(frozen=True)
-class LinearInequality:
+class LinearInequality(FrozenRecord):
     """<objective, x> <= bound over family or characteristic coordinates."""
 
-    space: str
-    objective: FamVector | CharVector
-    bound: Fraction
-    label: str = ""
+    _fields = ("space", "objective", "bound", "label")
 
-    def __post_init__(self):
-        if self.space != self.objective.space:
+    def __init__(self, space: str, objective: FamVector | CharVector, bound, label: str = ""):
+        if space != objective.space:
             raise BnPolyError("inequality space tag does not match its objective")
-        object.__setattr__(self, "bound", as_fraction(self.bound))
+        self.__dict__.update(
+            space=space, objective=objective, bound=as_fraction(bound), label=label
+        )
 
     @property
     def gs(self) -> GroundSet:
@@ -78,8 +77,9 @@ class LinearInequality:
         return self.value_at(x) == self.bound
 
     def __str__(self) -> str:
-        """Key form, e.g. ``a|b + b|a <= 1/2``; the dataclass repr when the
-        node labels are not single characters (text keys need them)."""
+        """Key form, e.g. ``a|b + b|a <= 1/2``; the repr, which lists the
+        four fields, when the node labels are not single characters (text
+        keys need them)."""
         if any(len(lab) != 1 for lab in self.gs.labels):
             return repr(self)
         key = fam_key if self.space == "fam" else subset_key
@@ -276,17 +276,47 @@ def binomial_identity(s: int, k: int, K: int) -> tuple[int, int]:
 # --- golden catalogs ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    type_id: str
-    char_ineq: LinearInequality
-    fam_ineq: LinearInequality
-    char_orbit: tuple[LinearInequality, ...]
-    relabelings: tuple[tuple[int, ...], ...]  # mask images making each member
-    expected_orbit_size: int
-    kind: str  # "cluster" | "noncluster" | "specific"
-    cluster: tuple[int, int] | None = None  # (cluster mask, level)
-    certificate: dict | None = None  # conic-combination data, where applicable
+class CatalogEntry(FrozenRecord):
+    """One permutation type of a four-node catalog: its representative, the
+    orbit members and the relabelings that make them."""
+
+    _fields = (
+        "type_id",
+        "char_ineq",
+        "char_orbit",
+        "relabelings",
+        "expected_orbit_size",
+        "kind",
+        "cluster",
+        "certificate",
+    )
+
+    def __init__(
+        self,
+        type_id: str,
+        char_ineq: LinearInequality,
+        char_orbit: tuple[LinearInequality, ...],
+        relabelings: tuple[tuple[int, ...], ...],  # mask images making each member
+        expected_orbit_size: int,
+        kind: str,  # "cluster" | "noncluster" | "specific"
+        cluster: tuple[int, int] | None = None,  # (cluster mask, level)
+        certificate: dict | None = None,  # conic-combination data, where applicable
+    ):
+        self.__dict__.update(
+            type_id=type_id,
+            char_ineq=char_ineq,
+            char_orbit=char_orbit,
+            relabelings=relabelings,
+            expected_orbit_size=expected_orbit_size,
+            kind=kind,
+            cluster=cluster,
+            certificate=certificate,
+        )
+
+    @cached_property
+    def fam_ineq(self) -> LinearInequality:
+        """``fam_from_char_ineq`` of the representative, made on first read."""
+        return fam_from_char_ineq(self.char_ineq)
 
     def fam_orbit(self) -> list[LinearInequality]:
         """``fam_from_char_ineq`` of each orbit member, in orbit order.  The
@@ -296,7 +326,7 @@ class CatalogEntry:
 
 
 def _load_data(name: str) -> dict:
-    with resources.files("bnpoly.data").joinpath(name).open("r") as handle:
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as handle:
         return json.load(handle)
 
 
@@ -318,7 +348,6 @@ def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry
     return CatalogEntry(
         type_id=record["type_id"],
         char_ineq=char_ineq,
-        fam_ineq=fam_from_char_ineq(char_ineq),
         char_orbit=tuple(_relabeled(char_ineq, row) for row in rows),
         relabelings=tuple(rows),
         expected_orbit_size=record["count"],
@@ -351,12 +380,19 @@ def catalog_specific_n4() -> tuple[CatalogEntry, ...]:
     return _build_catalog("specific_facets_n4.json", "specific", 117, "specific")
 
 
-@dataclass(frozen=True)
-class CounterexampleConstants:
-    char_ineq: LinearInequality  # valid over characteristic imsets, bound 16
-    fam_ineq: LinearInequality  # its family-variable translation
-    objective: FamVector  # the fam-mode objective of that translation
-    centroid: FamVector  # uniform combination of the 153 tight DAG codes
+class CounterexampleConstants(FrozenRecord):
+    _fields = ("char_ineq", "fam_ineq", "objective", "centroid")
+
+    def __init__(
+        self,
+        char_ineq: LinearInequality,  # valid over characteristic imsets, bound 16
+        fam_ineq: LinearInequality,  # its family-variable translation
+        objective: FamVector,  # the fam-mode objective of that translation
+        centroid: FamVector,  # uniform combination of the 153 tight DAG codes
+    ):
+        self.__dict__.update(
+            char_ineq=char_ineq, fam_ineq=fam_ineq, objective=objective, centroid=centroid
+        )
 
 
 @lru_cache(maxsize=1)

@@ -16,8 +16,8 @@ input never creates a ``Fraction``; rows of unequal length raise
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 
 def integer_row(row: Sequence) -> tuple[list[int], int]:

@@ -11,9 +11,8 @@ coordinate back to points.  Linear programs run on the exact simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .dags import Dag, enumerate_dags
 from .dd import Budget, extreme_rays
@@ -27,6 +26,7 @@ from .errors import (
 from .ground import (
     CharVector,
     FamVector,
+    FrozenRecord,
     GroundSet,
     as_fraction,
     enumerate_cai,
@@ -54,20 +54,18 @@ def dense_to_vector(gs: GroundSet, space: str, index: Sequence, values: Sequence
     return cls(gs, {k: v for k, v in zip(index, values) if v})
 
 
-@dataclass(frozen=True)
-class VRep:
+class VRep(FrozenRecord):
     """Polytope as a list of distinct rational points in fam or char space."""
 
-    space: str
-    gs: GroundSet
-    points: tuple[tuple, ...]
+    _fields = ("space", "gs", "points")
 
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, space: str, gs: GroundSet, points: tuple[tuple, ...]):
+        if len(set(points)) != len(points):
             raise BnPolyError("V-representation points must be distinct")
-        width = len(ambient_index(self.gs, self.space))
-        if any(len(p) != width for p in self.points):
+        width = len(ambient_index(gs, space))
+        if any(len(p) != width for p in points):
             raise BnPolyError("point width does not match the ambient index family")
+        self.__dict__.update(space=space, gs=gs, points=points)
 
     @property
     def index(self) -> list:
@@ -78,19 +76,22 @@ class VRep:
         return [dense_to_vector(self.gs, self.space, index, p) for p in self.points]
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(FrozenRecord):
     """Polyhedron as valid inequalities plus affine-hull equations."""
 
-    space: str
-    gs: GroundSet
-    inequalities: tuple[LinearInequality, ...]
-    equations: tuple[tuple, ...] = ()  # (objective vector, rhs) pairs
+    _fields = ("space", "gs", "inequalities", "equations")
 
-    def __post_init__(self):
-        for ineq in self.inequalities:
-            if ineq.space != self.space or ineq.gs != self.gs:
+    def __init__(
+        self,
+        space: str,
+        gs: GroundSet,
+        inequalities: tuple[LinearInequality, ...],
+        equations: tuple[tuple, ...] = (),  # (objective vector, rhs) pairs
+    ):
+        for ineq in inequalities:
+            if ineq.space != space or ineq.gs != gs:
                 raise BnPolyError("inequality does not match the H-representation space")
+        self.__dict__.update(space=space, gs=gs, inequalities=inequalities, equations=equations)
 
     @property
     def index(self) -> list:
@@ -135,10 +136,11 @@ def cip_vrep(gs: GroundSet) -> VRep:
     return VRep("char", gs, tuple(points))
 
 
-@dataclass(frozen=True)
-class FaceInfo:
-    tight_indices: tuple[int, ...]
-    dimension: int
+class FaceInfo(FrozenRecord):
+    _fields = ("tight_indices", "dimension")
+
+    def __init__(self, tight_indices: tuple[int, ...], dimension: int):
+        self.__dict__.update(tight_indices=tight_indices, dimension=dimension)
 
 
 def integer_values(

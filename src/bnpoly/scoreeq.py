@@ -29,8 +29,8 @@ polytope.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .dags import Dag, enumerate_dags
 from .errors import BnPolyError, BudgetExceededError, NotScoreEquivalentError

@@ -44,26 +44,35 @@ so on integer input it creates no ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .errors import BnPolyError
-from .ground import as_fraction
+from .ground import Record, as_fraction
 from .linalg import integer_row
 
 _ZERO = Fraction(0)
 
 
-@dataclass
-class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    objective: Fraction | None = None
-    x: tuple[Fraction, ...] | None = None
-    dual_ub: tuple[Fraction, ...] | None = None
-    dual_eq: tuple[Fraction, ...] | None = None
-    pivots: tuple[int, int] = (0, 0)  # (phase 1, phase 2)
+class LpResult(Record):
+    _fields = ("status", "objective", "x", "dual_ub", "dual_eq", "pivots")
+
+    def __init__(
+        self,
+        status: str,  # "optimal" | "infeasible" | "unbounded"
+        objective: Fraction | None = None,
+        x: tuple[Fraction, ...] | None = None,
+        dual_ub: tuple[Fraction, ...] | None = None,
+        dual_eq: tuple[Fraction, ...] | None = None,
+        pivots: tuple[int, int] = (0, 0),  # (phase 1, phase 2)
+    ):
+        self.status = status
+        self.objective = objective
+        self.x = x
+        self.dual_ub = dual_ub
+        self.dual_eq = dual_eq
+        self.pivots = pivots
 
 
 def solve_lp(

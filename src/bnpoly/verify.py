@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -24,6 +23,7 @@ from .ground import (
     CharVector,
     FamVector,
     GroundSet,
+    Record,
     bit,
     enumerate_cai,
     enumerate_family_indices,
@@ -60,15 +60,26 @@ from .supermod import cluster_pairs, is_extreme
 # --- reports -------------------------------------------------------------------
 
 
-@dataclass
-class Check:
-    description: str
-    expected: object
-    observed: object
-    passed: bool
-    skipped: bool = False
-    note: str = ""
-    source: str = ""  # provenance of the expected value: published | derived
+class Check(Record):
+    _fields = ("description", "expected", "observed", "passed", "skipped", "note", "source")
+
+    def __init__(
+        self,
+        description: str,
+        expected: object,
+        observed: object,
+        passed: bool,
+        skipped: bool = False,
+        note: str = "",
+        source: str = "",  # provenance of the expected value: published | derived
+    ):
+        self.description = description
+        self.expected = expected
+        self.observed = observed
+        self.passed = passed
+        self.skipped = skipped
+        self.note = note
+        self.source = source
 
     def to_json(self) -> dict:
         out = {
@@ -94,11 +105,13 @@ def _jsonable(value):
     return value
 
 
-@dataclass
-class VerificationReport:
-    name: str
-    checks: list[Check] = field(default_factory=list)
-    elapsed: float = 0.0
+class VerificationReport(Record):
+    _fields = ("name", "checks", "elapsed")
+
+    def __init__(self, name: str, checks: list[Check] | None = None, elapsed: float = 0.0):
+        self.name = name
+        self.checks = [] if checks is None else checks
+        self.elapsed = elapsed
 
     def check(
         self, description: str, expected, observed, note: str = "", source: str = "derived"

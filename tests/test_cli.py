@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -569,6 +572,66 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, source):
     assert "Traceback" not in err
     if source == "matrix":
         assert "matrix line 1" in err
+
+
+_MALFORMED_RATIONAL = {
+    "matrix": (
+        ("polytope", "vertices", "--n", "2", "--space", "fam", "--matrix", "MATRIX"),
+        "matrix line 1: malformed rational 'x'",
+    ),
+    "objective": (
+        ("se", "check", "--n", "3", "--objective", '{"a|b": "1/x"}'),
+        "--objective: malformed rational '1/x'",
+    ),
+    "points": (
+        ("polytope", "hull", "--n", "2", "--points", '{"space": "fam", "points": [{"a|b": "x"}]}'),
+        "--points: malformed rational 'x'",
+    ),
+    "ineq": (
+        (
+            "polytope", "face-dim", "--n", "2", "--polytope", "fvp",
+            "--ineq", '{"space": "fam", "objective": {"a|b": 1}, "bound": "1/x"}',
+        ),
+        "--ineq: malformed rational '1/x'",
+    ),
+    "hrep": (
+        (
+            "polytope", "vertices", "--n", "2", "--hrep",
+            '{"space": "fam", "inequalities": [], '
+            '"equations": [{"objective": {"b|a": "y"}, "rhs": 0}]}',
+        ),
+        "--hrep: malformed rational 'y'",
+    ),
+    "setfn": (
+        ("supermod", "check", "--n", "3", "--setfn", '{"ab": "q"}'),
+        "--setfn: malformed rational 'q'",
+    ),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_MALFORMED_RATIONAL))
+def test_malformed_rational_names_its_source(tmp_path, capsys, source):
+    argv, message = _MALFORMED_RATIONAL[source]
+    matrix = tmp_path / "malformed.txt"
+    matrix.write_text("1/2 x 1\n")
+    argv = [str(matrix) if arg == "MATRIX" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # python -S: no site-packages .pth file can load these first
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    heavy = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib"]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bnpoly.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("action", ["face-dim", "is-facet"])

@@ -36,7 +36,7 @@ from bnpoly.ineq import (
 from bnpoly.scoreeq import char_objective, is_se_objective
 from bnpoly.supermod import cluster_pairs, cluster_supermodular
 from bnpoly.scoreeq import objective_from_setfn
-from bnpoly.verify import _n4_catalog_fam_rows, verify_theorem3
+from bnpoly.verify import _n4_catalog_fam_rows, verify_n4, verify_theorem3
 
 
 def test_nonneg_constraints(gs3, gs4):
@@ -393,7 +393,9 @@ def test_catalog_orbits_and_translations_pinned():
     } == _CATALOG_SHA256
 
 
-def test_cold_theorem3_n4_translates_each_type_once(monkeypatch):
+def _cold_translations(monkeypatch, run) -> int:
+    """The number of ``fam_from_char_ineq`` calls ``run()`` makes with both
+    four-node catalogs built afresh."""
     import bnpoly.ineq as ineq_module
     import bnpoly.verify as verify_module
 
@@ -408,14 +410,34 @@ def test_cold_theorem3_n4_translates_each_type_once(monkeypatch):
     catalog_se_n4.cache_clear()
     catalog_specific_n4.cache_clear()
     try:
-        report = verify_theorem3(4, trials=1)
+        run()
     finally:
         catalog_se_n4.cache_clear()
         catalog_specific_n4.cache_clear()
-    assert report.passed
+    return counts["fam_from_char_ineq"]
+
+
+def test_cold_theorem3_n4_translates_each_type_once(monkeypatch):
+    reports = []
+    count = _cold_translations(monkeypatch, lambda: reports.append(verify_theorem3(4, trials=1)))
+    assert reports[0].passed
     # 10 + 20 catalog types, one translation each; no orbit member is
     # translated on its own
-    assert counts["fam_from_char_ineq"] <= 30
+    assert count <= 30
+
+
+@pytest.mark.parametrize(
+    "run, translations",
+    [
+        (lambda: (catalog_se_n4(), catalog_specific_n4()), 0),
+        (verify_n4, 0),
+        # the 10 SE types and the bound-1 specific type
+        (lambda: verify_theorem3(4, trials=1), 11),
+    ],
+    ids=["catalogs", "verify-n4", "theorem3-n4"],
+)
+def test_catalog_types_are_translated_on_first_read(monkeypatch, run, translations):
+    assert _cold_translations(monkeypatch, run) == translations
 
 
 def test_counterexample_constants():
@@ -472,6 +494,21 @@ def test_text_form_uses_keys(gs3):
     wide = GroundSet(["x1", "y"])
     q = LinearInequality("fam", FamVector(wide, {(0, 0b10): 1}), 1)
     assert str(q) == repr(q)
+
+
+def test_text_form_over_wide_labels_lists_the_fields():
+    # the text the dataclass repr printed, before LinearInequality became a
+    # plain class
+    wide = GroundSet(["x1", "y"])
+    fam = FamVector(wide, {(0, 0b10): 1, (1, 0b01): Fraction(-3, 2)})
+    assert str(LinearInequality("fam", fam, Fraction(1, 2), "cut")) == (
+        "LinearInequality(space='fam', objective=FamVector({(0, 2): 1, (1, 1): -3/2}), "
+        "bound=Fraction(1, 2), label='cut')"
+    )
+    assert str(LinearInequality("char", CharVector(GroundSet(["p", "q", "rs"]), {0b11: 2}), 0)) == (
+        "LinearInequality(space='char', objective=CharVector({3: 2}), "
+        "bound=Fraction(0, 1), label='')"
+    )
 
 
 def test_export_lp_text(gs3):

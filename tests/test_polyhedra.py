@@ -306,3 +306,51 @@ def test_matrix_text_equations_and_comments(gs3):
     assert [q.bound for q in parsed.inequalities] == [q.bound for q in hull.inequalities]
     assert parsed.equations == hull.equations
     assert hrep_to_matrix_text(parsed) == text
+
+
+def _value_cases():
+    """(instance, an equal one, an unequal one, field names) per frozen
+    value class."""
+    gs = GroundSet(["x1", "y"])
+    fam = FamVector(gs, {(0, 0b10): 1})
+    q = LinearInequality("fam", fam, Fraction(1, 2), "cut")
+    points = ((0, 0), (1, 0))
+    return {
+        "LinearInequality": (
+            q,
+            LinearInequality("fam", FamVector(gs, {(0, 0b10): 1}), "1/2", "cut"),
+            LinearInequality("fam", fam, Fraction(1, 2)),
+            ("space", "objective", "bound", "label"),
+        ),
+        "VRep": (
+            VRep("fam", gs, points),
+            VRep("fam", GroundSet(["y", "x1"]), ((0, 0), (1, 0))),
+            VRep("fam", gs, points[:1]),
+            ("space", "gs", "points"),
+        ),
+        "HRep": (
+            HRep("fam", gs, (q,)),
+            HRep("fam", gs, (LinearInequality("fam", fam, Fraction(1, 2), "cut"),), ()),
+            HRep("fam", gs, (q,), ((fam, 1),)),
+            ("space", "gs", "inequalities", "equations"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["LinearInequality", "VRep", "HRep"])
+def test_value_classes_compare_hash_and_refuse_assignment(name):
+    value, same, other, fields = _value_cases()[name]
+    assert value == same and not value != same
+    assert value != other
+    # equal values hash alike, and the hash is that of the field tuple
+    assert hash(value) == hash(same)
+    assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
+    assert {value, same, other} == {value, other}
+    # only an instance of the same class compares equal
+    assert value != tuple(getattr(value, f) for f in fields)
+    for f in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{f}'"):
+            setattr(value, f, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{f}'"):
+            delattr(value, f)
+    assert value == same

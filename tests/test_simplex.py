@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ from bnpoly.errors import BnPolyError
 from bnpoly.ground import FamVector, GroundSet
 from bnpoly.ineq import LinearInequality, modified_convexity, nonneg_constraints
 from bnpoly.polyhedra import HRep, max_over_vertices, vertices_from_inequalities
-from bnpoly.simplex import _check_certificate, solve_lp
+from bnpoly.simplex import LpResult, _check_certificate, solve_lp
 from bnpoly.verify import (
     _n4_catalog_fam_rows,
     _random_se_objective,
@@ -289,7 +288,7 @@ def test_certificate_check_refuses_tampered_results(name):
     result = solve_lp(**lp)
     _check_certificate(*args, result)  # the untouched result passes
     with pytest.raises(BnPolyError, match=message):
-        _check_certificate(*args, dataclasses.replace(result, **tampering))
+        _check_certificate(*args, LpResult(**{**vars(result), **tampering}))
 
 
 def _lp_results(monkeypatch, run):
