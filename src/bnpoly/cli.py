@@ -26,13 +26,9 @@ from .ground import (
     CharVector,
     FamVector,
     GroundSet,
-    char_from_json,
-    char_to_json,
-    fam_from_json,
-    fam_to_json,
+    SetFunction,
     rational_from_json,
-    setfn_from_json,
-    setfn_to_json,
+    vector_class,
 )
 from .ineq import (
     catalog_se_n4,
@@ -45,7 +41,6 @@ from .ineq import (
 from .polyhedra import (
     HRep,
     VRep,
-    ambient_index,
     cip_vrep,
     face_of,
     facets_from_vertices,
@@ -114,30 +109,19 @@ def _field(data: dict, key: str, option: str, kind: type = object):
     return data[key]
 
 
-def _space_parser(data: dict, option: str):
-    """The coordinate space a JSON document names, with its vector parser."""
-    space = _field(data, "space", option)
-    if space not in ("fam", "char"):
-        raise BnPolyError(f"{option}: space must be 'fam' or 'char', got {space!r}")
-    return space, fam_from_json if space == "fam" else char_from_json
+def _space_class(data: dict, option: str) -> type:
+    """The vector class of the coordinate space a JSON document names."""
+    return _named(option, vector_class, _field(data, "space", option))
 
 
 def _gs(args) -> GroundSet:
     return GroundSet.alpha(args.n)
 
 
-def _vector_json(vec) -> dict:
-    if isinstance(vec, FamVector):
-        return fam_to_json(vec)
-    if isinstance(vec, CharVector):
-        return char_to_json(vec)
-    return setfn_to_json(vec)
-
-
 def _ineq_json(q: LinearInequality) -> dict:
     return {
         "space": q.space,
-        "objective": _vector_json(q.objective),
+        "objective": q.objective.to_json(),
         "bound": str(q.bound),
         "label": q.label,
     }
@@ -173,11 +157,12 @@ def _budget(args) -> Budget | None:
 def _cmd_encode(args) -> int:
     graph = Dag.from_json(_load_json_arg(args.dag, "--dag"))
     if args.as_ == "fam":
-        _emit({"kind": "fam", "vector": fam_to_json(fam_vector(graph))})
+        vec = fam_vector(graph)
     elif args.as_ == "char":
-        _emit({"kind": "char", "vector": char_to_json(char_from_fam(fam_vector(graph)))})
+        vec = char_from_fam(fam_vector(graph))
     else:
-        _emit({"kind": "standard", "vector": setfn_to_json(standard_imset(graph))})
+        vec = standard_imset(graph)
+    _emit({"kind": args.as_, "vector": vec.to_json()})
     return 0
 
 
@@ -217,30 +202,30 @@ def _cmd_se(args) -> int:
     gs = _gs(args)
     if "--objective" in _SE_OPTIONS[args.action]:
         obj = _named(
-            "--objective", fam_from_json, gs, _load_json_arg(args.objective, "--objective")
+            "--objective", FamVector.from_json, gs, _load_json_arg(args.objective, "--objective")
         )
     if args.action == "check":
         _emit({"score_equivalent": is_se_objective(obj)})
     elif args.action == "to-char":
-        _emit({"vector": char_to_json(char_objective(obj))})
+        _emit({"vector": char_objective(obj).to_json()})
     elif args.action == "from-setfn":
-        m = _named("--setfn", char_from_json, gs, _load_json_arg(args.setfn, "--setfn"))
-        _emit({"vector": fam_to_json(objective_from_setfn(m))})
+        m = _named("--setfn", CharVector.from_json, gs, _load_json_arg(args.setfn, "--setfn"))
+        _emit({"vector": objective_from_setfn(m).to_json()})
     elif args.action == "to-setfn":
-        _emit({"vector": char_to_json(setfn_from_objective(obj))})
+        _emit({"vector": setfn_from_objective(obj).to_json()})
     else:  # is-face
         graphs = [Dag.from_json(obj, gs) for obj in _load_json_arg(args.dags, "--dags", list)]
         ok, witness = is_se_face(graphs)
         payload = {"is_face": ok}
         if witness is not None:
-            payload["witness"] = fam_to_json(witness)
+            payload["witness"] = witness.to_json()
         _emit(payload)
     return 0
 
 
 def _cmd_supermod(args) -> int:
     gs = _gs(args)
-    m = _named("--setfn", setfn_from_json, gs, _load_json_arg(args.setfn, "--setfn"))
+    m = _named("--setfn", SetFunction.from_json, gs, _load_json_arg(args.setfn, "--setfn"))
     if args.action == "check":
         _emit({"supermodular": is_supermodular(m)})
     elif args.action == "extreme":
@@ -253,7 +238,7 @@ def _cmd_supermod(args) -> int:
             ]
         })
     else:  # dual
-        _emit({"vector": setfn_to_json(duality_transform(m))})
+        _emit({"vector": duality_transform(m).to_json()})
     return 0
 
 
@@ -273,7 +258,7 @@ def _cmd_ineq(args) -> int:
         C = gs.mask_of(args.C)
         build = cluster_char if args.mode == "char" else cluster_fam
         q = build(gs, C, 1 if args.k is None else args.k)
-        _emit({"objective": _vector_json(q.objective), "bound": str(q.bound)})
+        _emit({"objective": q.objective.to_json(), "bound": str(q.bound)})
     else:  # catalog
         if args.which is None:
             raise BnPolyError("--which is required: se4 or specific4")
@@ -301,20 +286,19 @@ def _vrep_from_args(args, gs: GroundSet) -> VRep:
     if args.polytope == "cip":
         return cip_vrep(gs)
     data = _load_json_arg(args.points, "--polytope or --points")
-    space, parse = _space_parser(data, "--points")
-    index = ambient_index(gs, space)
+    cls = _space_class(data, "--points")
+    index = cls.index(gs)
     points = tuple(
-        tuple(_named("--points", parse, gs, obj)[key] for key in index)
+        _named("--points", cls.from_json, gs, obj).dense(index)
         for obj in _field(data, "points", "--points", list)
     )
-    return VRep(space, gs, points)
+    return VRep(cls.space, gs, points)
 
 
-def _ineq_from_json(gs: GroundSet, space: str, parse, item, option: str) -> LinearInequality:
+def _ineq_from_json(gs: GroundSet, cls: type, item, option: str) -> LinearInequality:
     """One inequality from its JSON object: objective, bound, optional label."""
     return LinearInequality(
-        space,
-        _named(option, parse, gs, _field(item, "objective", option)),
+        _named(option, cls.from_json, gs, _field(item, "objective", option)),
         _named(option, rational_from_json, _field(item, "bound", option)),
         item.get("label", ""),
     )
@@ -325,24 +309,24 @@ def _hrep_from_args(args, gs: GroundSet) -> HRep:
         with open(args.matrix) as handle:
             return hrep_from_matrix_text(gs, args.space or "fam", handle.read())
     data = _load_json_arg(args.hrep, "--matrix or --hrep")
-    space, parse = _space_parser(data, "--hrep")
+    cls = _space_class(data, "--hrep")
     rows = tuple(
-        _ineq_from_json(gs, space, parse, item, "--hrep")
+        _ineq_from_json(gs, cls, item, "--hrep")
         for item in _field(data, "inequalities", "--hrep", list)
     )
     equations = tuple(
         (
-            _named("--hrep", parse, gs, _field(item, "objective", "--hrep")),
+            _named("--hrep", cls.from_json, gs, _field(item, "objective", "--hrep")),
             _named("--hrep", rational_from_json, _field(item, "rhs", "--hrep")),
         )
         for item in (_field(data, "equations", "--hrep", list) if "equations" in data else [])
     )
-    return HRep(space, gs, rows, equations)
+    return HRep(cls.space, gs, rows, equations)
 
 
 def _parse_ineq_arg(args, gs: GroundSet) -> LinearInequality:
     data = _load_json_arg(args.ineq, "--ineq")
-    return _ineq_from_json(gs, *_space_parser(data, "--ineq"), data, "--ineq")
+    return _ineq_from_json(gs, _space_class(data, "--ineq"), data, "--ineq")
 
 
 # The polytope actions and the options each reads; any other one given is
@@ -383,7 +367,7 @@ def _cmd_polytope(args) -> int:
             "space": hull.space,
             "facets": [_ineq_json(q) for q in hull.inequalities],
             "equations": [
-                {"objective": _vector_json(vec), "rhs": str(rhs)}
+                {"objective": vec.to_json(), "rhs": str(rhs)}
                 for vec, rhs in hull.equations
             ],
         })
@@ -393,7 +377,7 @@ def _cmd_polytope(args) -> int:
         _emit({
             "space": vrep.space,
             "count": len(vrep.points),
-            "vertices": [_vector_json(vec) for vec in vrep.vectors()],
+            "vertices": [vec.to_json() for vec in vrep.vectors()],
         })
     else:  # face-dim, is-facet: a malformed --ineq is refused before the points are built
         ineq = _parse_ineq_arg(args, gs)
@@ -411,7 +395,7 @@ def _cmd_export_lp(args) -> int:
     objective = None
     if args.objective:
         objective = _named(
-            "--objective", fam_from_json, gs, _load_json_arg(args.objective, "--objective")
+            "--objective", FamVector.from_json, gs, _load_json_arg(args.objective, "--objective")
         )
     if args.clusters == "all":
         clusters = cluster_pairs(gs)

@@ -15,6 +15,10 @@ Extension conventions are baked into reads: a ``FamVector`` yields 0 at any
 <= 1, so downstream formulas need no special cases.  Vectors are immutable
 after construction and store only nonzero coordinates (absent means zero).
 
+Each vector class owns its index family (``index``), its text keys (``"a|bc"``,
+``"abc"``) and its JSON form (``to_json``/``from_json``, rationals as "p/q");
+:func:`vector_class` turns a space tag ("fam" or "char") into its class.
+
 :class:`Record` and :class:`FrozenRecord` are the bases of the package's
 value classes (inequalities, representations, LP results, reports): plain
 classes with field-wise ``==`` and ``repr``, so importing the package loads
@@ -147,10 +151,6 @@ class GroundSet:
         self.check_mask(mask)
         return "".join(self.labels[i] for i in iter_bits(mask))
 
-    def members(self, mask: int) -> tuple[str, ...]:
-        self.check_mask(mask)
-        return tuple(self.labels[i] for i in iter_bits(mask))
-
     def check_mask(self, mask: int) -> None:
         if not 0 <= mask <= self.full_mask:
             raise BnPolyError(f"mask {mask} out of range for n={self.n}")
@@ -194,7 +194,9 @@ def _same_family(x: "_Vector", y: "_Vector") -> None:
 
 
 class _Vector:
-    """Sparse exact-rational vector; absent coordinates read as zero."""
+    """Sparse exact-rational vector; absent coordinates read as zero.  The
+    JSON codec reads and writes keys through the subclass's ``parse_key``
+    and ``key_text``."""
 
     __slots__ = ("gs", "_c")
     space: str = ""
@@ -217,6 +219,35 @@ class _Vector:
     @staticmethod
     def _check_key(gs: GroundSet, key) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
+
+    def to_json(self) -> dict[str, str]:
+        """Text key -> "p/q" string, in the class's key order; text keys
+        need single-character node labels."""
+        if any(len(lab) != 1 for lab in self.gs.labels):
+            raise BnPolyError("text keys need single-character node labels")
+        return {self.key_text(self.gs, k): str(v) for k, v in self.sorted_items()}
+
+    @classmethod
+    def from_json(cls, gs: GroundSet, obj):
+        """The vector a JSON object of text keys and rationals describes; two
+        texts naming one coordinate are refused, whatever their values."""
+        if not isinstance(obj, Mapping):
+            raise BnPolyError(f"a vector must be a JSON object, got {obj!r}")
+        if any(len(lab) != 1 for lab in gs.labels):
+            raise BnPolyError("text keys need single-character node labels")
+        texts: dict = {}
+        coords = []
+        for text, value in obj.items():
+            key = cls.parse_key(gs, text)
+            if key in texts:
+                raise BnPolyError(f"keys {texts[key]!r} and {text!r} name the same coordinate")
+            texts[key] = text
+            coords.append((key, rational_from_json(value)))
+        return cls(gs, coords)
+
+    def dense(self, index: Iterable) -> tuple:
+        """The coordinates at the keys of ``index``, in its order."""
+        return tuple([self._c.get(key, ZERO) for key in index])
 
     def __getitem__(self, key) -> Fraction:
         return self._c.get(key, ZERO)
@@ -281,13 +312,15 @@ class _Vector:
 
 
 class FamVector(_Vector):
-    """Vector over family pairs (node, nonempty parent mask).
+    """Vector over family pairs (node, nonempty parent mask), written
+    ``"a|bc"`` as text.
 
     Coordinates at (node, empty set) read as 0 by convention and cannot hold
     a nonzero value.
     """
 
     space = "fam"
+    index = staticmethod(enumerate_family_indices)
 
     @staticmethod
     def _check_key(gs: GroundSet, key) -> None:
@@ -303,46 +336,68 @@ class FamVector(_Vector):
         if B == 0:
             raise BnPolyError("coordinates at empty parent sets are fixed to 0")
 
+    @staticmethod
+    def key_text(gs: GroundSet, key: tuple[int, int]) -> str:
+        a, B = key
+        return f"{gs.labels[a]}|{gs.letters(B)}"
 
-class CharVector(_Vector):
-    """Vector over subset masks of size >= 2; smaller subsets read as 0."""
+    @staticmethod
+    def parse_key(gs: GroundSet, text: str) -> tuple[int, int]:
+        node, _, parents = text.partition("|")
+        return gs.index(node), gs.mask_of(parents)
 
-    space = "char"
+
+class _MaskVector(_Vector):
+    """Vector keyed by subset masks, written as their letters, e.g. ``"abc"``."""
 
     @staticmethod
     def _check_key(gs: GroundSet, key) -> None:
         if not isinstance(key, int):
             raise BnPolyError(f"subset key must be an int mask: {key!r}")
         gs.check_mask(key)
-        if key.bit_count() < 2:
-            raise BnPolyError("coordinates on subsets of size <= 1 are fixed to 0")
 
     @staticmethod
     def _sort_key(item):
         return (item[0].bit_count(), item[0])
 
+    @staticmethod
+    def key_text(gs: GroundSet, mask: int) -> str:
+        return gs.letters(mask)
 
-class SetFunction(_Vector):
+    @staticmethod
+    def parse_key(gs: GroundSet, text: str) -> int:
+        return gs.mask_of(text)
+
+
+class CharVector(_MaskVector):
+    """Vector over subset masks of size >= 2; smaller subsets read as 0."""
+
+    space = "char"
+    index = staticmethod(enumerate_cai)
+
+    @staticmethod
+    def _check_key(gs: GroundSet, key) -> None:
+        _MaskVector._check_key(gs, key)
+        if key.bit_count() < 2:
+            raise BnPolyError("coordinates on subsets of size <= 1 are fixed to 0")
+
+
+class SetFunction(_MaskVector):
     """Exact-rational set function on the full power set (sparse, 0 default)."""
 
     space = "set"
 
-    @staticmethod
-    def _check_key(gs: GroundSet, key) -> None:
-        if not isinstance(key, int):
-            raise BnPolyError(f"subset key must be an int mask: {key!r}")
-        gs.check_mask(key)
 
-    @staticmethod
-    def _sort_key(item):
-        return (item[0].bit_count(), item[0])
+_VECTOR_CLASSES = {"fam": FamVector, "char": CharVector}
 
-    def restrict_char(self) -> CharVector:
-        """Drop the (necessarily zero) values on subsets of size <= 1."""
-        for mask, value in self._c.items():
-            if mask.bit_count() < 2 and value != 0:
-                raise BnPolyError("set function is not standardized on small sets")
-        return CharVector(self.gs, {m: v for m, v in self._c.items() if m.bit_count() >= 2})
+
+def vector_class(space) -> type:
+    """The vector class of a coordinate-space tag, the one place a tag
+    becomes a class; an unknown tag is a ``BnPolyError``."""
+    try:
+        return _VECTOR_CLASSES[space]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag read from JSON
+        raise BnPolyError(f"space must be 'fam' or 'char', got {space!r}") from None
 
 
 def scalar_product(x: _Vector, y: _Vector) -> Fraction:
@@ -357,72 +412,9 @@ def scalar_product(x: _Vector, y: _Vector) -> Fraction:
     return total
 
 
-# --- JSON text forms ---------------------------------------------------------
-#
-# Family pairs serialize as "a|bc" (node, bar, sorted parent letters), subsets
-# as "abc", rationals as "p/q" strings.  Parsing subset strings letter by
-# letter requires single-character labels, which all golden data uses.
-
-
-def _require_single_letters(gs: GroundSet) -> None:
-    if any(len(lab) != 1 for lab in gs.labels):
-        raise BnPolyError("text keys need single-character node labels")
-
-
-def subset_key(gs: GroundSet, mask: int) -> str:
-    _require_single_letters(gs)
-    return gs.letters(mask)
-
-
-def parse_subset_key(gs: GroundSet, text: str) -> int:
-    _require_single_letters(gs)
-    return gs.mask_of(text)
-
-
-def fam_key(gs: GroundSet, key: tuple[int, int]) -> str:
-    a, B = key
-    _require_single_letters(gs)
-    return f"{gs.labels[a]}|{gs.letters(B)}"
-
-
-def parse_fam_key(gs: GroundSet, text: str) -> tuple[int, int]:
-    node, _, parents = text.partition("|")
-    return gs.index(node), parse_subset_key(gs, parents)
-
-
-def fam_to_json(vec: FamVector) -> dict[str, str]:
-    return {fam_key(vec.gs, k): str(v) for k, v in vec.sorted_items()}
-
-
 def rational_from_json(value) -> Fraction:
     """An exact rational from JSON: an integer or a "p/q" string.  Anything
     else, floats and booleans included, is a ``BnPolyError``."""
     if not isinstance(value, (int, str)) or isinstance(value, bool):
         raise BnPolyError(f"expected an integer or a 'p/q' string, got {value!r}")
     return as_fraction(value)
-
-
-def _coords_from_json(gs: GroundSet, obj, parse_key) -> dict:
-    if not isinstance(obj, Mapping):
-        raise BnPolyError(f"a vector must be a JSON object, got {obj!r}")
-    return {parse_key(gs, k): rational_from_json(v) for k, v in obj.items()}
-
-
-def fam_from_json(gs: GroundSet, obj: Mapping[str, str]) -> FamVector:
-    return FamVector(gs, _coords_from_json(gs, obj, parse_fam_key))
-
-
-def char_to_json(vec: CharVector) -> dict[str, str]:
-    return {subset_key(vec.gs, m): str(v) for m, v in vec.sorted_items()}
-
-
-def char_from_json(gs: GroundSet, obj: Mapping[str, str]) -> CharVector:
-    return CharVector(gs, _coords_from_json(gs, obj, parse_subset_key))
-
-
-def setfn_to_json(vec: SetFunction) -> dict[str, str]:
-    return {subset_key(vec.gs, m): str(v) for m, v in vec.sorted_items()}
-
-
-def setfn_from_json(gs: GroundSet, obj: Mapping[str, str]) -> SetFunction:
-    return SetFunction(gs, _coords_from_json(gs, obj, parse_subset_key))

@@ -37,14 +37,9 @@ from .ground import (
     ZERO,
     as_fraction,
     bit,
-    char_from_json,
     enumerate_family_indices,
-    fam_from_json,
-    fam_key,
-    parse_fam_key,
     scalar_product,
     submasks,
-    subset_key,
 )
 from .linalg import integer_row
 from .scoreeq import moebius_up, objective_from_setfn
@@ -52,16 +47,17 @@ from .supermod import check_cluster
 
 
 class LinearInequality(FrozenRecord):
-    """<objective, x> <= bound over family or characteristic coordinates."""
+    """<objective, x> <= bound over family or characteristic coordinates;
+    the space is the objective's."""
 
     _fields = ("space", "objective", "bound", "label")
 
-    def __init__(self, space: str, objective: FamVector | CharVector, bound, label: str = ""):
-        if space != objective.space:
-            raise BnPolyError("inequality space tag does not match its objective")
-        self.__dict__.update(
-            space=space, objective=objective, bound=as_fraction(bound), label=label
-        )
+    def __init__(self, objective: FamVector | CharVector, bound, label: str = ""):
+        self.__dict__.update(objective=objective, bound=as_fraction(bound), label=label)
+
+    @property
+    def space(self) -> str:
+        return self.objective.space
 
     @property
     def gs(self) -> GroundSet:
@@ -82,10 +78,10 @@ class LinearInequality(FrozenRecord):
         keys need them)."""
         if any(len(lab) != 1 for lab in self.gs.labels):
             return repr(self)
-        key = fam_key if self.space == "fam" else subset_key
+        key_text = self.objective.key_text
         text = ""
         for k, v in self.objective.sorted_items():
-            name = key(self.gs, k)
+            name = key_text(self.gs, k)
             term = name if abs(v) == 1 else f"{abs(v)}*{name}"
             if text:
                 text += f" - {term}" if v < 0 else f" + {term}"
@@ -140,7 +136,7 @@ def _relabeled(ineq: LinearInequality, row: tuple[int, ...]) -> LinearInequality
     obj = ineq.objective
     relabel = _relabel(ineq.space, row)
     coords = {relabel(k): v for k, v in obj.items()}
-    return LinearInequality(ineq.space, type(obj)(obj.gs, coords), ineq.bound, ineq.label)
+    return LinearInequality(type(obj)(obj.gs, coords), ineq.bound, ineq.label)
 
 
 def _orbit_rows(ineq: LinearInequality) -> list[tuple[int, ...]]:
@@ -171,7 +167,6 @@ def nonneg_constraints(gs: GroundSet) -> list[LinearInequality]:
     """-x(a : B) <= 0 for every family pair; tight at the empty graph."""
     return [
         LinearInequality(
-            "fam",
             FamVector(gs, {(a, B): -1}),
             ZERO,
             label=f"nonneg[{gs.labels[a]}|{gs.letters(B)}]",
@@ -187,9 +182,7 @@ def modified_convexity(gs: GroundSet) -> list[LinearInequality]:
     for a, B in enumerate_family_indices(gs):
         coords[a][(a, B)] = 1
     return [
-        LinearInequality(
-            "fam", FamVector(gs, row), Fraction(1), label=f"convexity[{gs.labels[a]}]"
-        )
+        LinearInequality(FamVector(gs, row), Fraction(1), label=f"convexity[{gs.labels[a]}]")
         for a, row in enumerate(coords)
     ]
 
@@ -204,7 +197,6 @@ def cluster_fam(gs: GroundSet, C: int, k: int) -> LinearInequality:
         if C & bit(a) and (B & C).bit_count() >= k
     }
     return LinearInequality(
-        "fam",
         FamVector(gs, coords),
         Fraction(C.bit_count() - k),
         label=f"cluster[{gs.letters(C)},{k}]/fam",
@@ -223,7 +215,6 @@ def cluster_char(gs: GroundSet, C: int, k: int) -> LinearInequality:
             coef = comb(s - 2, s - k - 1)
             coords[S] = coef if (s - k - 1) % 2 == 0 else -coef
     return LinearInequality(
-        "char",
         CharVector(gs, coords),
         Fraction(C.bit_count() - k),
         label=f"cluster[{gs.letters(C)},{k}]/char",
@@ -237,7 +228,7 @@ def fam_from_char_ineq(ineq: LinearInequality) -> LinearInequality:
     if ineq.space != "char":
         raise BnPolyError("expected a characteristic-space inequality")
     objective = objective_from_setfn(moebius_up(ineq.objective))
-    return LinearInequality("fam", objective, ineq.bound, label=ineq.label + "/fam")
+    return LinearInequality(objective, ineq.bound, label=ineq.label + "/fam")
 
 
 # --- the combinatorial identity behind the char-mode cluster form ------------
@@ -331,10 +322,8 @@ def _load_data(name: str) -> dict:
 
 
 def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry:
-    char_obj = char_from_json(gs, record["char"])
-    char_ineq = LinearInequality(
-        "char", char_obj, as_fraction(record["bound"]), label=record["type_id"]
-    )
+    char_obj = CharVector.from_json(gs, record["char"])
+    char_ineq = LinearInequality(char_obj, as_fraction(record["bound"]), label=record["type_id"])
     rows = _orbit_rows(char_ineq)
     if len(rows) != record["count"]:
         raise BnPolyError(
@@ -401,20 +390,19 @@ def counterexample_constants() -> CounterexampleConstants:
     data = _load_data("counterexample_n5.json")
     gs = GroundSet.alpha(5)
     char_ineq = LinearInequality(
-        "char",
-        char_from_json(gs, data["char"]),
+        CharVector.from_json(gs, data["char"]),
         as_fraction(data["char_bound"]),
         label="five-node-facet/char",
     )
-    fam_obj = fam_from_json(gs, data["fam"])
+    fam_obj = FamVector.from_json(gs, data["fam"])
     fam_ineq = LinearInequality(
-        "fam", fam_obj, as_fraction(data["fam_bound"]), label="five-node-facet/fam"
+        fam_obj, as_fraction(data["fam_bound"]), label="five-node-facet/fam"
     )
     den = data["centroid_denominator"]
     centroid = FamVector(
         gs,
         {
-            parse_fam_key(gs, key): Fraction(num, den)
+            FamVector.parse_key(gs, key): Fraction(num, den)
             for key, num in data["centroid_numerators"].items()
         },
     )

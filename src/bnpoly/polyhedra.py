@@ -31,27 +31,11 @@ from .ground import (
     as_fraction,
     enumerate_cai,
     enumerate_family_indices,
+    vector_class,
 )
 from .ineq import LinearInequality
 from .linalg import affine_rank, integer_row
 from .simplex import solve_lp
-
-
-def ambient_index(gs: GroundSet, space: str) -> list:
-    if space == "fam":
-        return enumerate_family_indices(gs)
-    if space == "char":
-        return enumerate_cai(gs)
-    raise BnPolyError(f"unknown coordinate space {space!r}")
-
-
-def vector_to_dense(vec: FamVector | CharVector, index: Sequence) -> tuple:
-    return tuple(vec[key] for key in index)
-
-
-def dense_to_vector(gs: GroundSet, space: str, index: Sequence, values: Sequence):
-    cls = FamVector if space == "fam" else CharVector
-    return cls(gs, {k: v for k, v in zip(index, values) if v})
 
 
 class VRep(FrozenRecord):
@@ -62,18 +46,19 @@ class VRep(FrozenRecord):
     def __init__(self, space: str, gs: GroundSet, points: tuple[tuple, ...]):
         if len(set(points)) != len(points):
             raise BnPolyError("V-representation points must be distinct")
-        width = len(ambient_index(gs, space))
+        width = len(vector_class(space).index(gs))
         if any(len(p) != width for p in points):
             raise BnPolyError("point width does not match the ambient index family")
         self.__dict__.update(space=space, gs=gs, points=points)
 
     @property
     def index(self) -> list:
-        return ambient_index(self.gs, self.space)
+        return vector_class(self.space).index(self.gs)
 
     def vectors(self):
-        index = self.index
-        return [dense_to_vector(self.gs, self.space, index, p) for p in self.points]
+        cls = vector_class(self.space)
+        index = cls.index(self.gs)
+        return [cls(self.gs, zip(index, p)) for p in self.points]
 
 
 class HRep(FrozenRecord):
@@ -88,6 +73,7 @@ class HRep(FrozenRecord):
         inequalities: tuple[LinearInequality, ...],
         equations: tuple[tuple, ...] = (),  # (objective vector, rhs) pairs
     ):
+        vector_class(space)  # refuses an unknown tag
         for ineq in inequalities:
             if ineq.space != space or ineq.gs != gs:
                 raise BnPolyError("inequality does not match the H-representation space")
@@ -95,15 +81,15 @@ class HRep(FrozenRecord):
 
     @property
     def index(self) -> list:
-        return ambient_index(self.gs, self.space)
+        return vector_class(self.space).index(self.gs)
 
     def matrix(self) -> tuple[list[tuple], list, list[tuple], list]:
         """Dense ``(A_ub, b_ub, A_eq, b_eq)`` over the ambient index, so the
         polyhedron is {x : A_ub x <= b_ub, A_eq x = b_eq}."""
         index = self.index
-        A_ub = [vector_to_dense(q.objective, index) for q in self.inequalities]
+        A_ub = [q.objective.dense(index) for q in self.inequalities]
         b_ub = [q.bound for q in self.inequalities]
-        A_eq = [vector_to_dense(vec, index) for vec, _ in self.equations]
+        A_eq = [vec.dense(index) for vec, _ in self.equations]
         b_eq = [rhs for _, rhs in self.equations]
         return A_ub, b_ub, A_eq, b_eq
 
@@ -151,8 +137,7 @@ def integer_values(
     evaluated at each point (dense over the objective's ambient index), and
     the bound on that scale.  The values are integers at integer points, and
     a bound of 1 comes back as the scale itself."""
-    index = ambient_index(objective.gs, objective.space)
-    ints, _ = integer_row([*vector_to_dense(objective, index), bound])
+    ints, _ = integer_row([*objective.dense(objective.index(objective.gs)), bound])
     terms = [(j, c) for j, c in enumerate(ints[:-1]) if c]
     return [sum(c * p[j] for j, c in terms) for p in points], ints[-1]
 
@@ -209,23 +194,18 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     ray 0 <= u is dropped)."""
     if not vrep.points:
         raise BnPolyError("convex hull of an empty point set is undefined")
-    dim = len(vrep.index)
+    cls = vector_class(vrep.space)
+    index = cls.index(vrep.gs)
     rows = [(Fraction(1),) + tuple(-x for x in p) for p in vrep.points]
-    rays, lineality = extreme_rays(rows, dim + 1, budget=budget)
-    index = vrep.index
+    rays, lineality = extreme_rays(rows, len(index) + 1, budget=budget)
     inequalities = []
     for ray in rays:
         bound, coeffs = ray[0], ray[1:]
         if not any(coeffs):
             continue  # the trivial valid inequality 0 <= u
-        obj = dense_to_vector(vrep.gs, vrep.space, index, coeffs)
-        inequalities.append(
-            LinearInequality(vrep.space, obj, Fraction(bound), label="facet")
-        )
-    equations = []
-    for line in lineality:
-        vec = dense_to_vector(vrep.gs, vrep.space, index, line[1:])
-        equations.append((vec, Fraction(line[0])))
+        obj = cls(vrep.gs, zip(index, coeffs))
+        inequalities.append(LinearInequality(obj, Fraction(bound), label="facet"))
+    equations = [(cls(vrep.gs, zip(index, line[1:])), Fraction(line[0])) for line in lineality]
     inequalities.sort(key=lambda q: q.canonical_key())
     return HRep(vrep.space, vrep.gs, tuple(inequalities), tuple(equations))
 
@@ -264,14 +244,14 @@ def lp_maximize(
     if objective.space != hrep.space or objective.gs != hrep.gs:
         raise BnPolyError("objective and polyhedron spaces differ")
     index = hrep.index
-    c = vector_to_dense(objective, index)
+    c = objective.dense(index)
     A_ub, b_ub, A_eq, b_eq = hrep.matrix()
     result = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     if result.status == "infeasible":
         raise InfeasibleError("polyhedron is empty")
     if result.status == "unbounded":
         raise UnboundedError("objective is unbounded over the polyhedron")
-    point = dense_to_vector(hrep.gs, hrep.space, index, result.x)
+    point = type(objective)(hrep.gs, zip(index, result.x))
     return result.objective, point
 
 
@@ -289,7 +269,8 @@ def hrep_to_matrix_text(hrep: HRep) -> str:
 
 def hrep_from_matrix_text(gs: GroundSet, space: str, text: str) -> HRep:
     """Parse the plain matrix form produced by :func:`hrep_to_matrix_text`."""
-    index = ambient_index(gs, space)
+    cls = vector_class(space)
+    index = cls.index(gs)
     width = len(index) + 1
     inequalities, equations = [], []
     in_equations = False
@@ -309,11 +290,11 @@ def hrep_from_matrix_text(gs: GroundSet, space: str, text: str) -> HRep:
             values = [as_fraction(p) for p in parts]
         except BnPolyError as exc:
             raise BnPolyError(f"matrix line {lineno}: {exc}") from None
-        vec = dense_to_vector(gs, space, index, values[:-1])
+        vec = cls(gs, zip(index, values[:-1]))
         if in_equations:
             equations.append((vec, values[-1]))
         else:
-            inequalities.append(LinearInequality(space, vec, values[-1], f"row{lineno}"))
+            inequalities.append(LinearInequality(vec, values[-1], f"row{lineno}"))
     return HRep(space, gs, tuple(inequalities), tuple(equations))
 
 

@@ -10,7 +10,6 @@ Nothing is cached on disk: every run computes what it reports.
 from __future__ import annotations
 
 import functools
-import random
 import time
 from fractions import Fraction
 from itertools import chain
@@ -50,7 +49,6 @@ from .polyhedra import (
     integer_values,
     lp_maximize,
     max_over_vertices,
-    vector_to_dense,
     vertices_from_inequalities,
 )
 from .scoreeq import char_objective, is_se_face, moebius_up, objective_from_setfn
@@ -411,6 +409,8 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
             "one-vertex-facet polyhedron": HRep("fam", gs, tuple(se_only)),
         }
 
+    import random  # only this pipeline draws, so `import bnpoly` does not load it
+
     rng = random.Random(seed)
     objectives = [_random_se_objective(gs, rng) for _ in range(trials)]
     brute = [max_over_vertices(obj, fvp)[0] for obj in objectives]
@@ -541,7 +541,7 @@ def verify_counterexample() -> VerificationReport:
     # From here on the centroid is integer numerators over ``den``, and the
     # objective, convexity and cluster values are integers on one scale per
     # row; only the reported values and the char_from_fam image are Fractions.
-    nums, den = linalg.integer_row(vector_to_dense(cx.centroid, enumerate_family_indices(gs)))
+    nums, den = linalg.integer_row(cx.centroid.dense(enumerate_family_indices(gs)))
     count = len(tight)
     report.check(
         "centroid of tight codes equals published vector",

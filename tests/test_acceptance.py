@@ -185,7 +185,7 @@ def test_criterion_6_property_suites(announce):
             if m is None:
                 continue
             ok = ok and is_supermodular(m)
-            obj = objective_from_setfn(m.restrict_char())
+            obj = objective_from_setfn(m)
             bound = scalar_product(obj, fam_vector(complete[0]))
             values = [scalar_product(obj, fam_vector(g)) for g in dags]
             ok = ok and max(values) == bound

@@ -620,10 +620,30 @@ def test_malformed_rational_names_its_source(tmp_path, capsys, source):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("supermod", "check", "--n", "3", "--setfn", '{"abc": "1", "cba": "-1"}'),
+            "--setfn: keys 'abc' and 'cba' name the same coordinate",
+        ),
+        (
+            ("se", "to-char", "--n", "3", "--objective", '{"a|bc": "1", "b|a": "1", "a|cb": "2"}'),
+            "--objective: keys 'a|bc' and 'a|cb' name the same coordinate",
+        ),
+    ],
+    ids=["setfn", "objective"],
+)
+def test_two_texts_for_one_coordinate_are_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_import_loads_no_heavy_stdlib_module():
     # python -S: no site-packages .pth file can load these first
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    heavy = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib"]
+    heavy = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib", "random"]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import bnpoly.cli; "
         f"print([m for m in {heavy!r} if m in sys.modules])"

@@ -50,7 +50,7 @@ def test_full_graphs_consonant_with_each_order(gs3):
         g = full_graph(gs3, list(order))
         position = {lab: i for i, lab in enumerate(order)}
         for a, B in enumerate(g.parents):
-            for b in gs3.members(B):
+            for b in gs3.letters(B):
                 assert position[b] < position[gs3.labels[a]]
         assert is_acyclic(gs3, g.parents)
 

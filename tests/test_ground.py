@@ -10,14 +10,12 @@ from bnpoly.ground import (
     GroundSet,
     SetFunction,
     as_fraction,
-    char_from_json,
-    char_to_json,
     enumerate_cai,
     enumerate_family_indices,
-    fam_from_json,
-    fam_to_json,
+    iter_bits,
     rational_from_json,
     scalar_product,
+    vector_class,
 )
 
 
@@ -60,7 +58,7 @@ def test_mask_roundtrip(gs4):
     assert gs4.letters(gs4.mask_of("bd")) == "bd"
     assert gs4.mask_of("") == 0
     assert gs4.letters(0) == ""
-    assert gs4.members(gs4.mask_of("ad")) == ("a", "d")
+    assert list(iter_bits(gs4.mask_of("ad"))) == [0, 3]
 
 
 def test_extension_conventions(gs3):
@@ -123,12 +121,56 @@ def test_scalar_product_rejects_mismatch(gs3, gs4):
 
 def test_json_roundtrip(gs3):
     fam = FamVector(gs3, {(0, 0b110): Fraction(3, 2), (2, 0b011): -1})
-    blob = fam_to_json(fam)
+    blob = fam.to_json()
     assert blob == {"a|bc": "3/2", "c|ab": "-1"}
-    assert fam_from_json(gs3, blob) == fam
+    assert FamVector.from_json(gs3, blob) == fam
     cv = CharVector(gs3, {0b111: Fraction(-2, 3)})
-    assert char_to_json(cv) == {"abc": "-2/3"}
-    assert char_from_json(gs3, char_to_json(cv)) == cv
+    assert cv.to_json() == {"abc": "-2/3"}
+    assert CharVector.from_json(gs3, cv.to_json()) == cv
+    m = SetFunction(gs3, {0: 1, 0b010: Fraction(1, 2), 0b101: -3})
+    assert m.to_json() == {"": "1", "b": "1/2", "ac": "-3"}
+    assert SetFunction.from_json(gs3, m.to_json()) == m
+
+
+def test_index_and_dense_form(gs3):
+    assert FamVector.index(gs3) == enumerate_family_indices(gs3)
+    assert CharVector.index(gs3) == enumerate_cai(gs3)
+    cv = CharVector(gs3, {0b111: 2, 0b101: -1})
+    dense = cv.dense(CharVector.index(gs3))
+    assert dense == (0, -1, 0, 2)
+    assert CharVector(gs3, zip(CharVector.index(gs3), dense)) == cv
+
+
+@pytest.mark.parametrize(
+    "cls, blob",
+    [
+        (SetFunction, {"abc": "1", "cba": "-1"}),
+        (CharVector, {"ab": "0", "ba": "0"}),
+        (FamVector, {"a|bc": "1", "a|cb": "2"}),
+    ],
+)
+def test_from_json_refuses_two_texts_for_one_coordinate(gs3, cls, blob):
+    first, second = blob
+    with pytest.raises(BnPolyError) as info:
+        cls.from_json(gs3, blob)
+    assert str(info.value) == f"keys {first!r} and {second!r} name the same coordinate"
+
+
+@pytest.mark.parametrize("cls", [FamVector, CharVector, SetFunction])
+def test_text_keys_need_single_character_labels(cls):
+    wide = GroundSet(["p", "q", "rs"])
+    vec = cls(wide, {})
+    with pytest.raises(BnPolyError, match="single-character node labels"):
+        vec.to_json()
+    with pytest.raises(BnPolyError, match="single-character node labels"):
+        cls.from_json(wide, {})
+
+
+def test_vector_class_decodes_space_tags():
+    assert vector_class("fam") is FamVector and vector_class("char") is CharVector
+    for tag in ("set", "", None, ["fam"]):
+        with pytest.raises(BnPolyError, match="space must be 'fam' or 'char'"):
+            vector_class(tag)
 
 
 def test_json_roundtrip_random(gs4):
@@ -140,7 +182,7 @@ def test_json_roundtrip_random(gs4):
             for key in rng.sample(fai, 6)
         }
         vec = FamVector(gs4, coords)
-        assert fam_from_json(gs4, fam_to_json(vec)) == vec
+        assert FamVector.from_json(gs4, vec.to_json()) == vec
 
 
 @pytest.mark.parametrize("value", [True, False, 1.5, None, [1], {"p": 1}])
@@ -149,7 +191,7 @@ def test_rational_from_json_takes_only_integers_and_strings(gs3, value):
     with pytest.raises(BnPolyError):
         rational_from_json(value)
     with pytest.raises(BnPolyError):
-        fam_from_json(gs3, {"a|b": value})
+        FamVector.from_json(gs3, {"a|b": value})
     assert rational_from_json(3) == 3 and rational_from_json("-2/4") == Fraction(-1, 2)
 
 
@@ -164,5 +206,3 @@ def test_as_fraction_refuses_booleans(gs3):
 def test_setfn_allows_all_subsets(gs3):
     m = SetFunction(gs3, {0: 2, 0b001: -1, 0b111: 1})
     assert m[0] == 2 and m[0b001] == -1
-    with pytest.raises(BnPolyError):
-        m.restrict_char()

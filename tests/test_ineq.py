@@ -15,7 +15,6 @@ from bnpoly.ground import (
     GroundSet,
     enumerate_cai,
     enumerate_family_indices,
-    fam_from_json,
     scalar_product,
 )
 from bnpoly.ineq import (
@@ -99,7 +98,7 @@ def test_cluster_arguments_are_refused_alike(gs3, build):
 def test_cluster_fam_matches_supermodular_parametrization(gs4):
     for C, k in cluster_pairs(gs4):
         ineq = cluster_fam(gs4, C, k)
-        m = cluster_supermodular(gs4, C, k).restrict_char()
+        m = cluster_supermodular(gs4, C, k)
         assert ineq.objective == objective_from_setfn(m)
 
 
@@ -185,7 +184,7 @@ def test_se_catalog_structure():
 def test_se_catalog_fam_forms_match_published_text():
     gs = GroundSet.alpha(4)
     by_id = {e.type_id: e for e in catalog_se_n4()}
-    thirteen = fam_from_json(gs, {
+    thirteen = FamVector.from_json(gs, {
         "a|bc": "1", "a|bd": "1", "a|cd": "1", "a|bcd": "2",
         "b|ac": "1", "b|ad": "1", "b|acd": "1",
         "c|ab": "1", "c|ad": "1", "c|abd": "1",
@@ -193,14 +192,14 @@ def test_se_catalog_fam_forms_match_published_text():
     })
     assert by_id["se-noncluster-13"].fam_ineq.objective == thirteen
     assert by_id["se-noncluster-13"].fam_ineq.bound == 2
-    sixteen = fam_from_json(gs, {
+    sixteen = FamVector.from_json(gs, {
         "a|b": "1", "a|bc": "1", "a|bd": "1", "a|cd": "1", "a|bcd": "1",
         "b|a": "1", "b|ac": "1", "b|ad": "1", "b|cd": "1", "b|acd": "1",
         "c|ad": "1", "c|bd": "1", "c|abd": "1",
         "d|ac": "1", "d|bc": "1", "d|abc": "1",
     })
     assert by_id["se-noncluster-16"].fam_ineq.objective == sixteen
-    twentytwo = fam_from_json(gs, {
+    twentytwo = FamVector.from_json(gs, {
         "a|b": "1", "a|c": "1", "a|d": "1",
         "a|bc": "2", "a|bd": "2", "a|cd": "2", "a|bcd": "2",
         "b|a": "1", "b|ac": "1", "b|ad": "1", "b|cd": "1", "b|acd": "1",
@@ -209,7 +208,7 @@ def test_se_catalog_fam_forms_match_published_text():
     })
     assert by_id["se-noncluster-22"].fam_ineq.objective == twentytwo
     assert by_id["se-noncluster-22"].fam_ineq.bound == 3
-    twentysix = fam_from_json(gs, {
+    twentysix = FamVector.from_json(gs, {
         "a|b": "1", "a|c": "1", "a|d": "1",
         "a|bc": "1", "a|bd": "1", "a|cd": "2", "a|bcd": "2",
         "b|a": "1", "b|c": "1", "b|d": "1",
@@ -291,7 +290,7 @@ def test_c20_certificate(gs4):
 
 def test_orbit_generation(gs4):
     m = gs4.mask_of
-    q = LinearInequality("char", CharVector(gs4, {m("ab"): 1}), Fraction(1))
+    q = LinearInequality(CharVector(gs4, {m("ab"): 1}), Fraction(1))
     images = orbit(q)
     assert len(images) == 6
     assert {tuple(i.objective.support()) for i in images} == {
@@ -316,7 +315,7 @@ def _oracle_orbit(q):
                 gs,
                 {(perm[a], _relabel_mask(B, perm)): v for (a, B), v in q.objective.items()},
             )
-        image = LinearInequality(q.space, obj, q.bound, q.label)
+        image = LinearInequality(obj, q.bound, q.label)
         seen.setdefault(image.canonical_key(), image)
     return [seen[key] for key in sorted(seen)]
 
@@ -331,10 +330,10 @@ def _random_inequalities(gs, rng):
                 gs, {S: rng.choice(values) for S in rng.sample(cai, min(size, len(cai)))}
             )
             x = FamVector(gs, {k: rng.choice(values) for k in rng.sample(fai, size)})
-            out.append(LinearInequality("char", z, rng.choice(values), label="z"))
-            out.append(LinearInequality("fam", x, rng.choice(values), label="x"))
-    out.append(LinearInequality("char", CharVector(gs, {}), Fraction(1, 3)))
-    out.append(LinearInequality("fam", FamVector(gs, {}), 0))
+            out.append(LinearInequality(z, rng.choice(values), label="z"))
+            out.append(LinearInequality(x, rng.choice(values), label="x"))
+    out.append(LinearInequality(CharVector(gs, {}), Fraction(1, 3)))
+    out.append(LinearInequality(FamVector(gs, {}), 0))
     out.append(cluster_fam(gs, gs.mask_of("ab"), 1))
     return out
 
@@ -458,9 +457,9 @@ def test_counterexample_constants():
 
 def test_fam_from_char_examples(gs3):
     m = gs3.mask_of
-    q = LinearInequality("char", CharVector(gs3, {m("ab"): 1}), Fraction(1))
+    q = LinearInequality(CharVector(gs3, {m("ab"): 1}), Fraction(1))
     assert fam_from_char_ineq(q).objective == cluster_fam(gs3, m("ab"), 1).objective
-    zero = LinearInequality("char", CharVector(gs3, {}), Fraction(0))
+    zero = LinearInequality(CharVector(gs3, {}), Fraction(0))
     assert fam_from_char_ineq(zero).objective == FamVector(gs3, {})
 
 
@@ -476,7 +475,7 @@ def test_fam_from_char_preserves_pairing(n):
     fai = enumerate_family_indices(gs)
     for _ in range(20):
         z = CharVector(gs, {S: rng.randint(-4, 4) for S in rng.sample(cai, min(6, len(cai)))})
-        q = LinearInequality("char", z, Fraction(0))
+        q = LinearInequality(z, Fraction(0))
         fam_obj = fam_from_char_ineq(q).objective
         x = FamVector(gs, {k: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                            for k in rng.sample(fai, 9)})
@@ -486,13 +485,13 @@ def test_fam_from_char_preserves_pairing(n):
 def test_text_form_uses_keys(gs3):
     m = gs3.mask_of
     fam = FamVector(gs3, {(0, m("b")): 1, (1, m("a")): Fraction(-3, 2), (2, m("ab")): -1})
-    assert str(LinearInequality("fam", fam, Fraction(1, 2))) == "a|b - 3/2*b|a - c|ab <= 1/2"
+    assert str(LinearInequality(fam, Fraction(1, 2))) == "a|b - 3/2*b|a - c|ab <= 1/2"
     char = CharVector(gs3, {m("ab"): -1, m("abc"): 2})
-    assert str(LinearInequality("char", char, 0)) == "-ab + 2*abc <= 0"
-    assert str(LinearInequality("char", CharVector(gs3, {}), 1)) == "0 <= 1"
+    assert str(LinearInequality(char, 0)) == "-ab + 2*abc <= 0"
+    assert str(LinearInequality(CharVector(gs3, {}), 1)) == "0 <= 1"
     # Text keys need single-character labels; others keep the repr.
     wide = GroundSet(["x1", "y"])
-    q = LinearInequality("fam", FamVector(wide, {(0, 0b10): 1}), 1)
+    q = LinearInequality(FamVector(wide, {(0, 0b10): 1}), 1)
     assert str(q) == repr(q)
 
 
@@ -501,11 +500,11 @@ def test_text_form_over_wide_labels_lists_the_fields():
     # plain class
     wide = GroundSet(["x1", "y"])
     fam = FamVector(wide, {(0, 0b10): 1, (1, 0b01): Fraction(-3, 2)})
-    assert str(LinearInequality("fam", fam, Fraction(1, 2), "cut")) == (
+    assert str(LinearInequality(fam, Fraction(1, 2), "cut")) == (
         "LinearInequality(space='fam', objective=FamVector({(0, 2): 1, (1, 1): -3/2}), "
         "bound=Fraction(1, 2), label='cut')"
     )
-    assert str(LinearInequality("char", CharVector(GroundSet(["p", "q", "rs"]), {0b11: 2}), 0)) == (
+    assert str(LinearInequality(CharVector(GroundSet(["p", "q", "rs"]), {0b11: 2}), 0)) == (
         "LinearInequality(space='char', objective=CharVector({3: 2}), "
         "bound=Fraction(0, 1), label='')"
     )

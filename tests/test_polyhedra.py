@@ -6,7 +6,7 @@ import pytest
 from bnpoly.dags import enumerate_equivalence_classes
 from bnpoly.dd import Budget
 from bnpoly.encodings import char_bits
-from bnpoly.errors import InfeasibleError, InvalidInequalityError, UnboundedError
+from bnpoly.errors import BnPolyError, InfeasibleError, InvalidInequalityError, UnboundedError
 from bnpoly.ground import FamVector, GroundSet, enumerate_cai
 from bnpoly.ineq import (
     LinearInequality,
@@ -20,7 +20,6 @@ from bnpoly.polyhedra import (
     VRep,
     affine_rank,
     cip_vrep,
-    dense_to_vector,
     face_of,
     facets_from_vertices,
     fvp_vrep,
@@ -51,7 +50,7 @@ def test_face_of_cluster(gs3):
 
 def test_face_of_rejects_invalid(gs3):
     fvp = fvp_vrep(gs3)
-    bogus = LinearInequality("fam", FamVector(gs3, {(0, 0b010): 1}), Fraction(1, 2))
+    bogus = LinearInequality(FamVector(gs3, {(0, 0b010): 1}), Fraction(1, 2))
     with pytest.raises(InvalidInequalityError):
         face_of(bogus, fvp)
     with pytest.raises(InvalidInequalityError):
@@ -59,7 +58,7 @@ def test_face_of_rejects_invalid(gs3):
 
 
 def _scaled(q, factor):
-    return LinearInequality(q.space, q.objective * factor, q.bound * factor, q.label)
+    return LinearInequality(q.objective * factor, q.bound * factor, q.label)
 
 
 def _two_node_relaxation(gs):
@@ -106,7 +105,7 @@ def test_max_over_vertices_is_exact(gs3):
     ]
     for obj in objectives:
         for vrep in (fvp, polytope):
-            sparse = [LinearInequality("fam", obj, 0).value_at(v) for v in vrep.vectors()]
+            sparse = [LinearInequality(obj, 0).value_at(v) for v in vrep.vectors()]
             best = max(sparse)
             value, index = max_over_vertices(obj, vrep)
             assert type(value) is Fraction
@@ -117,7 +116,7 @@ def test_max_over_vertices_is_exact(gs3):
 def test_empty_face(gs3):
     fvp = fvp_vrep(gs3)
     # 0 <= 1 is never tight
-    slack = LinearInequality("fam", FamVector(gs3, {}), Fraction(1))
+    slack = LinearInequality(FamVector(gs3, {}), Fraction(1))
     info = face_of(slack, fvp)
     assert info.tight_indices == () and info.dimension == -1
 
@@ -164,9 +163,9 @@ def test_hull_low_dimensional_reports_equations(gs3):
     assert len(A_ub) == len(b_ub) == len(hull.inequalities)
     assert len(A_eq) == len(b_eq) == 8
     for row, rhs, (vec, expected_rhs) in zip(A_eq, b_eq, hull.equations):
-        assert dense_to_vector(gs3, "fam", hull.index, row) == vec and rhs == expected_rhs
+        assert FamVector(gs3, zip(hull.index, row)) == vec and rhs == expected_rhs
     for row, rhs, q in zip(A_ub, b_ub, hull.inequalities):
-        assert dense_to_vector(gs3, "fam", hull.index, row) == q.objective and rhs == q.bound
+        assert FamVector(gs3, zip(hull.index, row)) == q.objective and rhs == q.bound
 
 
 def test_vertex_enumeration_examples(gs3):
@@ -188,7 +187,7 @@ def test_vertex_enumeration_unbounded(gs3):
 def _empty_orthant_cut(gs):
     """Non-negativity plus a|b <= -1: empty, though its recession cone (the
     orthant) is not."""
-    cut = LinearInequality("fam", FamVector(gs, {(0, gs.mask_of("b")): 1}), Fraction(-1))
+    cut = LinearInequality(FamVector(gs, {(0, gs.mask_of("b")): 1}), Fraction(-1))
     return HRep("fam", gs, tuple(nonneg_constraints(gs)) + (cut,))
 
 
@@ -270,7 +269,6 @@ def test_combining_non_facets_never_gives_facets(gs3):
     q1, q2 = rows[0], rows[1]
     for alpha, beta in [(1, 1), (2, 1), (1, 3)]:
         combo = LinearInequality(
-            "fam",
             alpha * q1.objective + beta * q2.objective,
             alpha * q1.bound + beta * q2.bound,
         )
@@ -289,6 +287,18 @@ def test_matrix_text_roundtrip(gs3):
     }
     back = vertices_from_inequalities(parsed)
     assert set(back.points) == set(cip_vrep(gs3).points)
+
+
+def test_unknown_space_tag_is_refused(gs3):
+    from bnpoly.polyhedra import hrep_from_matrix_text
+
+    for build in (
+        lambda: VRep("set", gs3, ()),
+        lambda: HRep("set", gs3, ()),
+        lambda: hrep_from_matrix_text(gs3, "set", "0 0 0 0 0 0 0 0 0 0\n"),
+    ):
+        with pytest.raises(BnPolyError, match="space must be 'fam' or 'char', got 'set'"):
+            build()
 
 
 def test_matrix_text_equations_and_comments(gs3):
@@ -313,13 +323,13 @@ def _value_cases():
     value class."""
     gs = GroundSet(["x1", "y"])
     fam = FamVector(gs, {(0, 0b10): 1})
-    q = LinearInequality("fam", fam, Fraction(1, 2), "cut")
+    q = LinearInequality(fam, Fraction(1, 2), "cut")
     points = ((0, 0), (1, 0))
     return {
         "LinearInequality": (
             q,
-            LinearInequality("fam", FamVector(gs, {(0, 0b10): 1}), "1/2", "cut"),
-            LinearInequality("fam", fam, Fraction(1, 2)),
+            LinearInequality(FamVector(gs, {(0, 0b10): 1}), "1/2", "cut"),
+            LinearInequality(fam, Fraction(1, 2)),
             ("space", "objective", "bound", "label"),
         ),
         "VRep": (
@@ -330,7 +340,7 @@ def _value_cases():
         ),
         "HRep": (
             HRep("fam", gs, (q,)),
-            HRep("fam", gs, (LinearInequality("fam", fam, Fraction(1, 2), "cut"),), ()),
+            HRep("fam", gs, (LinearInequality(fam, Fraction(1, 2), "cut"),), ()),
             HRep("fam", gs, (q,), ((fam, 1),)),
             ("space", "gs", "inequalities", "equations"),
         ),

@@ -186,7 +186,7 @@ def test_random_lps_match_vertex_maximum(seed):
     live, pinned = index[:3], index[3:]
 
     def row(coords, bound):
-        return LinearInequality("fam", FamVector(gs, coords), Fraction(bound))
+        return LinearInequality(FamVector(gs, coords), Fraction(bound))
 
     rows = []
     for key in live:

@@ -226,7 +226,7 @@ def test_supermodular_inequalities_tight_on_closed_sets(n):
     for _ in range(trials):
         m = random_supermodular(gs, rng)
         assert is_supermodular(m)
-        obj = objective_from_setfn(m.restrict_char())
+        obj = objective_from_setfn(m)
         bound = scalar_product(obj, fam_vector(complete[0]))
         values = [scalar_product(obj, fam_vector(g)) for g in dags]
         assert all(v <= bound for v in values)
@@ -241,7 +241,7 @@ def test_distinct_extreme_generators_incomparable_tight_sets(gs3):
     tight_sets = []
     for C, k in cluster_pairs(gs3):
         m = cluster_supermodular(gs3, C, k)
-        obj = objective_from_setfn(m.restrict_char())
+        obj = objective_from_setfn(m)
         values = [scalar_product(obj, fam_vector(g)) for g in dags]
         bound = max(values)
         tight_sets.append({g.parents for g, v in zip(dags, values) if v == bound})
