@@ -26,19 +26,24 @@ the standard zero-set test (no third extreme ray is tight on the common
 tight set).
 
 The zero-set test looks for a cover: a third ray whose zero set contains
-the pair's common set.  Each step lists the rays by decreasing zero-set
-size, and the scan stops, answering "adjacent", at the first zero set
-smaller than the common set, since no smaller set can contain it.  Before
-the scan, the last covers found for the pair's plus ray and for its minus ray
-are tried, unless that cover is the pair's other ray, whose zero set always
-contains the common set.  These shortcuts only skip probes that cannot find
-a cover, so every pair gets the same answer as a scan over all rays.
+the pair's common set.  A step that reaches a scan lists the rays once, by
+decreasing zero-set size (ties by index), with a prefix count ends[s]: the
+number of zero sets of at least s rows.  A zero set smaller than the common
+set cannot contain it, so a scan for a common set of s rows walks only the
+first ends[s] entries and answers "adjacent" when none of them is a cover.
+A step whose pairs all fall to the tight-row count or to a reused cover
+builds no list.  Before the scan, the last covers found for the pair's plus
+ray and for its minus ray are tried, unless that cover is the pair's other
+ray, whose zero set always contains the common set.  These shortcuts only
+skip probes that cannot find a cover, so every pair gets the same answer as
+a scan over all rays.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Sequence
+from itertools import islice
 
 from .errors import BudgetExceededError
 from .linalg import integer_row, primitive
@@ -88,7 +93,10 @@ def _insertion_key(row: tuple[int, ...]) -> tuple:
 
 def _dot(support: Sequence[tuple[int, int]], vec: Sequence[int]) -> int:
     """<row, vec> from the row's nonzero (position, entry) pairs."""
-    return sum(a * vec[c] for c, a in support)
+    total = 0
+    for c, a in support:
+        total += a * vec[c]
+    return total
 
 
 def extreme_rays(
@@ -145,7 +153,10 @@ def extreme_rays(
 
         plus, zero, minus = [], [], []
         for i, entry in enumerate(rays):
-            d = _dot(support, entry[0])
+            vec = entry[0]
+            d = 0
+            for c, a in support:
+                d += a * vec[c]
             if d > 0:
                 plus.append((i, entry, d))
             elif d < 0:
@@ -162,10 +173,7 @@ def extreme_rays(
             continue
 
         needed = dim - len(lineality) - 2  # tight-row count needed for an edge
-        by_size = sorted(
-            ((zeros.bit_count(), i, zeros) for i, (_, zeros) in enumerate(rays)),
-            key=lambda t: (-t[0], t[1]),
-        )
+        entries = None  # the cover index, built on the step's first scan
         combos = []
         minus_cover = {}  # j -> (index, zero set) of the last cover found for j
         for i, pentry, dp in plus:
@@ -179,12 +187,19 @@ def extreme_rays(
                 if size < needed:
                     continue
                 # Neighbouring pairs often share a cover, so try the last
-                # covers found for i and for j first.
-                if _still_covers(last_cover, j, common):
+                # covers found for i and for j first.  The pair's other ray
+                # always contains ``common``, so it cannot be the cover.
+                if (
+                    last_cover is not None
+                    and last_cover[0] != j
+                    and last_cover[1] & common == common
+                ):
                     continue
                 cover = minus_cover.get(j)
-                if not _still_covers(cover, i, common):
-                    cover = _cover_zeroset(by_size, i, j, common, size)
+                if cover is None or cover[0] == i or cover[1] & common != common:
+                    if entries is None:
+                        entries, ends = _cover_index(rays)
+                    cover = _cover_zeroset(entries, ends[size], i, j, common)
                 if cover is not None:
                     last_cover = minus_cover[j] = cover
                     continue
@@ -202,24 +217,29 @@ def extreme_rays(
     return ray_vecs, sorted(lin)
 
 
-def _still_covers(cover: tuple[int, int] | None, other: int, common: int) -> bool:
-    """Whether a cover found for an earlier pair sharing one ray with this
-    pair covers it too.  The pair's other ray always contains ``common``, so
-    it cannot be the cover."""
-    return cover is not None and cover[0] != other and cover[1] & common == common
+def _cover_index(rays: list[list]) -> tuple[list[tuple[int, int]], list[int]]:
+    """``(entries, ends)``: the rays' (index, zero set) pairs by decreasing
+    zero-set size, ties by index, and ``ends[s]``, the number of zero sets
+    with at least s rows.  A zero set of fewer rows than ``common`` cannot
+    contain it, so a cover of a set of s rows is among ``entries[:ends[s]]``."""
+    by_size = sorted(
+        [(-zeros.bit_count(), i, zeros) for i, (_, zeros) in enumerate(rays)]
+    )
+    ends = [0] * (1 - by_size[0][0])
+    for neg_size, _, _ in by_size:
+        ends[-neg_size] += 1  # zero sets of exactly that size
+    for s in range(len(ends) - 2, -1, -1):
+        ends[s] += ends[s + 1]  # and of every larger size
+    return [(i, zeros) for _, i, zeros in by_size], ends
 
 
 def _cover_zeroset(
-    by_size, i: int, j: int, common: int, size: int
+    entries: list[tuple[int, int]], end: int, i: int, j: int, common: int
 ) -> tuple[int, int] | None:
-    """Return (index, zero set) of a ray other than i and j whose zero set
-    contains ``common`` (so i and j are not adjacent), or None if there is
-    none.  ``by_size`` lists (zero-set size, index, zero set) by decreasing
-    size; a zero set smaller than ``common`` cannot contain it, so the scan
-    stops at the first one."""
-    for zsize, idx, zeros in by_size:
-        if zsize < size:
-            return None
+    """Return (index, zero set) of a ray other than i and j among the first
+    ``end`` entries whose zero set contains ``common`` (so i and j are not
+    adjacent), or None if there is none."""
+    for idx, zeros in islice(entries, end):
         if zeros & common == common and idx != i and idx != j:
             return idx, zeros
     return None

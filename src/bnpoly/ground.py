@@ -207,10 +207,10 @@ class _Vector:
         if coords is not None:
             items = coords.items() if hasattr(coords, "items") else coords
             for key, value in items:
+                self._check_key(gs, key)
                 q = as_fraction(value)
                 if q == 0:
                     continue
-                self._check_key(gs, key)
                 if key in clean:
                     raise BnPolyError(f"duplicate coordinate key {key!r}")
                 clean[key] = q

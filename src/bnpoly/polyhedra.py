@@ -139,7 +139,13 @@ def integer_values(
     a bound of 1 comes back as the scale itself."""
     ints, _ = integer_row([*objective.dense(objective.index(objective.gs)), bound])
     terms = [(j, c) for j, c in enumerate(ints[:-1]) if c]
-    return [sum(c * p[j] for j, c in terms) for p in points], ints[-1]
+    values = []
+    for p in points:
+        value = 0
+        for j, c in terms:
+            value += c * p[j]
+        values.append(value)
+    return values, ints[-1]
 
 
 def _check_space(objective: FamVector | CharVector, vrep: VRep) -> None:

@@ -640,6 +640,30 @@ def test_two_texts_for_one_coordinate_are_refused(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["0", "1"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("se", "check", "--n", "3", "--objective", '{"a|ab": "VALUE"}'),
+            "--objective: node a cannot be its own parent",
+        ),
+        (
+            ("se", "from-setfn", "--n", "3", "--setfn", '{"a": "VALUE"}'),
+            "--setfn: coordinates on subsets of size <= 1 are fixed to 0",
+        ),
+    ],
+    ids=["own-parent", "size-one-subset"],
+)
+def test_a_key_outside_the_space_is_refused_whatever_its_value(capsys, argv, message, value):
+    # A zero value would be dropped from the sparse vector; the key is
+    # checked first, so a zero at a fixed-to-zero key is refused too.
+    argv = [arg.replace("VALUE", value) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_import_loads_no_heavy_stdlib_module():
     # python -S: no site-packages .pth file can load these first
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

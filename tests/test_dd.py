@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bnpoly import dd
 from bnpoly.dd import Budget, _insertion_order, extreme_rays
 from bnpoly.errors import BudgetExceededError
 from bnpoly.ground import GroundSet
@@ -220,6 +221,57 @@ def test_split_with_lineality_and_empty_common_set():
     rays, lin = extreme_rays(rows, 4)
     assert rays == [(0, 1, 0, 0), (2, 1, 0, 0)]
     assert lin == [(0, 0, 0, 1), (0, 0, 1, 0)]
+
+
+def _spy_cover_scans(monkeypatch):
+    """Record each cover scan as (common, prefix end, ray count, rays in the
+    prefix other than the pair)."""
+    scans = []
+    scan = dd._cover_zeroset
+
+    def spy(entries, end, i, j, common):
+        others = [idx for idx, _ in entries[:end] if idx not in (i, j)]
+        scans.append((common, end, len(entries), others))
+        return scan(entries, end, i, j, common)
+
+    monkeypatch.setattr(dd, "_cover_zeroset", spy)
+    return scans
+
+
+def test_scan_over_an_empty_common_set_walks_every_ray(monkeypatch):
+    # A two-dimensional pointed part needs no common tight row for an edge
+    # (needed <= 0), so a pair with an empty common set is scanned against
+    # every ray: pointed cones in two coordinates, and the same rows with a
+    # free third coordinate, whose line leaves the pointed part the same.
+    scans = _spy_cover_scans(monkeypatch)
+    rng = random.Random(21)
+    for _ in range(30):
+        rows = [tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(rng.randint(2, 6))]
+        if rank(rows) < 2:
+            continue
+        expected = oracle_rays(rows, 2)
+        assert extreme_rays(rows, 2) == (expected, [])
+        free = [row + (0,) for row in rows]
+        assert extreme_rays(free, 3) == ([ray + (0,) for ray in expected], [(0, 0, 1)])
+    empty = [(end, count) for common, end, count, _ in scans if not common]
+    assert empty and all(end == count for end, count in empty)
+
+
+def test_scan_prefix_holds_only_the_pair_when_common_outgrows_the_rest(monkeypatch):
+    # The unit cube over (t, x, y, z) plus three redundant rows tight only
+    # where x = y = 0.  z >= 0 is inserted last; it splits the vertex
+    # (1, 0, 0, 1) from the recession ray (0, 0, 0, -1), which share five
+    # tight rows (x, y and the redundant three), while every other ray is
+    # tight on three, so the scan's prefix holds the pair alone.
+    rows = _cube_inequality_rows(3) + [(0, 1, 1, 0), (0, 1, 2, 0), (0, 2, 1, 0)]
+    scans = _spy_cover_scans(monkeypatch)
+    rays, lin = extreme_rays(rows, 4)
+    assert (rays, lin) == (oracle_rays(rows, 4), [])
+    assert rays == sorted((1,) + v for v in itertools.product((0, 1), repeat=3))
+    assert any(
+        common.bit_count() == 5 and not others and count >= 4
+        for common, _, count, others in scans
+    )
 
 
 def test_rays_are_primitive_and_distinct():

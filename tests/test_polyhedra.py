@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from bnpoly.dags import enumerate_equivalence_classes
 from bnpoly.dd import Budget
 from bnpoly.encodings import char_bits
 from bnpoly.errors import BnPolyError, InfeasibleError, InvalidInequalityError, UnboundedError
-from bnpoly.ground import FamVector, GroundSet, enumerate_cai
+from bnpoly.ground import CharVector, FamVector, GroundSet, enumerate_cai
 from bnpoly.ineq import (
     LinearInequality,
     catalog_specific_n4,
@@ -24,6 +25,7 @@ from bnpoly.polyhedra import (
     facets_from_vertices,
     fvp_vrep,
     incidence,
+    integer_values,
     is_facet,
     lp_maximize,
     max_over_vertices,
@@ -92,6 +94,38 @@ def test_incidence_matches_sparse_evaluation(gs3):
     expected = _sparse_incidence(rows, polytope)
     assert incidence(sevenths, polytope) == incidence(rows, polytope) == expected
     assert all(expected)
+
+
+@pytest.mark.parametrize("cls", [FamVector, CharVector], ids=["fam", "char"])
+def test_integer_values_match_fraction_evaluation(gs3, cls):
+    # Against <objective, p> and the bound in Fractions, times the lcm of
+    # the denominators of the coefficients and the bound.
+    rng = random.Random(f"integer-values-{cls.space}")
+    index = cls.index(gs3)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+
+    for trial in range(25):
+        objective = cls(gs3, [(key, rational()) for key in index if rng.random() < 0.6])
+        bound = Fraction(1) if trial % 5 == 0 else rational()
+        points = [tuple(rational() for _ in index) for _ in range(rng.randint(1, 6))]
+        scale = math.lcm(bound.denominator, *(c.denominator for _, c in objective.items()))
+        values, scaled_bound = integer_values(objective, bound, points)
+        assert values == [
+            scale * sum((objective[key] * x for key, x in zip(index, p)), Fraction(0))
+            for p in points
+        ]
+        assert scaled_bound == scale * bound
+
+    # Violated at a known point: incidence names the first one.
+    objective = cls(gs3, [(key, rational()) for key in index])
+    points = tuple(dict.fromkeys(tuple(rational() for _ in index) for _ in range(8)))
+    exact = [sum((objective[key] * x for key, x in zip(index, p)), Fraction(0)) for p in points]
+    bound = sorted(set(exact))[-2]
+    first = next(i for i, v in enumerate(exact) if v > bound)
+    with pytest.raises(InvalidInequalityError, match=rf"^inequality probe violated at point {first}$"):
+        incidence([LinearInequality(objective, bound, "probe")], VRep(cls.space, gs3, points))
 
 
 def test_max_over_vertices_is_exact(gs3):
