@@ -62,6 +62,9 @@ class Dag:
     def from_json(cls, obj: dict[str, str], gs: GroundSet | None = None) -> "Dag":
         if not isinstance(obj, dict) or not all(isinstance(v, str) for v in obj.values()):
             raise BnPolyError(f"a DAG must be a JSON object of parent letters, got {obj!r}")
+        for node in obj:
+            if len(node) != 1:
+                raise BnPolyError(f"DAG node names must be single characters, got {node!r}")
         if gs is None:
             gs = GroundSet(obj.keys())
         elif set(obj.keys()) != set(gs.labels):

@@ -21,8 +21,8 @@ Each vector class owns its index family (``index``), its text keys (``"a|bc"``,
 
 :class:`Record` and :class:`FrozenRecord` are the bases of the package's
 value classes (inequalities, representations, LP results, reports): plain
-classes with field-wise ``==`` and ``repr``, so importing the package loads
-no ``dataclasses``.
+classes with one constructor over ``_fields`` and field-wise ``==`` and
+``repr``, so importing the package loads no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -75,10 +75,27 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 class Record:
-    """A plain value class: ``==`` and ``repr`` read the attributes named in
-    ``_fields``, in that order.  Mutable, so unhashable."""
+    """A plain value class built from ``_fields``, by position or name; those in
+    ``_defaults`` (immutable values) may be left out, and a missing, unknown,
+    repeated or surplus field is a TypeError.  ``==``, ``repr`` go by field."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unknown field {key!r}")
+            if fields.index(key) < len(args):
+                raise TypeError(f"{name}() got field {key!r} twice")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        for key in fields:
+            if key not in values:
+                raise TypeError(f"{name}() is missing field {key!r}")
+        self.__dict__.update(values)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -95,7 +112,7 @@ class Record:
 
 class FrozenRecord(Record):
     """A :class:`Record` whose fields cannot be reassigned or deleted, hashed
-    by their values.  ``__init__`` sets them through ``self.__dict__``."""
+    by their values.  Constructors set them through ``self.__dict__``."""
 
     def __hash__(self) -> int:
         return hash(self._values())

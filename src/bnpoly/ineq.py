@@ -269,7 +269,9 @@ def binomial_identity(s: int, k: int, K: int) -> tuple[int, int]:
 
 class CatalogEntry(FrozenRecord):
     """One permutation type of a four-node catalog: its representative, the
-    orbit members and the relabelings that make them."""
+    orbit members and the relabelings (mask images) that make them.  ``kind``
+    is "cluster" (with its (cluster mask, level) pair), "noncluster" or
+    "specific"; ``certificate`` holds conic-combination data, if any."""
 
     _fields = (
         "type_id",
@@ -281,28 +283,7 @@ class CatalogEntry(FrozenRecord):
         "cluster",
         "certificate",
     )
-
-    def __init__(
-        self,
-        type_id: str,
-        char_ineq: LinearInequality,
-        char_orbit: tuple[LinearInequality, ...],
-        relabelings: tuple[tuple[int, ...], ...],  # mask images making each member
-        expected_orbit_size: int,
-        kind: str,  # "cluster" | "noncluster" | "specific"
-        cluster: tuple[int, int] | None = None,  # (cluster mask, level)
-        certificate: dict | None = None,  # conic-combination data, where applicable
-    ):
-        self.__dict__.update(
-            type_id=type_id,
-            char_ineq=char_ineq,
-            char_orbit=char_orbit,
-            relabelings=relabelings,
-            expected_orbit_size=expected_orbit_size,
-            kind=kind,
-            cluster=cluster,
-            certificate=certificate,
-        )
+    _defaults = {"cluster": None, "certificate": None}
 
     @cached_property
     def fam_ineq(self) -> LinearInequality:
@@ -370,18 +351,10 @@ def catalog_specific_n4() -> tuple[CatalogEntry, ...]:
 
 
 class CounterexampleConstants(FrozenRecord):
-    _fields = ("char_ineq", "fam_ineq", "objective", "centroid")
+    """The five-node char inequality (bound 16), its fam translation, that
+    translation's objective and the centroid of its 153 tight DAG codes."""
 
-    def __init__(
-        self,
-        char_ineq: LinearInequality,  # valid over characteristic imsets, bound 16
-        fam_ineq: LinearInequality,  # its family-variable translation
-        objective: FamVector,  # the fam-mode objective of that translation
-        centroid: FamVector,  # uniform combination of the 153 tight DAG codes
-    ):
-        self.__dict__.update(
-            char_ineq=char_ineq, fam_ineq=fam_ineq, objective=objective, centroid=centroid
-        )
+    _fields = ("char_ineq", "fam_ineq", "objective", "centroid")
 
 
 @lru_cache(maxsize=1)

@@ -125,9 +125,6 @@ def cip_vrep(gs: GroundSet) -> VRep:
 class FaceInfo(FrozenRecord):
     _fields = ("tight_indices", "dimension")
 
-    def __init__(self, tight_indices: tuple[int, ...], dimension: int):
-        self.__dict__.update(tight_indices=tight_indices, dimension=dimension)
-
 
 def integer_values(
     objective: FamVector | CharVector, bound, points: Sequence[Sequence]

@@ -56,23 +56,11 @@ _ZERO = Fraction(0)
 
 
 class LpResult(Record):
-    _fields = ("status", "objective", "x", "dual_ub", "dual_eq", "pivots")
+    """``status`` "optimal" (with the value, x and dual certificate),
+    "infeasible" or "unbounded"; ``pivots`` counts (phase 1, phase 2)."""
 
-    def __init__(
-        self,
-        status: str,  # "optimal" | "infeasible" | "unbounded"
-        objective: Fraction | None = None,
-        x: tuple[Fraction, ...] | None = None,
-        dual_ub: tuple[Fraction, ...] | None = None,
-        dual_eq: tuple[Fraction, ...] | None = None,
-        pivots: tuple[int, int] = (0, 0),  # (phase 1, phase 2)
-    ):
-        self.status = status
-        self.objective = objective
-        self.x = x
-        self.dual_ub = dual_ub
-        self.dual_eq = dual_eq
-        self.pivots = pivots
+    _fields = ("status", "objective", "x", "dual_ub", "dual_eq", "pivots")
+    _defaults = dict(objective=None, x=None, dual_ub=None, dual_eq=None, pivots=(0, 0))
 
 
 def solve_lp(

@@ -59,25 +59,11 @@ from .supermod import cluster_pairs, is_extreme
 
 
 class Check(Record):
-    _fields = ("description", "expected", "observed", "passed", "skipped", "note", "source")
+    """One check; ``source`` is the provenance of the expected value,
+    "published" or "derived"."""
 
-    def __init__(
-        self,
-        description: str,
-        expected: object,
-        observed: object,
-        passed: bool,
-        skipped: bool = False,
-        note: str = "",
-        source: str = "",  # provenance of the expected value: published | derived
-    ):
-        self.description = description
-        self.expected = expected
-        self.observed = observed
-        self.passed = passed
-        self.skipped = skipped
-        self.note = note
-        self.source = source
+    _fields = ("description", "expected", "observed", "passed", "skipped", "note", "source")
+    _defaults = {"skipped": False, "note": "", "source": ""}
 
     def to_json(self) -> dict:
         out = {
@@ -119,9 +105,7 @@ class VerificationReport(Record):
         )
 
     def skip(self, description: str, reason: str) -> None:
-        self.checks.append(
-            Check(description, None, None, passed=True, skipped=True, note=reason)
-        )
+        self.checks.append(Check(description, None, None, passed=True, skipped=True, note=reason))
 
     @property
     def passed(self) -> bool:
@@ -618,13 +602,11 @@ def verify_counterexample() -> VerificationReport:
 # --- pipeline: equivalence-closed faces ------------------------------------------------
 
 
-def all_faces_by_tight_sets(vrep: VRep, hull: HRep | None = None) -> list[int]:
+def all_faces_by_tight_sets(vrep: VRep, hull: HRep) -> list[int]:
     """Every nonempty face of conv(points) as an int bitmask, bit i set when
     point i lies on the face: the whole polytope plus the closure of the
-    facet tight sets under ``&``.  Faces come by size, then by sorted index
-    list."""
-    if hull is None:
-        hull = facets_from_vertices(vrep)
+    tight sets of the ``hull`` facets under ``&``.  Faces come by size, then
+    by sorted index list."""
     width = len(vrep.points)
     # after the k-th tight set, faces holds the & of every subset of the first k
     faces = {(1 << width) - 1}

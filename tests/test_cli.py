@@ -473,6 +473,34 @@ def test_export_lp_to_stdout(capsys, options, objective, clusters):
     )
 
 
+@pytest.mark.parametrize("clusters", [(), ("--clusters", "all")], ids=["default", "all"])
+def test_export_lp_with_every_cluster_row_is_refused_above_nine_nodes(
+    tmp_path, capsys, monkeypatch, clusters
+):
+    def never(*_, **__):
+        raise AssertionError("no work may start before the refusal")
+
+    monkeypatch.setattr(cli, "cluster_pairs", never)
+    monkeypatch.setattr(cli, "export_lp", never)
+    out_file = tmp_path / "model.lp"
+    code, out, err = run_cli(capsys, "export-lp", "--n", "10", *clusters, "--out", str(out_file))
+    assert code == 3 and out == ""
+    assert err == (
+        "budget exhausted: the LP with all cluster inequalities over 10 nodes is out of"
+        " reach; --clusters all stops at n = 9\n"
+    )
+    assert not out_file.exists()
+
+
+def test_export_lp_without_cluster_rows_stays_allowed_above_nine_nodes(tmp_path, capsys):
+    out_file = tmp_path / "model.lp"
+    code, _, err = run_cli(
+        capsys, "export-lp", "--n", "10", "--clusters", "none", "--out", str(out_file)
+    )
+    assert code == 0 and err == ""
+    assert out_file.read_text().endswith("End\n")
+
+
 def test_export_lp_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "model.lp"
     code, _, _ = run_cli(
@@ -676,6 +704,40 @@ def test_cli_import_loads_no_heavy_stdlib_module():
         [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True
     )
     assert run.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("dag", ['{"x1":"","x2":"x1"}', '{"x1":"","x2":""}'])
+def test_a_dag_node_name_longer_than_one_character_is_named(capsys, dag):
+    code, out, err = run_cli(capsys, "encode", "--dag", dag, "--as", "fam")
+    assert code == 2 and out == ""
+    assert err == "error: DAG node names must be single characters, got 'x1'\n"
+
+
+# An inequality row; %s takes its optional label entry.
+_ROW = '{"space":"fam","objective":{"a|b":"1"},"bound":"1"%s}'
+
+
+@pytest.mark.parametrize("label", ["5", '["x"]', "null"])
+@pytest.mark.parametrize("option", ["--ineq", "--hrep"])
+def test_a_row_label_that_is_not_a_string_is_refused(capsys, option, label):
+    row = _ROW % f',"label":{label}'
+    if option == "--ineq":
+        argv = ("polytope", "face-dim", "--n", "3", "--polytope", "fvp", "--ineq", row)
+    else:
+        hrep = f'{{"space":"fam","inequalities":[{row}]}}'
+        argv = ("polytope", "vertices", "--n", "3", "--hrep", hrep)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {option}: 'label' must be a JSON str\n"
+
+
+@pytest.mark.parametrize("label", ["", ',"label":"x"'], ids=["left-out", "text"])
+def test_a_row_label_may_be_left_out_or_given_as_text(capsys, label):
+    code, out, _ = run_cli(
+        capsys, "polytope", "face-dim", "--n", "3", "--polytope", "fvp", "--ineq", _ROW % label
+    )
+    assert code == 0
+    assert json.loads(out)["tight_points"] == 5
 
 
 @pytest.mark.parametrize("action", ["face-dim", "is-facet"])

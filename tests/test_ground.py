@@ -1,13 +1,18 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import bnpoly
 from bnpoly.errors import BnPolyError, IndexFamilyMismatchError
 from bnpoly.ground import (
     CharVector,
     FamVector,
+    FrozenRecord,
     GroundSet,
+    Record,
     SetFunction,
     as_fraction,
     enumerate_cai,
@@ -206,3 +211,66 @@ def test_as_fraction_refuses_booleans(gs3):
 def test_setfn_allows_all_subsets(gs3):
     m = SetFunction(gs3, {0: 2, 0b001: -1, 0b111: 1})
     assert m[0] == 2 and m[0b001] == -1
+
+
+class _Point(Record):
+    _fields = ("x", "y", "tag")
+    _defaults = {"tag": ""}
+
+
+class _FrozenPoint(FrozenRecord):
+    _fields = ("x", "y")
+
+
+def test_record_takes_fields_by_position_name_or_default():
+    expected = _Point(1, 2, "p")
+    assert _Point(x=1, y=2, tag="p") == expected
+    assert _Point(1, tag="p", y=2) == expected
+    assert _Point(1, 2) == _Point(1, 2, "")
+    assert _Point(1, 2).tag == ""
+    assert repr(expected) == "_Point(x=1, y=2, tag='p')"
+    assert _FrozenPoint(1, y=2) == _FrozenPoint(1, 2)
+    assert hash(_FrozenPoint(1, 2)) == hash(_FrozenPoint(x=1, y=2))
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((1,), {}, "_Point() is missing field 'y'"),
+        ((1, 2), {"z": 3}, "_Point() got an unknown field 'z'"),
+        ((1, 2), {"x": 3}, "_Point() got field 'x' twice"),
+        ((1, 2, "p", 4), {}, "_Point() takes 3 fields, got 4"),
+    ],
+    ids=["missing", "unknown", "repeated", "surplus"],
+)
+def test_record_refuses_a_bad_field_list(args, kwargs, message):
+    with pytest.raises(TypeError) as info:
+        _Point(*args, **kwargs)
+    assert str(info.value) == message
+
+
+def test_frozen_record_refuses_assignment_after_construction():
+    point = _FrozenPoint(1, 2)
+    with pytest.raises(AttributeError, match="cannot assign to field 'x'"):
+        point.x = 3
+    with pytest.raises(AttributeError, match="cannot delete field 'y'"):
+        del point.y
+    assert point == _FrozenPoint(1, 2)
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_record_defaults_are_fields_with_hashable_values():
+    # A mutable default would be one object shared by every record left without it.
+    for info in pkgutil.iter_modules(bnpoly.__path__):
+        importlib.import_module(f"bnpoly.{info.name}")
+    classes = [cls for cls in _record_classes() if cls.__module__.startswith("bnpoly.")]
+    assert {"CatalogEntry", "LpResult", "Check"} <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        assert set(cls._defaults) <= set(cls._fields), cls
+        for value in cls._defaults.values():
+            hash(value)

@@ -17,7 +17,7 @@ from bnpoly.ground import (
     scalar_product,
 )
 from bnpoly.ineq import cluster_fam
-from bnpoly.polyhedra import fvp_vrep
+from bnpoly.polyhedra import facets_from_vertices, fvp_vrep
 from bnpoly.scoreeq import (
     char_objective,
     is_se_face,
@@ -226,7 +226,8 @@ def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
     cai = enumerate_cai(gs3)
     signature = [char_bits(g, cai) for g in dags]
     closed = []
-    for mask in all_faces_by_tight_sets(fvp_vrep(gs3)):
+    fvp = fvp_vrep(gs3)
+    for mask in all_faces_by_tight_sets(fvp, facets_from_vertices(fvp)):
         face = set(iter_bits(mask))
         classes = {signature[i] for i in face}
         if {i for i, s in enumerate(signature) if s in classes} == face:
