@@ -1,8 +1,8 @@
 """Acyclic directed graphs over a ground set.
 
 A graph is stored as one parent mask per node.  Enumeration builds each
-acyclic parent map once by peeling sources layer by layer and sorts the
-result into lexicographic parent-map order; Markov equivalence is
+acyclic parent map once, as one Cartesian product per longest-path layering,
+and sorts the result into lexicographic parent-map order; Markov equivalence is
 available both through the adjacency + immorality characterization and
 through breadth-first closure under covered-arc reversals, and the two are
 cross-checked in the test suite.
@@ -23,9 +23,9 @@ class Dag:
 
     __slots__ = ("gs", "parents")
 
-    def __init__(self, gs: GroundSet, parents: Sequence[int], check: bool = True):
+    def __init__(self, gs: GroundSet, parents: Sequence[int]):
         parents = tuple(parents)
-        if check and not is_acyclic(gs, parents):
+        if not is_acyclic(gs, parents):
             raise BnPolyError("parent map has a directed cycle")
         self.gs = gs
         self.parents = parents
@@ -121,48 +121,59 @@ def _dag_count(n: int) -> int:
 
 
 def _acyclic_parent_tuples(n: int) -> list[tuple[int, ...]]:
-    """Every acyclic parent map over n nodes once, in lexicographic order.
+    """Every acyclic parent map over n nodes once, in lexicographic order,
+    as one Cartesian product per longest-path layering.
 
-    A DAG is built layer by layer by peeling sources (Robinson 1973): layer 0
-    is a nonempty set of sources, and each node of a later layer takes a
-    parent set inside the earlier layers that meets the layer just before
-    it.  Every DAG has exactly one such layering, its longest-path depths."""
+    Every DAG has exactly one layering by longest-path depth (Robinson 1973):
+    layer 0 is its nonempty set of sources, and each node of layer t >= 1 has
+    a parent set inside layers < t that meets layer t - 1.  Walking the
+    ordered set partitions of the nodes fixes one choice list per node, and
+    the DAGs of that layering are the product of those lists."""
     full = (1 << n) - 1
     out: list[tuple[int, ...]] = []
+    # Lists, not tuples: the hundreds of short-lived choice tuples would stay
+    # in the interpreter's tuple free lists and raise the peak memory.
+    choices: list[list[int]] = [[0]] * n
 
-    def extend(parents: list[int], placed: int, last: int) -> None:
-        rest = full & ~placed
-        if not rest:
-            out.append(tuple(parents))
+    def extend(placed: int, last: int) -> None:
+        if placed == full:
+            out.extend(product(*choices))
             return
-        choices = [P for P in submasks(placed) if P & last]
-        for layer in submasks(rest):
-            if not layer:
-                continue
-            nodes = list(iter_bits(layer))
-            for picked in product(choices, repeat=len(nodes)):
-                for a, P in zip(nodes, picked):
-                    parents[a] = P
-                extend(parents, placed | layer, layer)
+        options = [P for P in submasks(placed) if P & last]
+        for layer in submasks(full & ~placed):
+            if layer:
+                for a in iter_bits(layer):
+                    choices[a] = options
+                extend(placed | layer, layer)
 
     for sources in submasks(full):
         if sources:
-            extend([0] * n, sources, sources)
+            for a in iter_bits(sources):
+                choices[a] = [0]
+            extend(sources, sources)
     out.sort()
     return out
 
 
+def _trusted_dag(gs: GroundSet, parents: tuple[int, ...]) -> Dag:
+    """A Dag over a parent tuple already known to be acyclic, unchecked."""
+    graph = object.__new__(Dag)
+    graph.gs = gs
+    graph.parents = parents
+    return graph
+
+
 def enumerate_dags(gs: GroundSet) -> list[Dag]:
     """Every acyclic parent map exactly once, in lexicographic parent-map
-    order, generated by peeling sources.  Exhaustive enumeration; refused
-    with BudgetExceededError for n > MAX_ENUMERATION_NODES before any work
-    starts."""
+    order, generated as one Cartesian product per longest-path layering.
+    Exhaustive enumeration; refused with BudgetExceededError for
+    n > MAX_ENUMERATION_NODES before any work starts."""
     if gs.n > MAX_ENUMERATION_NODES:
         raise BudgetExceededError(
             f"there are {_dag_count(gs.n)} DAGs over {gs.n} nodes;"
             f" exhaustive enumeration stops at n = {MAX_ENUMERATION_NODES}"
         )
-    return [Dag(gs, pm, check=False) for pm in _acyclic_parent_tuples(gs.n)]
+    return [_trusted_dag(gs, pm) for pm in _acyclic_parent_tuples(gs.n)]
 
 
 def immoralities(graph: Dag) -> frozenset[tuple[tuple[int, int], int]]:
@@ -196,7 +207,7 @@ def covered_arc_neighbors(graph: Dag) -> list[Dag]:
                 parents = list(graph.parents)
                 parents[b] = graph.parents[a]
                 parents[a] = graph.parents[a] | bit(b)
-                out.append(Dag(graph.gs, parents, check=False))
+                out.append(_trusted_dag(graph.gs, tuple(parents)))
     return out
 
 

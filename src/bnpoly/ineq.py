@@ -397,8 +397,9 @@ def export_lp(
 ) -> str:
     """CPLEX LP text for the family-variable relaxation: convexity as
     equalities over variables extended with empty parent sets, plus the
-    selected generalized cluster cuts in their lower-bound form.  Variable
-    bounds 0 <= x <= 1 take care of non-negativity."""
+    selected generalized cluster cuts in their lower-bound form, one row per
+    (cluster, level), so a pair given twice is refused.  Variable bounds
+    0 <= x <= 1 take care of non-negativity."""
     lines = ["\\ family-variable relaxation", "Maximize"]
     if objective:
         terms = []
@@ -416,8 +417,12 @@ def export_lp(
     for a in range(gs.n):
         vars_a = [_lp_var(gs, b, B) for b, B in pairs if b == a]
         lines.append(f" conv_{gs.labels[a]}: " + " + ".join(vars_a) + " = 1")
+    named = set()
     for C, k in clusters or []:
         check_cluster(gs, C, k)
+        if (C, k) in named:
+            raise BnPolyError(f"cluster {gs.letters(C)}:{k} is given twice")
+        named.add((C, k))
         vars_c = [
             _lp_var(gs, a, B)
             for a, B in pairs

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -242,10 +243,37 @@ def test_usage_error_exit_two(capsys, argv):
     assert argv == ("nonsense",) or err.startswith("error: ")
 
 
+# sha256 of the `dags` stdout: the enumeration order and the class
+# representatives are part of the printed bytes.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("dags", "--n", "5", "--list"), "cd0e04ed7978b618c5c9b08d1ebb94995e711cdb025bf56eb4b0c6a9df2e2806"),
+        (("dags", "--n", "4", "--classes"), "a67b2828cd79a42456c521a2c0744b19ac88484b35ae3e9f273bf4adac5d81f5"),
+    ],
+    ids=["n5-list", "n4-classes"],
+)
+def test_dags_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_export_lp_names_a_malformed_cluster_entry(capsys):
     code, out, err = run_cli(capsys, "export-lp", "--n", "3", "--clusters", "ab")
     assert code == 2 and out == ""
     assert err == "error: --clusters entry 'ab' must be letters:level, e.g. ab:1\n"
+
+
+@pytest.mark.parametrize("clusters", ["ab:1,ab:1", "ba:1,ab:1"])
+def test_export_lp_refuses_a_cluster_row_named_twice(tmp_path, capsys, clusters):
+    out_file = tmp_path / "model.lp"
+    code, out, err = run_cli(
+        capsys, "export-lp", "--n", "3", "--clusters", clusters, "--out", str(out_file)
+    )
+    assert code == 2 and out == ""
+    assert err == "error: cluster ab:1 is given twice\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(

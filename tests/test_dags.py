@@ -194,6 +194,35 @@ def test_source_peeling_five_nodes():
         assert dags_module._acyclic(pm, 0b11111)
 
 
+def assert_same_as_checked(graph, gs):
+    """A Dag built without the acyclicity check equals the checked one."""
+    checked = Dag(gs, graph.parents)
+    assert graph.gs is gs and type(graph.parents) is tuple
+    assert graph == checked and hash(graph) == hash(checked)
+    assert repr(graph) == repr(checked) and graph.to_json() == checked.to_json()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_enumerated_dags_equal_checked_ones(n):
+    gs = GroundSet.alpha(n)
+    for g in enumerate_dags(gs):
+        assert_same_as_checked(g, gs)
+
+
+def test_covered_arc_neighbors_equal_checked_ones(gs4):
+    for g in enumerate_dags(gs4):
+        for h in covered_arc_neighbors(g):
+            assert_same_as_checked(h, gs4)
+
+
+def test_checking_constructor_refuses_a_cycle_and_has_no_bypass(gs3):
+    cyclic = (0b010, 0b001, 0)  # a <-> b
+    with pytest.raises(BnPolyError, match="^parent map has a directed cycle$"):
+        Dag(gs3, cyclic)
+    with pytest.raises(TypeError):
+        Dag(gs3, cyclic, check=False)
+
+
 def test_robinson_recurrence():
     # OEIS A003024
     assert [dags_module._dag_count(n) for n in range(8)] == [
