@@ -10,13 +10,18 @@ so on 0/1 points the rule inserts the points grouped by their last nonzero
 coordinate.  After each group, the points inserted so far are the nonzero
 points of a coordinate face (zero past that coordinate), so the
 intermediate cones describe the hulls of faces, which stay small.  The
-n = 4 characteristic-imset hull (185 rows) peaks at 362 intermediate rays
-(656 in plain colex order) and the 69-constraint score-equivalence
-relaxation at n = 4 at 1336, where lexicographic order peaks at about
-30 000.  While the intermediate cone still contains lines, each new
-constraint cuts the lineality space down by one, after which the classical
-ray-splitting step applies.  Each step evaluates its row from the row's
-nonzero entries only.
+column order of the rows picks that chain of faces, and the rule reads
+only the rows: :func:`bnpoly.polyhedra.facets_from_vertices` lifts the
+coordinates densest first, so the sparse ones come last.  The n = 4
+characteristic-imset hull (185 rows) peaks at 362 intermediate rays (656
+in plain colex order), the n = 4 family-variable hull (543 rows) at 422
+(505 with the coordinates in index order), and the 69-constraint
+score-equivalence relaxation at n = 4, which vertex enumeration passes in
+index order, at 1336, where lexicographic order peaks at about 30 000.
+While the intermediate cone still contains lines, each new constraint cuts
+the lineality space down by one, after which the classical ray-splitting
+step applies.  Each step evaluates its row from the row's nonzero entries
+only.
 
 Everything is integer arithmetic: input rows are scaled to primitive integer
 vectors and every ray is kept primitive, so there is no rounding and no

@@ -3,10 +3,14 @@
 Polytopes appear either as vertex lists (:class:`VRep`) or as inequality +
 equation systems (:class:`HRep`), both convertible through the double
 description machinery in :mod:`bnpoly.dd`.  Facet enumeration lifts each
-point v to the constraint (1, -v) on candidate inequality vectors (u, c) and
-reads the facets off the extreme rays of that cone; vertex enumeration
-homogenizes the constraints and scales the rays with positive leading
-coordinate back to points.  Linear programs run on the exact simplex.
+point v to the constraint (1, -v) on candidate inequality vectors (u, c),
+with the coordinates densest first, and reads the facets off the extreme
+rays of that cone, mapped back to index order; a lower-dimensional hull's
+equations come in reduced echelon form and its facets are zero at the
+pivots, so the output depends only on the point set.  Vertex enumeration
+homogenizes the constraints in index order and scales the rays with
+positive leading coordinate back to points.  Linear programs run on the
+exact simplex.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .dags import Dag, enumerate_dags
-from .dd import Budget, extreme_rays
+from .dd import Budget, _sign_normalize, extreme_rays
 from .encodings import char_bits
 from .errors import (
     BnPolyError,
@@ -34,7 +38,7 @@ from .ground import (
     vector_class,
 )
 from .ineq import LinearInequality
-from .linalg import affine_rank, integer_row
+from .linalg import affine_rank, integer_row, primitive
 from .simplex import solve_lp
 
 
@@ -194,13 +198,31 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     Works on the cone of valid inequalities {(u, c) : u - <c, v> >= 0 for
     every point v}: its lineality space gives the affine hull and its
     extreme rays are exactly the facet-defining inequalities (the trivial
-    ray 0 <= u is dropped)."""
+    ray 0 <= u is dropped).
+
+    The points are lifted with their coordinates in decreasing order of
+    how many points are nonzero there (ties in index order), and the rays
+    and lineality are mapped back to index order.  The double description
+    inserts the lifted rows grouped by their last nonzero coordinate, so
+    the sparse coordinates come last and the intermediate cones stay small.
+    The output depends only on the point set: a full-dimensional hull's
+    primitive rays are unique, and otherwise the equations are brought to
+    reduced echelon form and the facets reduced to zero at its pivots (see
+    :func:`_reduced_echelon`)."""
     if not vrep.points:
         raise BnPolyError("convex hull of an empty point set is undefined")
     cls = vector_class(vrep.space)
     index = cls.index(vrep.gs)
-    rows = [(Fraction(1),) + tuple(-x for x in p) for p in vrep.points]
+    density = [sum(map(bool, column)) for column in zip(*vrep.points)]
+    order = sorted(range(len(index)), key=lambda j: -density[j])
+    rows = [(Fraction(1),) + tuple(-p[j] for j in order) for p in vrep.points]
     rays, lineality = extreme_rays(rows, len(index) + 1, budget=budget)
+    # coordinate j sits at lifted position 1 + order.index(j)
+    position = [0] + [1 + order.index(j) for j in range(len(index))]
+    rays = [tuple(ray[k] for k in position) for ray in rays]
+    lineality = [tuple(line[k] for k in position) for line in lineality]
+    if lineality:
+        rays, lineality = _reduced_echelon(rays, lineality)
     inequalities = []
     for ray in rays:
         bound, coeffs = ray[0], ray[1:]
@@ -211,6 +233,49 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     equations = [(cls(vrep.gs, zip(index, line[1:])), Fraction(line[0])) for line in lineality]
     inequalities.sort(key=lambda q: q.canonical_key())
     return HRep(vrep.space, vrep.gs, tuple(inequalities), tuple(equations))
+
+
+def _reduced_echelon(
+    rays: Sequence[tuple[int, ...]], lineality: Sequence[tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The valid-inequality cone's rays and lineality in a form that depends
+    on the cone alone.
+
+    The lineality basis goes to reduced echelon form, each line pivoting on
+    its last nonzero coefficient coordinate, with the pivot positive and
+    every other line zero there.  Coordinate 0, the bound u, is never a
+    pivot: no line has c = 0, since u - <0, v> = 0 forces u = 0, so the
+    coefficients alone carry a full set of pivots.  The trivial ray 0 <= u
+    is therefore left as it is.  Each ray is then reduced to zero at the
+    pivots (a positive multiple of the ray plus a line, made primitive);
+    that is the one representative of its class modulo the lineality.  The
+    lines are returned primitive, first nonzero entry positive, sorted."""
+    pending = list(lineality)
+    echelon = []  # (pivot, line) pairs
+    for c in range(len(lineality[0]) - 1, 0, -1):
+        k = next((k for k, line in enumerate(pending) if line[c]), None)
+        if k is None:
+            continue
+        pivot_line = pending.pop(k)
+        if pivot_line[c] < 0:
+            pivot_line = tuple(-x for x in pivot_line)
+        pending = [_eliminate(line, pivot_line, c) for line in pending]
+        echelon = [(p, _eliminate(line, pivot_line, c)) for p, line in echelon]
+        echelon.append((c, pivot_line))
+    reduced = []
+    for ray in rays:
+        for c, line in echelon:
+            ray = _eliminate(ray, line, c)
+        reduced.append(ray)
+    return reduced, sorted(_sign_normalize(line) for _, line in echelon)
+
+
+def _eliminate(vec: tuple[int, ...], line: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """``vec`` zero at coordinate c: line[c] * vec - vec[c] * line made
+    primitive, a positive multiple of vec plus a line when line[c] > 0."""
+    if not vec[c]:
+        return vec
+    return primitive([line[c] * x - vec[c] * y for x, y in zip(vec, line)])
 
 
 def vertices_from_inequalities(hrep: HRep, budget: Budget | None = None) -> VRep:

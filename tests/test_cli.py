@@ -259,6 +259,25 @@ def test_dags_stdout_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the `polytope hull` stdout for the four built-in hulls.  They
+# are full-dimensional, so their facets are the unique primitive extreme
+# rays and the bytes do not depend on the coordinate order of the lift.
+@pytest.mark.parametrize(
+    "n, polytope, digest",
+    [
+        (3, "fvp", "fe46d67eec455bc7765c5434451eda3c7abfa4c445e4096391a94294434b0e8e"),
+        (3, "cip", "16312901ee532b67fd78633f97ee85eec651c6dd2dd157179fc47cc193423801"),
+        (4, "fvp", "d70d7d48390176f06d9c7ec08850f33d6e5c00535fd3ecc3ecced970647177a9"),
+        (4, "cip", "85456cdb3f469edecf91334937e88ed3f12938e0677302ca7780064585a561ea"),
+    ],
+    ids=["fvp3", "cip3", "fvp4", "cip4"],
+)
+def test_built_in_hull_stdout_bytes_are_pinned(capsys, n, polytope, digest):
+    code, out, err = run_cli(capsys, "polytope", "hull", "--n", str(n), "--polytope", polytope)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_export_lp_names_a_malformed_cluster_entry(capsys):
     code, out, err = run_cli(capsys, "export-lp", "--n", "3", "--clusters", "ab")
     assert code == 2 and out == ""

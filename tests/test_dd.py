@@ -136,7 +136,8 @@ def test_zeroset_and_rank_adjacency_agree():
 
 
 def _lifted(points):
-    # The cone of valid inequalities u - <c, p> >= 0, as facets_from_vertices builds it.
+    # The cone of valid inequalities u - <c, p> >= 0, lifted in index order
+    # (facets_from_vertices takes the coordinates densest first).
     return [(1,) + tuple(-x for x in p) for p in points]
 
 
@@ -361,10 +362,12 @@ def test_row_permutation_invariance(name):
 
 # Peak intermediate rays (Budget.check's count) when rows are inserted by
 # their last negative entry, then colex: 362 for the n=4 CIP hull and 505 for
-# the n=4 FVP hull, against 656 and 633 in plain colex order and 590 and 1768
-# in lexicographic order.  The caps leave about 1.5x headroom, so an
-# insertion order that lets the intermediate cone grow fails here within
-# seconds instead of running on.
+# the n=4 FVP hull lifted in index order, against 656 and 633 in plain colex
+# order and 590 and 1768 in lexicographic order.  facets_from_vertices lifts
+# the coordinates densest first, which is the index order on the CIP and
+# cuts the FVP hull's peak to 422 (its cap of 640 is in test_polyhedra.py).
+# The caps leave about 1.5x headroom, so an insertion order that lets the
+# intermediate cone grow fails here within seconds instead of running on.
 @pytest.mark.parametrize(
     "vrep, facets, max_rays",
     [(cip_vrep, 154, 550), (fvp_vrep, 135, 760)],

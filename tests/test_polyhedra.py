@@ -1,11 +1,13 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from bnpoly.cli import main
 from bnpoly.dags import enumerate_equivalence_classes
-from bnpoly.dd import Budget
+from bnpoly.dd import Budget, extreme_rays
 from bnpoly.encodings import char_bits
 from bnpoly.errors import BnPolyError, InfeasibleError, InvalidInequalityError, UnboundedError
 from bnpoly.ground import CharVector, FamVector, GroundSet, enumerate_cai
@@ -19,6 +21,7 @@ from bnpoly.ineq import (
 from bnpoly.polyhedra import (
     HRep,
     VRep,
+    _reduced_echelon,
     affine_rank,
     cip_vrep,
     face_of,
@@ -178,7 +181,9 @@ def test_hull_counts(gs3):
 
 
 def test_fvp_n4_hull_has_135_facets(gs4):
-    hull = facets_from_vertices(fvp_vrep(gs4))
+    # Lifted densest first, the hull peaks at 422 intermediate rays (505 in
+    # index order); the cap leaves about 1.5x headroom.
+    hull = facets_from_vertices(fvp_vrep(gs4), budget=Budget(max_rays=640))
     assert len(hull.inequalities) == 135
     assert hull.equations == ()  # full-dimensional in the 28 family variables
 
@@ -200,6 +205,64 @@ def test_hull_low_dimensional_reports_equations(gs3):
         assert FamVector(gs3, zip(hull.index, row)) == vec and rhs == expected_rhs
     for row, rhs, q in zip(A_ub, b_ub, hull.inequalities):
         assert FamVector(gs3, zip(hull.index, row)) == q.objective and rhs == q.bound
+
+
+def _hull_subsets(count):
+    """Seeded random subsets of the n = 2, 3, 4 FVP and CIP points, most of
+    them lower-dimensional."""
+    rng = random.Random("hull-subsets")
+    bases = [vrep(GroundSet.alpha(n)) for n in (2, 3, 4) for vrep in (fvp_vrep, cip_vrep)]
+    for _ in range(count):
+        base = rng.choice(bases)
+        size = rng.randint(1, min(len(base.points), 14))
+        yield VRep(base.space, base.gs, tuple(rng.sample(base.points, size)))
+
+
+def _dense_hull(hull):
+    """The hull as (facet rows, equation rows), each row (bound, *coefficients)
+    in index order, facets sorted."""
+    facets = sorted((q.bound, *q.objective.dense(hull.index)) for q in hull.inequalities)
+    equations = [(rhs, *vec.dense(hull.index)) for vec, rhs in hull.equations]
+    return facets, equations
+
+
+def test_hull_equals_the_reduced_form_of_the_index_order_cone():
+    # The cone with the points lifted in index order.  Its rays and
+    # lineality come out in reduced echelon form already, so reducing them
+    # changes nothing, and the hull lifted densest first must give the same
+    # rows.
+    lower_dimensional = 0
+    for vrep in _hull_subsets(100):
+        rays, lineality = extreme_rays([(1, *(-x for x in p)) for p in vrep.points], len(vrep.index) + 1)
+        if lineality:
+            lower_dimensional += 1
+            reduced, lines = _reduced_echelon(rays, lineality)
+            assert (sorted(reduced), lines) == (rays, lineality)
+        facets = [ray for ray in rays if any(ray[1:])]
+        assert _dense_hull(facets_from_vertices(vrep)) == (facets, lineality)
+    assert lower_dimensional >= 60
+
+
+def test_facets_vanish_at_the_equation_pivots():
+    for vrep in _hull_subsets(100):
+        facets, equations = _dense_hull(facets_from_vertices(vrep))
+        # each equation pivots on its last nonzero coefficient, never on the bound
+        pivots = [max(c for c in range(1, len(line)) if line[c]) for line in equations]
+        assert len(set(pivots)) == len(pivots)
+        for c in pivots:
+            assert sum(1 for line in equations if line[c]) == 1
+            assert all(row[c] == 0 for row in facets)
+        assert equations == sorted(equations)
+        assert all(next(x for x in line if x) > 0 for line in equations)
+
+
+def test_segment_hull_stdout_bytes_are_pinned(capsys):
+    points = '{"space": "fam", "points": [{"a|b": "1"}, {"b|a": "1"}]}'
+    assert main(["polytope", "hull", "--n", "2", "--points", points]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "39c7567318a96c08ab606381564deaa53ae0abd0c9513cf9170f3c1210dca892"
+    )
 
 
 def test_vertex_enumeration_examples(gs3):
