@@ -12,18 +12,15 @@ because fractional points get pushed through it as well.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dags import Dag
 from .ground import (
     CharVector,
     FamVector,
     SetFunction,
-    ZERO,
     bit,
     enumerate_cai,
-    iter_bits,
     submasks,
+    subset_sums,
 )
 
 
@@ -43,14 +40,12 @@ def char_from_fam(fam: FamVector) -> CharVector:
 
     for every subset S of size >= 2.  Linear in the input."""
     gs = fam.gs
-    acc: dict[int, Fraction] = {}
+    acc = [0] * (1 << gs.n)
     for (a, B), value in fam.items():
         abit = bit(a)
         for K in submasks(B):
-            if K:
-                S = abit | K
-                acc[S] = acc.get(S, ZERO) + value
-    return CharVector(gs, acc)
+            acc[abit | K] += value
+    return CharVector(gs, [(S, acc[S]) for S in enumerate_cai(gs) if acc[S]])
 
 
 def standard_imset(graph: Dag) -> SetFunction:
@@ -60,44 +55,33 @@ def standard_imset(graph: Dag) -> SetFunction:
 
     where d_A is the indicator of the subset A and multiplicities add up."""
     gs = graph.gs
-    acc: dict[int, Fraction] = {gs.full_mask: Fraction(1), 0: Fraction(-1)}
-
-    def bump(mask: int, delta: int) -> None:
-        acc[mask] = acc.get(mask, ZERO) + delta
-
+    acc = [0] * (1 << gs.n)
+    acc[gs.full_mask], acc[0] = 1, -1
     for a, B in enumerate(graph.parents):
-        bump(B, 1)
-        bump(B | bit(a), -1)
-    return SetFunction(gs, acc)
+        acc[B] += 1
+        acc[B | bit(a)] -= 1
+    return SetFunction(gs, [(S, v) for S, v in enumerate(acc) if v])
 
 
 def char_from_standard(u: SetFunction) -> CharVector:
     """Inverse-direction affine map: c(T) = 1 - sum of u over supersets of T,
-    for every T of size >= 2."""
+    for every T of size >= 2.  The superset sums at T are the subset sums of
+    S -> u(N \\ S) at N \\ T."""
     gs = u.gs
-    support = list(u.items())
-    coords = {}
-    for T in enumerate_cai(gs):
-        total = Fraction(1)
-        for S, value in support:
-            if S & T == T:
-                total -= value
-        coords[T] = total
-    return CharVector(gs, coords)
+    full = gs.full_mask
+    sums = subset_sums([u[full ^ S] for S in range(full + 1)])
+    return CharVector(gs, [(T, 1 - sums[full ^ T]) for T in enumerate_cai(gs)])
 
 
-def char_bits(graph: Dag, cai_order: list[int]) -> tuple[int, ...]:
-    """Characteristic imset of a DAG as a 0/1 tuple over ``cai_order``.
+def char_bits(graph: Dag) -> tuple[int, ...]:
+    """Characteristic imset of a DAG as a 0/1 tuple over ``enumerate_cai``.
 
-    Uses the closed form for DAG codes: c(S) = 1 iff some a in S has all of
-    S \\ {a} among its parents (at most one such node exists in a DAG)."""
-    parents = graph.parents
-    out = []
-    for S in cai_order:
-        hit = 0
-        for a in iter_bits(S):
-            if S & ~bit(a) & ~parents[a] == 0:
-                hit = 1
-                break
-        out.append(hit)
-    return tuple(out)
+    Uses the closed form for DAG codes: c(S) = 1 iff S = {a} u K for some node
+    a and nonempty K <= pa(a), so the imset is the bit word with those bits
+    set (the K = 0 bits fall on single nodes, outside the index)."""
+    word = 0
+    for a, B in enumerate(graph.parents):
+        abit = bit(a)
+        for K in submasks(B):
+            word |= 1 << (abit | K)
+    return tuple([word >> S & 1 for S in enumerate_cai(graph.gs)])

@@ -27,6 +27,7 @@ classes with one constructor over ``_fields`` and field-wise ``==`` and
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 
@@ -72,6 +73,21 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def subset_sums(values: list, sign: int = 1) -> list:
+    """Replace, in place, each entry S of a list indexed by mask with the sum
+    over T <= S of sign^|S \\ T| * values[T]: the zeta transform for sign 1,
+    the Moebius transform for -1 (Kennes & Smets 1990), in n * 2^(n-1) steps
+    at length 2^n, zero terms skipped.  Returns the list."""
+    combine = operator.add if sign == 1 else operator.sub
+    step = 1
+    while step < len(values):
+        for S in range(step, len(values)):
+            if S & step and values[S ^ step]:
+                values[S] = combine(values[S], values[S ^ step])
+        step <<= 1
+    return values
 
 
 class Record:
@@ -195,11 +211,9 @@ def enumerate_family_indices(gs: GroundSet) -> list[tuple[int, int]]:
 
 def enumerate_cai(gs: GroundSet) -> list[int]:
     """All subset masks of size >= 2, ordered by cardinality then mask value;
-    exactly 2^n - n - 1 of them."""
-    return sorted(
-        (m for m in range(1 << gs.n) if m.bit_count() >= 2),
-        key=lambda m: (m.bit_count(), m),
-    )
+    exactly 2^n - n - 1 of them.  The sort by size is stable, so each size
+    stays ascending, and the empty set and the n singletons come first."""
+    return sorted(range(1 << gs.n), key=int.bit_count)[gs.n + 1:]
 
 
 def _same_family(x: "_Vector", y: "_Vector") -> None:

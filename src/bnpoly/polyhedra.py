@@ -33,7 +33,6 @@ from .ground import (
     FrozenRecord,
     GroundSet,
     as_fraction,
-    enumerate_cai,
     enumerate_family_indices,
     vector_class,
 )
@@ -77,10 +76,13 @@ class HRep(FrozenRecord):
         inequalities: tuple[LinearInequality, ...],
         equations: tuple[tuple, ...] = (),  # (objective vector, rhs) pairs
     ):
-        vector_class(space)  # refuses an unknown tag
+        cls = vector_class(space)  # refuses an unknown tag
         for ineq in inequalities:
             if ineq.space != space or ineq.gs != gs:
                 raise BnPolyError("inequality does not match the H-representation space")
+        for vec, _ in equations:
+            if type(vec) is not cls or vec.gs != gs:
+                raise BnPolyError("equation does not match the H-representation space")
         self.__dict__.update(space=space, gs=gs, inequalities=inequalities, equations=equations)
 
     @property
@@ -121,8 +123,7 @@ def cip_vrep(gs: GroundSet) -> VRep:
     point per Markov equivalence class.  The characteristic imset identifies
     the class, so these are the distinct imsets of all DAGs, in the order of
     each class's first DAG."""
-    cai = enumerate_cai(gs)
-    points = dict.fromkeys(char_bits(g, cai) for g in enumerate_dags(gs))
+    points = dict.fromkeys(char_bits(g) for g in enumerate_dags(gs))
     return VRep("char", gs, tuple(points))
 
 

@@ -17,7 +17,9 @@ primitive maps make up those links:
     objective_from_setfn / setfn_from_objective    obj <-> m
     moebius_down / moebius_up                      m   <-> z
 
-and the two composites are stated through them only:
+m and z are a Moebius pair: m is the zeta transform of z and z the Moebius
+transform of m, each one ``ground.subset_sums`` over the values by mask.
+The two composites are stated through them only:
 
     char_objective(obj)       = moebius_down(setfn_from_objective(obj))
     ineq.fam_from_char_ineq   : objective_from_setfn(moebius_up(z))
@@ -30,17 +32,22 @@ polytope.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
+from itertools import chain
 
 from .dags import Dag, enumerate_dags
-from .errors import BnPolyError, BudgetExceededError, NotScoreEquivalentError
+from .errors import (
+    BnPolyError,
+    BudgetExceededError,
+    IndexFamilyMismatchError,
+    NotScoreEquivalentError,
+)
 from .ground import (
     CharVector,
     FamVector,
-    ZERO,
     bit,
     enumerate_cai,
     enumerate_family_indices,
+    subset_sums,
 )
 from .simplex import solve_lp
 from .supermod import elementary_triplets
@@ -71,43 +78,24 @@ def setfn_from_objective(obj: FamVector) -> CharVector:
     if not is_se_objective(obj):
         raise NotScoreEquivalentError("objective violates an exchange identity")
     gs = obj.gs
-    values: dict[int, Fraction] = {}
-    for D in enumerate_cai(gs):  # ascending cardinality
-        b = (D & -D).bit_length() - 1
-        rest = D & ~bit(b)
-        v = obj[(b, rest)] + values.get(rest, ZERO)
-        if v:
-            values[D] = v
-    return CharVector(gs, values)
+    cai = enumerate_cai(gs)
+    values = [0] * (1 << gs.n)
+    for D in cai:  # ascending cardinality
+        low = D & -D
+        values[D] = obj[(low.bit_length() - 1, D ^ low)] + values[D ^ low]
+    return CharVector(gs, [(D, values[D]) for D in cai if values[D]])
 
 
 def moebius_down(m: CharVector) -> CharVector:
-    """z(T) = sum over L <= T, |L| >= 2 of (-1)^(|T \\ L|) m(L)."""
-    gs = m.gs
-    coords = {}
-    for T in enumerate_cai(gs):
-        tsize = T.bit_count()
-        total = ZERO
-        for L, value in m.items():
-            if L & T == L:
-                total += value if (tsize - L.bit_count()) % 2 == 0 else -value
-        if total:
-            coords[T] = total
-    return CharVector(gs, coords)
+    """z(T) = sum over L <= T, |L| >= 2 of (-1)^(|T \\ L|) m(L), the Moebius transform."""
+    values = subset_sums([m[S] for S in range(1 << m.gs.n)], -1)
+    return CharVector(m.gs, [(T, values[T]) for T in enumerate_cai(m.gs) if values[T]])
 
 
 def moebius_up(z: CharVector) -> CharVector:
-    """m(S) = sum over T <= S, |T| >= 2 of z(T); inverse of moebius_down."""
-    gs = z.gs
-    coords = {}
-    for S in enumerate_cai(gs):
-        total = ZERO
-        for T, value in z.items():
-            if T & S == T:
-                total += value
-        if total:
-            coords[S] = total
-    return CharVector(gs, coords)
+    """m(S) = sum over T <= S, |T| >= 2 of z(T), the zeta transform; inverse of moebius_down."""
+    values = subset_sums([z[T] for T in range(1 << z.gs.n)])
+    return CharVector(z.gs, [(S, values[S]) for S in enumerate_cai(z.gs) if values[S]])
 
 
 def char_objective(obj: FamVector) -> CharVector:
@@ -117,19 +105,15 @@ def char_objective(obj: FamVector) -> CharVector:
     return moebius_down(setfn_from_objective(obj))
 
 
-def _setfn_row(graph: Dag, cai_order: list[int]) -> list[int]:
+def _setfn_row(graph: Dag, cai: list[int]) -> list[int]:
     """Coefficients g with <obj_m, fam_G> = <m, g> for the parametrized
-    objective: g(S) counts nodes with {a} u pa(a) = S minus nodes with
-    pa(a) = S, over subsets of size >= 2."""
-    index = {mask: i for i, mask in enumerate(cai_order)}
-    row = [0] * len(cai_order)
+    objective, read at the masks of ``cai``: g(S) counts nodes with
+    {a} u pa(a) = S minus nodes with pa(a) = S."""
+    row = [0] * (1 << graph.gs.n)
     for a, B in enumerate(graph.parents):
-        if B:
-            up = B | bit(a)
-            row[index[up]] += 1
-            if B.bit_count() >= 2:
-                row[index[B]] -= 1
-    return row
+        row[B | bit(a)] += 1
+        row[B] -= 1
+    return [row[S] for S in cai]
 
 
 # The face LP has a row per DAG: 29281 at n = 5, still running after 60 s.
@@ -141,7 +125,9 @@ def is_se_face(
 ) -> tuple[bool, FamVector | None]:
     """Decide whether the given nonempty set of DAGs is exactly the tight set
     of some valid SE inequality over the family-variable polytope; refused
-    with BudgetExceededError above MAX_SE_FACE_NODES nodes, up front.
+    up front with IndexFamilyMismatchError when the graphs and ``all_dags``
+    live over different ground sets, and with BudgetExceededError above
+    MAX_SE_FACE_NODES nodes.
 
     Decided by an exact margin-maximization LP over the parametrizing vector
     m (boxed to |m(S)| <= 1 to prevent unbounded scaling), the shared value u
@@ -153,6 +139,8 @@ def is_se_face(
     if not graphs:
         raise BnPolyError("need a nonempty set of graphs")
     gs = graphs[0].gs
+    if any(g.gs != gs for g in chain(graphs, all_dags or ())):
+        raise IndexFamilyMismatchError("graphs live over different ground sets")
     if gs.n > MAX_SE_FACE_NODES:
         raise BudgetExceededError(
             f"the face LP has a row per DAG over {gs.n} nodes;"
@@ -171,13 +159,13 @@ def is_se_face(
         # The whole polytope is a face of itself, with the zero SE objective.
         return True, FamVector(gs, {})
 
-    cai_order = enumerate_cai(gs)
-    d = len(cai_order)
+    cai = enumerate_cai(gs)
+    d = len(cai)
     # Variables: m_0 .. m_{d-1}, u, t.
     nvars = d + 2
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
     for g in all_dags:
-        row = _setfn_row(g, cai_order)
+        row = _setfn_row(g, cai)
         if g.parents in face_keys:
             A_eq.append(row + [-1, 0])
             b_eq.append(0)
@@ -202,5 +190,5 @@ def is_se_face(
         raise BnPolyError(f"face LP ended with status {result.status}")
     if result.objective <= 0:
         return False, None
-    m = CharVector(gs, dict(zip(cai_order, result.x[:d])))
+    m = CharVector(gs, zip(cai, result.x[:d]))
     return True, objective_from_setfn(m)

@@ -7,7 +7,8 @@ internally into the difference of two nonnegative columns.  A variable is
 bounded exactly when it has a *sign row* -- an ``A_ub`` row whose only
 nonzero coefficient is some ``-a < 0`` with right-hand side 0, which says
 x_j >= 0 -- so that row bounds its variable instead of entering the tableau;
-its dual multiplier is recovered after phase 2 as ((A^T y)_j - c_j) / a.
+its dual multiplier, ((A^T y)_j - c_j) / a, is the final reduced cost of
+the variable's column, unscaled and divided by a.
 
 Every ``<=`` row with a nonnegative right-hand side starts with its slack in
 the basis.  Only the rows whose slack cannot start basic -- equality rows
@@ -91,14 +92,19 @@ def solve_lp(
                 j, v = nonzero[0]
                 sign_rows.add(i)
                 first_sign_row.setdefault(j, (i, -v))
-    bounded = [j in first_sign_row for j in range(nvars)]
     kept = [i for i in range(len(A_ub)) if i not in sign_rows]
 
+    bounded = {j: a for j, (_, a) in first_sign_row.items()}
     result = _solve_standard(
         c, [A_ub[i] for i in kept], [b_ub[i] for i in kept], A_eq, b_eq, bounded
     )
     if result.status == "optimal":
-        result.dual_ub = _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result)
+        # Full-length dual_ub: the kept rows' multipliers, then those of the
+        # first sign row of each variable; further sign rows get 0.
+        dual = [_ZERO] * len(A_ub)
+        for i, y in zip(kept + [i for i, _ in first_sign_row.values()], result.dual_ub):
+            dual[i] = y
+        result.dual_ub = tuple(dual)
         _check_certificate(c, A_ub, b_ub, A_eq, b_eq, result)
     return result
 
@@ -109,31 +115,17 @@ def _exact(values) -> list:
     return [v if type(v) is int or isinstance(v, Fraction) else as_fraction(v) for v in values]
 
 
-def _sign_row_duals(c, A_ub, A_eq, kept, first_sign_row, result: LpResult):
-    """Full-length ``dual_ub``: the kept rows' multipliers in place, and the
-    first sign row of each variable takes the multiplier that closes the
-    dual equation of its column (further sign rows of it get 0)."""
-    dual = [_ZERO] * len(A_ub)
-    for i, y in zip(kept, result.dual_ub):
-        dual[i] = y
-    # The kept rows' and the equations' multipliers over one denominator Y.
-    y, Y = integer_row((*result.dual_ub, *result.dual_eq))
-    rows = [(v, A_ub[k]) for v, k in zip(y, kept) if v]
-    rows += [(v, row) for v, row in zip(y[len(kept):], A_eq) if v]
-    for j, (i, a) in first_sign_row.items():
-        combo = sum(v * row[j] for v, row in rows)
-        dual[i] = Fraction(combo - c[j] * Y, a * Y)
-    return tuple(dual)
-
-
 def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
+    """Solve with the variables in ``bounded`` (variable -> a of its sign
+    row -a x_j <= 0) nonnegative and the others free; ``dual_ub`` holds the
+    rows' multipliers and then one per bounded variable, in its order."""
     # Column layout: each variable's own column, followed by a negated copy
     # when the variable is free.
     split = []  # variable -> (column, negated column or None)
     n_struct = 0
     for j in range(len(c)):
-        split.append((n_struct, None if bounded[j] else n_struct + 1))
-        n_struct += 1 if bounded[j] else 2
+        split.append((n_struct, None if j in bounded else n_struct + 1))
+        n_struct += 1 if j in bounded else 2
     m_ub, m_eq = len(A_ub), len(A_eq)
     m = m_ub + m_eq
     art_start = n_struct + m_ub
@@ -258,8 +250,12 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
         else:
             y = cost2[art_col.get(i, n_struct + i)] * rhs_sign[i] * row_scale[i]
             dual.append(Fraction(y, c_scale * D))
-    dual_ub = tuple(dual[:m_ub])
-    dual_eq = tuple(dual[m_ub:])
+    # A bounded variable's sign row takes the multiplier that closes the dual
+    # equation of its column: its reduced cost, unscaled, divided by a.
+    for j, a in bounded.items():
+        dual.append(Fraction(cost2[split[j][0]], c_scale * D * a))
+    dual_ub = tuple(dual[:m_ub] + dual[m:])
+    dual_eq = tuple(dual[m_ub:m])
     return LpResult("optimal", objective, x, dual_ub, dual_eq, (pivots1, pivots2))
 
 

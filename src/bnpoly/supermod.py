@@ -76,21 +76,18 @@ def is_extreme(m: SetFunction) -> bool:
         raise NotSupermodularError("the zero function spans no ray")
     _require_standardized_supermodular(m)
     gs = m.gs
-    cai = enumerate_cai(gs)
-    index = {mask: i for i, mask in enumerate(cai)}
     rows = []
     for a, b, Z in elementary_triplets(gs):
         if delta(m, a, b, Z) == 0:
-            row = [0] * len(cai)
-            top = bit(a) | bit(b) | Z
-            row[index[top]] += 1
+            row = [0] * (1 << gs.n)  # over all masks; size <= 1 columns stay 0
+            row[bit(a) | bit(b) | Z] = 1
             if Z.bit_count() >= 2:
-                row[index[Z]] += 1
+                row[Z] = 1
             if Z:
-                row[index[bit(a) | Z]] -= 1
-                row[index[bit(b) | Z]] -= 1
+                row[bit(a) | Z] = -1
+                row[bit(b) | Z] = -1
             rows.append(row)
-    return len(cai) - linalg.rank(rows) == 1
+    return len(enumerate_cai(gs)) - linalg.rank(rows) == 1
 
 
 # The greedy walk visits all n! node orders whatever m is.  The worst case is

@@ -358,8 +358,7 @@ def _fvp_star_summary(budget: Budget | None) -> dict:
 
 
 def _random_se_objective(gs: GroundSet, rng: random.Random) -> FamVector:
-    cai = enumerate_cai(gs)
-    m = CharVector(gs, {S: rng.randint(-5, 5) for S in cai})
+    m = CharVector(gs, {S: rng.randint(-5, 5) for S in enumerate_cai(gs)})
     return objective_from_setfn(m)
 
 
@@ -509,8 +508,7 @@ def verify_counterexample() -> VerificationReport:
 
     # (4) the characteristic side is a facet; the polytope's dimension is
     # certified by the unitriangular witnesses, read before any other DAG
-    cai = enumerate_cai(gs)
-    signatures = [char_bits(g, cai) for g in tight]
+    signatures = [char_bits(g) for g in tight]
     chars = sorted(set(signatures))
     report.check("distinct characteristic imsets on the face", 59, len(chars), source="published")
     report.check("affine rank of those imsets", 26, linalg.affine_rank(chars), source="published")
@@ -518,7 +516,7 @@ def verify_counterexample() -> VerificationReport:
     report.check(
         "characteristic polytope has dimension 26",
         True,
-        linalg.incremental_rank_reaches((char_bits(g, cai) for g in stream), 27),
+        linalg.incremental_rank_reaches((char_bits(g) for g in stream), 27),
     )
 
     # (5) the uniform combination of the tight codes is the published vector.
@@ -549,7 +547,7 @@ def verify_counterexample() -> VerificationReport:
     report.check(
         "characteristic image of the centroid averages the tight imsets",
         True,
-        all(image[S] * count == s for S, s in zip(cai, map(sum, zip(*signatures)))),
+        all(image[S] * count == s for S, s in zip(enumerate_cai(gs), map(sum, zip(*signatures)))),
     )
     report.check(
         "that average has full support over the 59 face vertices",
@@ -623,10 +621,9 @@ def _markov_closed(faces: list[int], dags: list[Dag]) -> list[int]:
     """The faces, bitmasks over the DAG indices, that are closed under Markov
     equivalence: each class that meets the face, found by its lowest bit
     left in the face, lies inside it."""
-    cai = enumerate_cai(dags[0].gs)
     class_masks: dict[tuple, int] = {}
     for i, g in enumerate(dags):
-        signature = char_bits(g, cai)
+        signature = char_bits(g)
         class_masks[signature] = class_masks.get(signature, 0) | 1 << i
     class_at = {1 << i: mask for mask in class_masks.values() for i in iter_bits(mask)}
     closed = []

@@ -278,6 +278,28 @@ def test_built_in_hull_stdout_bytes_are_pinned(capsys, n, polytope, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the catalog and encode stdout: the catalogs' imset objectives
+# and their family translations, and a DAG's characteristic and standard
+# imsets, are all computed through mask-indexed set functions.
+_ENCODE_DAG = '{"a":"","b":"a","c":"ab","d":"bc"}'
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("ineq", "catalog", "--which", "se4"), "aa2628c3ac53021aa52ddbac3958524e4720c76358e21701871f24066af8847b"),
+        (("ineq", "catalog", "--which", "specific4"), "8d177a0ad54e5c581501731aacf16233e869bf8e8ffe96db6df5325fd8e30b46"),
+        (("encode", "--dag", _ENCODE_DAG, "--as", "char"), "4670028760894269394e587210373aab53a7058909ec5866acfd591d146a34e2"),
+        (("encode", "--dag", _ENCODE_DAG, "--as", "standard"), "c5a2a4eec6419cc76cd5bf29051943ef68754607686cb9ee74f33426db71ae01"),
+    ],
+    ids=["catalog-se4", "catalog-specific4", "encode-char", "encode-standard"],
+)
+def test_catalog_and_encode_stdout_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_export_lp_names_a_malformed_cluster_entry(capsys):
     code, out, err = run_cli(capsys, "export-lp", "--n", "3", "--clusters", "ab")
     assert code == 2 and out == ""

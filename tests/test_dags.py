@@ -16,7 +16,7 @@ from bnpoly.dags import (
 )
 from bnpoly.encodings import char_bits
 from bnpoly.errors import BnPolyError, BudgetExceededError
-from bnpoly.ground import GroundSet, enumerate_cai
+from bnpoly.ground import GroundSet
 
 
 def dag(gs, **parents):
@@ -130,7 +130,6 @@ def test_classes_partition_dags(gs3):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_three_characterizations_agree(n):
     gs = GroundSet.alpha(n)
-    cai = enumerate_cai(gs)
     dags = enumerate_dags(gs)
 
     def key_by_signature(g):
@@ -141,7 +140,7 @@ def test_three_characterizations_agree(n):
         by_signature.setdefault(key_by_signature(g), set()).add(g)
     by_char = {}
     for g in dags:
-        by_char.setdefault(char_bits(g, cai), set()).add(g)
+        by_char.setdefault(char_bits(g), set()).add(g)
     by_closure = {frozenset(m.parents for m in equivalence_class(rep))
                   for rep, _ in enumerate_equivalence_classes(gs)}
 

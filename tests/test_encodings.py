@@ -63,6 +63,41 @@ def test_char_from_standard_examples(gs3):
     assert char_from_standard(standard_imset(g)) == char_from_fam(fam_vector(g))
 
 
+def _char_from_standard_by_double_loop(u):
+    """c(T) = 1 - sum of u over supersets of T, as a loop over the support."""
+    coords = {}
+    for T in enumerate_cai(u.gs):
+        coords[T] = 1 - sum((value for S, value in u.items() if S & T == T), Fraction(0))
+    return CharVector(u.gs, coords)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_char_from_standard_matches_the_double_loop(n):
+    gs = GroundSet.alpha(n)
+    rng = random.Random(40 + n)
+    masks = list(range(1 << n))
+    for _ in range(40):
+        support = rng.sample(masks, rng.randint(0, len(masks)))
+        u = SetFunction(
+            gs, {S: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for S in support}
+        )
+        assert char_from_standard(u) == _char_from_standard_by_double_loop(u)
+    dags = enumerate_dags(gs)
+    for g in rng.sample(dags, min(40, len(dags))):
+        u = standard_imset(g)
+        assert char_from_standard(u) == _char_from_standard_by_double_loop(u)
+
+
+@pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, 300)])
+def test_char_bits_equal_the_dense_image_of_the_family_code(n, sample):
+    gs = GroundSet.alpha(n)
+    dags = enumerate_dags(gs)
+    if sample is not None:
+        dags = random.Random(11).sample(dags, sample)
+    for g in dags:
+        assert char_bits(g) == char_from_fam(fam_vector(g)).dense(enumerate_cai(gs))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_two_routes_agree_exhaustively(n):
     gs = GroundSet.alpha(n)
@@ -72,7 +107,7 @@ def test_two_routes_agree_exhaustively(n):
         via_standard = char_from_standard(standard_imset(g))
         assert via_fam == via_standard
         dense = tuple(int(via_fam[S]) for S in cai)
-        assert dense == char_bits(g, cai)
+        assert dense == char_bits(g)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -86,13 +121,12 @@ def test_char_separates_exactly_equivalence_classes(n):
 
 
 def test_char_separation_n4(gs4):
-    cai = enumerate_cai(gs4)
     dags = enumerate_dags(gs4)
     fams = {fam_vector(g) for g in dags}
     assert len(fams) == len(dags)
     classes = {}
     for g in dags:
-        classes.setdefault(char_bits(g, cai), []).append(g)
+        classes.setdefault(char_bits(g), []).append(g)
     assert len(classes) == 185
     rng = random.Random(3)
     for sig, members in rng.sample(sorted(classes.items()), 20):

@@ -20,6 +20,8 @@ from bnpoly.ground import (
     iter_bits,
     rational_from_json,
     scalar_product,
+    submasks,
+    subset_sums,
     vector_class,
 )
 
@@ -41,6 +43,9 @@ def test_closed_forms(n):
     gs = GroundSet.alpha(n)
     assert len(enumerate_family_indices(gs)) == n * (2 ** (n - 1) - 1)
     assert len(enumerate_cai(gs)) == 2**n - n - 1
+    assert enumerate_cai(gs) == sorted(
+        (m for m in range(1 << n) if m.bit_count() >= 2), key=lambda m: (m.bit_count(), m)
+    )
 
 
 def test_enumeration_order_is_canonical(gs3):
@@ -50,6 +55,38 @@ def test_enumeration_order_is_canonical(gs3):
     assert fai == enumerate_family_indices(GroundSet.alpha(3))
     cai = enumerate_cai(gs3)
     assert cai == sorted(cai, key=lambda m: (m.bit_count(), m))
+
+
+def _brute_subset_sums(values, sign):
+    return [
+        sum((sign ** (S ^ T).bit_count() * values[T] for T in submasks(S)), Fraction(0))
+        for S in range(len(values))
+    ]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_subset_sums_match_brute_force(sign):
+    rng = random.Random(17)
+    for length in range(1, 33):
+        for _ in range(3):
+            # about half zeros, the rest ints and Fractions
+            values = [
+                rng.choice([0, 0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)])
+                for _ in range(length)
+            ]
+            expected = _brute_subset_sums(values, sign)
+            out = subset_sums(values, sign)
+            assert out is values  # in place
+            assert out == expected
+
+
+def test_zeta_then_moebius_is_the_identity():
+    rng = random.Random(5)
+    for n in range(0, 6):
+        for _ in range(10):
+            values = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(1 << n)]
+            assert subset_sums(subset_sums(list(values)), -1) == values
+            assert subset_sums(subset_sums(list(values), -1)) == values
 
 
 def test_labels_are_sorted_and_distinct():

@@ -247,7 +247,7 @@ def test_specific_catalog_structure():
 
 def test_specific_catalog_valid_over_imsets(gs4):
     cai = enumerate_cai(gs4)
-    imsets = {char_bits(g, cai) for g in enumerate_dags(gs4)}
+    imsets = {char_bits(g) for g in enumerate_dags(gs4)}
     vectors = [CharVector(gs4, dict(zip(cai, p))) for p in imsets]
     zero = CharVector(gs4, {})
     for e in catalog_specific_n4():

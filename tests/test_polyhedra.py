@@ -10,7 +10,7 @@ from bnpoly.dags import enumerate_equivalence_classes
 from bnpoly.dd import Budget, extreme_rays
 from bnpoly.encodings import char_bits
 from bnpoly.errors import BnPolyError, InfeasibleError, InvalidInequalityError, UnboundedError
-from bnpoly.ground import CharVector, FamVector, GroundSet, enumerate_cai
+from bnpoly.ground import CharVector, FamVector, GroundSet
 from bnpoly.ineq import (
     LinearInequality,
     catalog_specific_n4,
@@ -162,8 +162,7 @@ def test_empty_face(gs3):
 def test_cip_vertices_are_the_class_representatives_imsets(n, classes):
     # cip_vrep keys classes by their imset; the covered-arc classes agree.
     gs = GroundSet.alpha(n)
-    cai = enumerate_cai(gs)
-    expected = [char_bits(rep, cai) for rep, _ in enumerate_equivalence_classes(gs)]
+    expected = [char_bits(rep) for rep, _ in enumerate_equivalence_classes(gs)]
     assert len(expected) == classes
     assert list(cip_vrep(gs).points) == expected
 
@@ -396,6 +395,20 @@ def test_unknown_space_tag_is_refused(gs3):
     ):
         with pytest.raises(BnPolyError, match="space must be 'fam' or 'char', got 'set'"):
             build()
+
+
+def test_hrep_refuses_an_equation_outside_its_space(gs3):
+    rows = tuple(nonneg_constraints(gs3) + modified_convexity(gs3))
+    wrong_ground_set = FamVector(GroundSet.alpha(4), {(0, 0b1000): 1})
+    wrong_class = CharVector(gs3, {gs3.mask_of("ab"): 1})
+    for vec in (wrong_ground_set, wrong_class):
+        with pytest.raises(BnPolyError, match="equation does not match the H-representation space"):
+            HRep("fam", gs3, rows, ((vec, 1),))
+    with pytest.raises(BnPolyError, match="equation does not match"):
+        HRep("char", gs3, (), ((FamVector(gs3, {(0, 0b010): 1}), 0),))
+    # the same equation over the right space is kept and read as its row
+    ok = HRep("fam", gs3, rows, ((FamVector(gs3, {(0, 0b010): 1}), 1),))
+    assert ok.matrix()[2] == [FamVector(gs3, {(0, 0b010): 1}).dense(ok.index)]
 
 
 def test_matrix_text_equations_and_comments(gs3):

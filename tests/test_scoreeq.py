@@ -6,7 +6,12 @@ import pytest
 from bnpoly import linalg, scoreeq
 from bnpoly.dags import Dag, enumerate_dags, enumerate_equivalence_classes, equivalence_class
 from bnpoly.encodings import char_bits, char_from_fam, fam_vector
-from bnpoly.errors import BnPolyError, BudgetExceededError, NotScoreEquivalentError
+from bnpoly.errors import (
+    BnPolyError,
+    BudgetExceededError,
+    IndexFamilyMismatchError,
+    NotScoreEquivalentError,
+)
 from bnpoly.ground import (
     CharVector,
     FamVector,
@@ -123,6 +128,39 @@ def test_moebius_examples(gs3):
     assert moebius_down(CharVector(gs3, {})) == CharVector(gs3, {})
 
 
+def _moebius_down_by_double_loop(m):
+    """The Moebius pair as the double loop over cai and the support."""
+    coords = {}
+    for T in enumerate_cai(m.gs):
+        total = Fraction(0)
+        for L, value in m.items():
+            if L & T == L:
+                total += value if (T.bit_count() - L.bit_count()) % 2 == 0 else -value
+        coords[T] = total
+    return CharVector(m.gs, coords)
+
+
+def _moebius_up_by_double_loop(z):
+    coords = {}
+    for S in enumerate_cai(z.gs):
+        coords[S] = sum((value for T, value in z.items() if T & S == T), Fraction(0))
+    return CharVector(z.gs, coords)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_moebius_pair_matches_the_double_loops(n):
+    gs = GroundSet.alpha(n)
+    cai = enumerate_cai(gs)
+    rng = random.Random(70 + n)
+    for _ in range(40):
+        support = rng.sample(cai, rng.randint(0, len(cai)))
+        m = CharVector(
+            gs, {S: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for S in support}
+        )
+        assert moebius_down(m) == _moebius_down_by_double_loop(m)
+        assert moebius_up(m) == _moebius_up_by_double_loop(m)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_moebius_inverse_pair(n):
     gs = GroundSet.alpha(n)
@@ -205,6 +243,22 @@ def test_is_se_face_whole_polytope_and_errors(gs3):
         is_se_face([foreign], all_dags=[g for g in dags if g != foreign])
 
 
+def test_is_se_face_refuses_dags_over_other_ground_sets(gs3, monkeypatch):
+    def never(*_, **__):
+        raise AssertionError("no LP may start before the refusal")
+
+    monkeypatch.setattr(scoreeq, "solve_lp", never)
+    xyz = GroundSet(["x", "y", "z"])
+    empty = Dag(gs3, [0, 0, 0])
+    for graphs in ([empty, Dag(xyz, [0, 1, 0])], [empty, Dag(GroundSet.alpha(4), [0] * 4)]):
+        with pytest.raises(IndexFamilyMismatchError, match="different ground sets"):
+            is_se_face(graphs)
+        with pytest.raises(IndexFamilyMismatchError):
+            is_se_face(graphs, all_dags=enumerate_dags(gs3))
+    with pytest.raises(IndexFamilyMismatchError):
+        is_se_face([Dag(xyz, [0, 0, 0])], all_dags=enumerate_dags(gs3))
+
+
 def test_is_se_face_refuses_five_nodes_even_with_all_dags(monkeypatch):
     def never(*_, **__):
         raise AssertionError("no work may start before the refusal")
@@ -223,8 +277,7 @@ def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
     maximizers over the DAG codes are exactly that face.  The LP may pick
     any such witness, so validity is pinned rather than the vector."""
     dags = enumerate_dags(gs3)
-    cai = enumerate_cai(gs3)
-    signature = [char_bits(g, cai) for g in dags]
+    signature = [char_bits(g) for g in dags]
     closed = []
     fvp = fvp_vrep(gs3)
     for mask in all_faces_by_tight_sets(fvp, facets_from_vertices(fvp)):

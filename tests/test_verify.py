@@ -61,7 +61,7 @@ def test_counterexample_pipeline_passes(counterexample_report):
 def test_dimension_witnesses_are_unitriangular(n):
     gs = GroundSet.alpha(n)
     cai = enumerate_cai(gs)
-    imsets = [char_bits(g, cai) for g in _dimension_witnesses(gs)]
+    imsets = [char_bits(g) for g in _dimension_witnesses(gs)]
     assert len(imsets) == 2**n - n
     assert imsets[0] == (0,) * len(cai)
     # row i is 1 on the i-th cai subset and 0 on every later one
@@ -204,8 +204,7 @@ def test_face_lattice_masks_match_frozenset_closure(gs3):
 
     # the Markov-closed faces: the old set-comprehension closure
     dags = enumerate_dags(gs3)
-    cai = enumerate_cai(gs3)
-    class_of = [char_bits(g, cai) for g in dags]
+    class_of = [char_bits(g) for g in dags]
     closed = []
     for face in expected:
         signatures = {class_of[i] for i in face}
