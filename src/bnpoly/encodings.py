@@ -12,6 +12,8 @@ because fractional points get pushed through it as well.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .dags import Dag
 from .ground import (
     CharVector,
@@ -22,6 +24,7 @@ from .ground import (
     submasks,
     subset_sums,
 )
+from .linalg import integer_row
 
 
 def fam_vector(graph: Dag) -> FamVector:
@@ -38,14 +41,16 @@ def char_from_fam(fam: FamVector) -> CharVector:
 
         c(S) = sum over a in S of the fam mass on (a, B) with B >= S \\ {a},
 
-    for every subset S of size >= 2.  Linear in the input."""
+    for every subset S of size >= 2.  Linear in the input; the sums run over
+    the integer numerators at one common denominator."""
     gs = fam.gs
+    ints, scale = integer_row([v for _, v in fam.items()])
     acc = [0] * (1 << gs.n)
-    for (a, B), value in fam.items():
+    for (a, B), value in zip(fam.support(), ints):
         abit = bit(a)
         for K in submasks(B):
             acc[abit | K] += value
-    return CharVector(gs, [(S, acc[S]) for S in enumerate_cai(gs) if acc[S]])
+    return CharVector(gs, [(S, Fraction(acc[S], scale)) for S in enumerate_cai(gs) if acc[S]])
 
 
 def standard_imset(graph: Dag) -> SetFunction:
@@ -66,11 +71,13 @@ def standard_imset(graph: Dag) -> SetFunction:
 def char_from_standard(u: SetFunction) -> CharVector:
     """Inverse-direction affine map: c(T) = 1 - sum of u over supersets of T,
     for every T of size >= 2.  The superset sums at T are the subset sums of
-    S -> u(N \\ S) at N \\ T."""
+    S -> u(N \\ S) at N \\ T, taken over the integer numerators at one
+    common denominator."""
     gs = u.gs
     full = gs.full_mask
-    sums = subset_sums([u[full ^ S] for S in range(full + 1)])
-    return CharVector(gs, [(T, 1 - sums[full ^ T]) for T in enumerate_cai(gs)])
+    ints, scale = integer_row([u[full ^ S] for S in range(full + 1)])
+    sums = subset_sums(ints)
+    return CharVector(gs, [(T, Fraction(scale - sums[full ^ T], scale)) for T in enumerate_cai(gs)])
 
 
 def char_bits(graph: Dag) -> tuple[int, ...]:

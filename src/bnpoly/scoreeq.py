@@ -26,7 +26,8 @@ The two composites are stated through them only:
 
 The module also holds the membership test and an exact-LP decision
 procedure for whether a set of DAGs is an SE face of the family-variable
-polytope.
+polytope.  An SE objective takes one value on a Markov equivalence class, so
+that LP has one row per class (and per side of the set), not one per DAG.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
-from .dags import Dag, enumerate_dags
+from .dags import Dag, _dag_count, enumerate_dags
 from .errors import (
     BnPolyError,
     BudgetExceededError,
@@ -105,18 +106,22 @@ def char_objective(obj: FamVector) -> CharVector:
     return moebius_down(setfn_from_objective(obj))
 
 
-def _setfn_row(graph: Dag, cai: list[int]) -> list[int]:
+def _setfn_row(graph: Dag, cai: list[int]) -> tuple[int, ...]:
     """Coefficients g with <obj_m, fam_G> = <m, g> for the parametrized
     objective, read at the masks of ``cai``: g(S) counts nodes with
-    {a} u pa(a) = S minus nodes with pa(a) = S."""
+    {a} u pa(a) = S minus nodes with pa(a) = S.  Up to sign and the masks
+    below size 2, g is the standard imset of G, so two DAGs share a row
+    exactly when they are Markov equivalent."""
     row = [0] * (1 << graph.gs.n)
     for a, B in enumerate(graph.parents):
         row[B | bit(a)] += 1
         row[B] -= 1
-    return [row[S] for S in cai]
+    return tuple([row[S] for S in cai])
 
 
-# The face LP has a row per DAG: 29281 at n = 5, still running after 60 s.
+# The face LP has a row per Markov class, 8782 at n = 5, but is built from
+# all 29281 DAGs there; the limit stays at 4 until n = 5 is measured under a
+# Budget.
 MAX_SE_FACE_NODES = 4
 
 
@@ -126,14 +131,18 @@ def is_se_face(
     """Decide whether the given nonempty set of DAGs is exactly the tight set
     of some valid SE inequality over the family-variable polytope; refused
     up front with IndexFamilyMismatchError when the graphs and ``all_dags``
-    live over different ground sets, and with BudgetExceededError above
-    MAX_SE_FACE_NODES nodes.
+    live over different ground sets, with BudgetExceededError above
+    MAX_SE_FACE_NODES nodes, and with BnPolyError when ``all_dags`` does not
+    hold every DAG over the ground set.
 
     Decided by an exact margin-maximization LP over the parametrizing vector
     m (boxed to |m(S)| <= 1 to prevent unbounded scaling), the shared value u
     and the margin t:  equality on the set, value <= u - t outside, maximize
-    t.  The set is an SE face iff the optimum satisfies t > 0; a witness
-    objective is returned on success.
+    t.  An SE objective takes one value on a Markov class, so the LP has one
+    row per distinct (class row, in the set) pair, placed at its first DAG in
+    ``all_dags``; a set that splits a class keeps both rows of that class and
+    gets t <= 0.  The set is an SE face iff the optimum satisfies t > 0; a
+    witness objective is returned on success.
     """
     graphs = list(graphs)
     if not graphs:
@@ -143,12 +152,17 @@ def is_se_face(
         raise IndexFamilyMismatchError("graphs live over different ground sets")
     if gs.n > MAX_SE_FACE_NODES:
         raise BudgetExceededError(
-            f"the face LP has a row per DAG over {gs.n} nodes;"
+            f"the face LP has a row per Markov class over {gs.n} nodes;"
             f" it stops at n = {MAX_SE_FACE_NODES}"
         )
     if all_dags is None:
         all_dags = enumerate_dags(gs)
     universe = {g.parents for g in all_dags}
+    if len(universe) != _dag_count(gs.n):
+        raise BnPolyError(
+            f"all_dags holds {len(universe)} distinct DAGs;"
+            f" there are {_dag_count(gs.n)} over {gs.n} nodes"
+        )
     face_keys = set()
     for g in graphs:
         if g.parents not in universe:
@@ -164,13 +178,13 @@ def is_se_face(
     # Variables: m_0 .. m_{d-1}, u, t.
     nvars = d + 2
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
-    for g in all_dags:
-        row = _setfn_row(g, cai)
-        if g.parents in face_keys:
-            A_eq.append(row + [-1, 0])
+    rows = dict.fromkeys((_setfn_row(g, cai), g.parents in face_keys) for g in all_dags)
+    for row, in_face in rows:
+        if in_face:
+            A_eq.append([*row, -1, 0])
             b_eq.append(0)
         else:
-            A_ub.append(row + [-1, 1])
+            A_ub.append([*row, -1, 1])
             b_ub.append(0)
     for i in range(d):  # |m_i| <= 1
         for sign in (1, -1):

@@ -300,6 +300,23 @@ def test_catalog_and_encode_stdout_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the `se is-face` stdout for the class of a - b at n = 3 and
+# n = 4: the witness is the face LP's optimal vertex, so these bytes pin
+# the LP's rows and their order as well as the verdict.
+@pytest.mark.parametrize(
+    "n, dags, digest",
+    [
+        (3, '[{"a":"","b":"a","c":""},{"a":"b","b":"","c":""}]', "e160d3002878d3b5308fc4c64336935cbf8ba078a50a2305c2cd426ca5e7ffd0"),
+        (4, '[{"a":"","b":"a","c":"","d":""},{"a":"b","b":"","c":"","d":""}]', "95c7f03f7bd4d4ca323aa048dd905288b2d256f7bf170e680cac07f13ecf7d0b"),
+    ],
+    ids=["n3", "n4"],
+)
+def test_se_is_face_stdout_bytes_are_pinned(capsys, n, dags, digest):
+    code, out, err = run_cli(capsys, "se", "is-face", "--n", str(n), "--dags", dags)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_export_lp_names_a_malformed_cluster_entry(capsys):
     code, out, err = run_cli(capsys, "export-lp", "--n", "3", "--clusters", "ab")
     assert code == 2 and out == ""

@@ -88,6 +88,30 @@ def test_char_from_standard_matches_the_double_loop(n):
         assert char_from_standard(u) == _char_from_standard_by_double_loop(u)
 
 
+def _char_from_fam_by_double_loop(fam):
+    """c(S) = sum over a in S of the fam mass on (a, B) with B >= S \\ {a}."""
+    coords = {}
+    for S in enumerate_cai(fam.gs):
+        coords[S] = sum(
+            (value for (a, B), value in fam.items() if S >> a & 1 and B & S == S & ~(1 << a)),
+            Fraction(0),
+        )
+    return CharVector(fam.gs, coords)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_char_from_fam_matches_the_double_loop(n):
+    gs = GroundSet.alpha(n)
+    rng = random.Random(60 + n)
+    fai = enumerate_family_indices(gs)
+    for _ in range(40):
+        support = rng.sample(fai, rng.randint(0, len(fai)))
+        fam = FamVector(
+            gs, {k: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for k in support}
+        )
+        assert char_from_fam(fam) == _char_from_fam_by_double_loop(fam)
+
+
 @pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, 300)])
 def test_char_bits_equal_the_dense_image_of_the_family_code(n, sample):
     gs = GroundSet.alpha(n)

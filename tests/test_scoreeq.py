@@ -272,19 +272,26 @@ def test_is_se_face_refuses_five_nodes_even_with_all_dags(monkeypatch):
         is_se_face([empty])
 
 
-def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
-    """Every face closed under Markov equivalence gets an SE witness whose
-    maximizers over the DAG codes are exactly that face.  The LP may pick
-    any such witness, so validity is pinned rather than the vector."""
-    dags = enumerate_dags(gs3)
+def _closed_n3_faces(dags):
+    """The faces of the three-node FVP closed under Markov equivalence, as
+    sets of indices into ``dags``."""
     signature = [char_bits(g) for g in dags]
     closed = []
-    fvp = fvp_vrep(gs3)
+    fvp = fvp_vrep(GroundSet.alpha(3))
     for mask in all_faces_by_tight_sets(fvp, facets_from_vertices(fvp)):
         face = set(iter_bits(mask))
         classes = {signature[i] for i in face}
         if {i for i, s in enumerate(signature) if s in classes} == face:
             closed.append(face)
+    return closed
+
+
+def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
+    """Every face closed under Markov equivalence gets an SE witness whose
+    maximizers over the DAG codes are exactly that face.  The LP may pick
+    any such witness, so validity is pinned rather than the vector."""
+    dags = enumerate_dags(gs3)
+    closed = _closed_n3_faces(dags)
     assert len(closed) == 93
     codes = [fam_vector(g) for g in dags]
     for face in closed:
@@ -293,3 +300,76 @@ def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
         values = [scalar_product(witness, code) for code in codes]
         best = max(values)
         assert {i for i, v in enumerate(values) if v == best} == face
+
+
+@pytest.mark.parametrize("n, classes", [(3, 11), (4, 185)])
+def test_setfn_rows_are_one_per_markov_class(n, classes):
+    # Two DAGs share a face-LP row exactly when they share a characteristic
+    # imset, so the LP keeps one row per class.
+    gs = GroundSet.alpha(n)
+    cai = enumerate_cai(gs)
+    pairs = {(scoreeq._setfn_row(g, cai), char_bits(g)) for g in enumerate_dags(gs)}
+    assert len(pairs) == len({row for row, _ in pairs}) == len({c for _, c in pairs}) == classes
+
+
+def test_class_lp_matches_the_per_dag_lp_on_every_closed_n3_face(gs3, se_face_per_dag):
+    dags = enumerate_dags(gs3)
+    for face in _closed_n3_faces(dags):
+        graphs = [dags[i] for i in face]
+        assert is_se_face(graphs, all_dags=dags) == se_face_per_dag(graphs, all_dags=dags)
+
+
+@pytest.mark.parametrize("n, trials", [(3, 300), (4, 20)])
+def test_class_lp_matches_the_per_dag_lp_on_random_sets(n, trials, se_face_per_dag):
+    """Random DAG sets, random unions of classes, and such unions less their
+    first DAG: the same verdict and the same witness from both LPs."""
+    gs = GroundSet.alpha(n)
+    dags = enumerate_dags(gs)
+    classes = [sorted(equivalence_class(rep)) for rep, _ in enumerate_equivalence_classes(gs)]
+    rng = random.Random(n)
+    verdicts = []
+    for _ in range(trials):
+        kind = rng.randrange(3)
+        if kind == 0:
+            graphs = rng.sample(dags, rng.randint(1, 4))
+        else:
+            graphs = [g for c in rng.sample(classes, rng.randint(1, 3)) for g in c]
+            if kind == 2 and len(graphs) > 1:
+                graphs = graphs[1:]
+        result = is_se_face(graphs, all_dags=dags)
+        assert result == se_face_per_dag(graphs, all_dags=dags)
+        verdicts.append(result[0])
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_set_that_splits_a_class_is_not_an_se_face(n, se_face_per_dag):
+    gs = GroundSet.alpha(n)
+    dags = enumerate_dags(gs)
+    classes = [sorted(equivalence_class(rep)) for rep, _ in enumerate_equivalence_classes(gs)]
+    split = [c for c in classes if len(c) > 1]
+    for members in split if n == 3 else split[:10]:
+        for graphs in (members[1:], members[:1]):
+            assert is_se_face(graphs, all_dags=dags) == (False, None)
+            assert se_face_per_dag(graphs, all_dags=dags) == (False, None)
+
+
+def test_is_se_face_refuses_a_partial_or_padded_dag_list(gs3, se_face_per_dag, monkeypatch):
+    dags = enumerate_dags(gs3)
+    a_to_b = dag(gs3, b="a")
+    b_to_a = dag(gs3, a="b")
+    dropped = [g for g in dags if g != b_to_a]
+    # Over the list without b -> a, the class of a -> b looks like {a -> b}
+    # alone, and the LP finds a witness for a set that is not a face.
+    assert se_face_per_dag([a_to_b], all_dags=dropped)[0]
+    assert is_se_face([a_to_b], all_dags=dags) == (False, None)
+
+    def never(*_, **__):
+        raise AssertionError("no LP may start before the refusal")
+
+    monkeypatch.setattr(scoreeq, "solve_lp", never)
+    padded = dropped + [dropped[0]]
+    assert len(padded) == len(dags)
+    for all_dags in (dropped, padded):
+        with pytest.raises(BnPolyError, match="24 distinct DAGs; there are 25"):
+            is_se_face([a_to_b], all_dags=all_dags)

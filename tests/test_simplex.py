@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bnpoly import polyhedra, scoreeq, simplex
+from bnpoly import polyhedra, scoreeq, simplex, verify
 from bnpoly.dags import enumerate_dags
 from bnpoly.errors import BnPolyError
 from bnpoly.ground import FamVector, GroundSet
@@ -327,18 +327,24 @@ def test_theorem3_n5_pivot_path(monkeypatch):
     assert [r.objective for r in results] == [16, Fraction(35, 2)]
 
 
-def test_se_face_lps_pivot_totals(monkeypatch):
+def test_se_face_lps_pivot_totals(se_face_per_dag, monkeypatch):
+    # The conjecture pipeline's face LPs built with one row per DAG.
+    monkeypatch.setattr(verify, "is_se_face", se_face_per_dag)
     results = _lp_results(monkeypatch, explore_conjecture)
     assert len(results) == 93
     assert sum(r.pivots[0] for r in results) == 617
     assert sum(r.pivots[1] for r in results) == 153
 
 
-def test_se_face_lp_tableau_has_artificials_only_where_needed(gs3, monkeypatch):
-    # The face of one DAG: 33 kept <= rows (t >= 0 is a sign row) and one
-    # equation over 5 free variables and t.  Only the equation needs an
-    # artificial, so the tableau is 11 + 32 + 1 + 1 columns wide; one
-    # artificial per row would make it 77.
+def test_se_face_lps_pivot_totals_with_one_row_per_class(monkeypatch):
+    results = _lp_results(monkeypatch, explore_conjecture)
+    assert len(results) == 93
+    assert sum(r.pivots[0] for r in results) == 586
+    assert sum(r.pivots[1] for r in results) == 154
+
+
+def _tableau_widths(monkeypatch, run):
+    """The column count of every tableau that ``_bland_min`` pivots on."""
     widths = []
     bland_min = simplex._bland_min
 
@@ -348,9 +354,27 @@ def test_se_face_lp_tableau_has_artificials_only_where_needed(gs3, monkeypatch):
         return bland_min(tableau, cost, *args)
 
     monkeypatch.setattr(simplex, "_bland_min", spying)
-    is_face, _ = scoreeq.is_se_face([enumerate_dags(gs3)[0]])
+    is_face, _ = run()
     assert is_face
+    return widths
+
+
+def test_se_face_lp_tableau_has_artificials_only_where_needed(
+    gs3, se_face_per_dag, monkeypatch
+):
+    # The face of one DAG with one row per DAG: 33 kept <= rows (t >= 0 is
+    # a sign row) and one equation over 5 free variables and t.  Only the
+    # equation needs an artificial, so the tableau is 11 + 32 + 1 + 1
+    # columns wide; one artificial per row would make it 77.
+    widths = _tableau_widths(monkeypatch, lambda: se_face_per_dag([enumerate_dags(gs3)[0]]))
     assert widths == [45, 45]
+
+
+def test_se_face_lp_tableau_has_one_row_per_class(gs3, monkeypatch):
+    # The empty graph is a class of its own: one equation, ten <= rows for
+    # the other classes and eight box rows, so 11 + 18 + 1 + 1 columns.
+    widths = _tableau_widths(monkeypatch, lambda: scoreeq.is_se_face([enumerate_dags(gs3)[0]]))
+    assert widths == [31, 31]
 
 
 def _random_small_lp(rng):
