@@ -319,13 +319,18 @@ def test_class_lp_matches_the_per_dag_lp_on_every_closed_n3_face(gs3, se_face_pe
         assert is_se_face(graphs, all_dags=dags) == se_face_per_dag(graphs, all_dags=dags)
 
 
+def _class_members(gs):
+    """Every Markov class over ``gs`` as its sorted list of DAGs."""
+    return [sorted(equivalence_class(rep)) for rep, _ in enumerate_equivalence_classes(gs)]
+
+
 @pytest.mark.parametrize("n, trials", [(3, 300), (4, 20)])
 def test_class_lp_matches_the_per_dag_lp_on_random_sets(n, trials, se_face_per_dag):
     """Random DAG sets, random unions of classes, and such unions less their
     first DAG: the same verdict and the same witness from both LPs."""
     gs = GroundSet.alpha(n)
     dags = enumerate_dags(gs)
-    classes = [sorted(equivalence_class(rep)) for rep, _ in enumerate_equivalence_classes(gs)]
+    classes = _class_members(gs)
     rng = random.Random(n)
     verdicts = []
     for _ in range(trials):
@@ -346,7 +351,7 @@ def test_class_lp_matches_the_per_dag_lp_on_random_sets(n, trials, se_face_per_d
 def test_a_set_that_splits_a_class_is_not_an_se_face(n, se_face_per_dag):
     gs = GroundSet.alpha(n)
     dags = enumerate_dags(gs)
-    classes = [sorted(equivalence_class(rep)) for rep, _ in enumerate_equivalence_classes(gs)]
+    classes = _class_members(gs)
     split = [c for c in classes if len(c) > 1]
     for members in split if n == 3 else split[:10]:
         for graphs in (members[1:], members[:1]):
