@@ -9,9 +9,11 @@ Every rank function runs on one fraction-free echelon routine: each row is
 scaled to integers once and then reduced against the basis with integer
 steps ``p*v - f*b``.  As in Bareiss (1968) no
 fraction is formed; unlike Bareiss, entries are kept small by dividing each
-new basis row by the gcd of its entries, not by the previous pivot.  Integer
-input never creates a ``Fraction``; rows of unequal length raise
-``ValueError``.
+new basis row by the gcd of its entries, not by the previous pivot, and
+negating it so its pivot is positive.  On the 0/+-1 rows of DAG codes and
+imsets almost every pivot is then 1, and the step is ``v - f*b`` taken only
+over the basis row's nonzero entries.  Integer input never creates a
+``Fraction``; rows of unequal length raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -39,27 +41,42 @@ def primitive(ints: Sequence[int]) -> tuple[int, ...]:
 def _echelon_rank(rows: Iterable[Sequence], stop_at: int | None = None) -> int:
     """Rank of the rows (int or Fraction entries), read one at a time and
     kept in row-echelon form keyed by leading column; stops reading once the
-    rank reaches ``stop_at``."""
-    basis: dict[int, tuple[int, ...]] = {}
+    rank reaches ``stop_at``.
+
+    Each basis row is primitive with a positive pivot and is stored with its
+    nonzero ``(column, entry)`` pairs.  A row is reduced against a pivot 1 by
+    ``v[c] -= f*b[c]`` over those pairs, which is ``1*v - f*b`` with no gcd
+    and no full-width list; any other pivot takes the gcd-scaled step
+    ``p*v - f*b`` over the whole width."""
+    basis: dict[int, tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
     width = None
     for row in rows:
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise ValueError(f"rows of unequal length: {len(row)} and {width}")
+        # integer_row returns a fresh list, so the unit step may write into it
         vec = integer_row(row)[0]
         for j in range(width):
             f = vec[j]
             if not f:
                 continue
-            brow = basis.get(j)
-            if brow is None:
-                basis[j] = primitive(vec)
+            entry = basis.get(j)
+            if entry is None:
+                brow = primitive(vec)
+                if f < 0:
+                    brow = tuple(-x for x in brow)
+                basis[j] = brow, [(c, x) for c, x in enumerate(brow) if x]
                 break
+            brow, support = entry
             p = brow[j]
-            g = gcd(p, f)
-            p, f = p // g, f // g
-            vec = [p * x - f * y for x, y in zip(vec, brow)]
+            if p == 1:
+                for c, x in support:
+                    vec[c] -= f * x
+            else:
+                g = gcd(p, f)
+                p, f = p // g, f // g
+                vec = [p * x - f * y for x, y in zip(vec, brow)]
         if stop_at is not None and len(basis) >= stop_at:
             break
     return len(basis)

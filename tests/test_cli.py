@@ -280,7 +280,9 @@ def test_built_in_hull_stdout_bytes_are_pinned(capsys, n, polytope, digest):
 
 # sha256 of the catalog and encode stdout: the catalogs' imset objectives
 # and their family translations, and a DAG's characteristic and standard
-# imsets, are all computed through mask-indexed set functions.
+# imsets, are all computed through mask-indexed set functions.  The
+# `verify counterexample --json` report rides along: its counts and
+# dimensions come from the exact rank routine.
 _ENCODE_DAG = '{"a":"","b":"a","c":"ab","d":"bc"}'
 
 
@@ -291,8 +293,9 @@ _ENCODE_DAG = '{"a":"","b":"a","c":"ab","d":"bc"}'
         (("ineq", "catalog", "--which", "specific4"), "8d177a0ad54e5c581501731aacf16233e869bf8e8ffe96db6df5325fd8e30b46"),
         (("encode", "--dag", _ENCODE_DAG, "--as", "char"), "4670028760894269394e587210373aab53a7058909ec5866acfd591d146a34e2"),
         (("encode", "--dag", _ENCODE_DAG, "--as", "standard"), "c5a2a4eec6419cc76cd5bf29051943ef68754607686cb9ee74f33426db71ae01"),
+        (("verify", "counterexample", "--json"), "cbf446192d672d6765e86ea1f1ffc14aed4f07481acfeb0b274b4829f4a43992"),
     ],
-    ids=["catalog-se4", "catalog-specific4", "encode-char", "encode-standard"],
+    ids=["catalog-se4", "catalog-specific4", "encode-char", "encode-standard", "verify-counterexample"],
 )
 def test_catalog_and_encode_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)

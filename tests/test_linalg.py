@@ -1,5 +1,6 @@
 import fractions
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -52,22 +53,48 @@ def random_matrix(rng, nrows, ncols, true_rank, mixed):
     return rows
 
 
+def unit_matrix(rng, nrows, ncols, true_rank):
+    """Differences of random 0/1 points, like the rows the rank of DAG codes
+    and imsets reduces: entries 0/+-1, about half of the rows leading with
+    -1.  The points come from a pool of true_rank + 1, so the rank is at most
+    true_rank; a duplicate row and a zero row are mixed in."""
+    pool = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(true_rank + 1)]
+    rows = []
+    for _ in range(nrows):
+        p, q = rng.choice(pool), rng.choice(pool)
+        rows.append([x - y for x, y in zip(p, q)])
+    rows.append(list(rows[rng.randrange(len(rows))]))
+    rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    return rows
+
+
+def make_matrix(rng, kind, nrows, ncols, true_rank):
+    """A unit_matrix when kind is "unit", else a random_matrix with
+    mixed=kind."""
+    if kind == "unit":
+        return unit_matrix(rng, nrows, ncols, true_rank)
+    return random_matrix(rng, nrows, ncols, true_rank, kind)
+
+
 SHAPES = [(1, 1), (3, 3), (4, 9), (9, 4), (12, 12), (2, 15), (15, 2), (20, 7)]
+KINDS = dict(argvalues=[False, True, "unit"], ids=["int", "mixed", "unit"])
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["int", "mixed"])
+@pytest.mark.parametrize("kind", **KINDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
-def test_rank_matches_fraction_oracle(shape, mixed):
-    rng = random.Random(f"{shape}-{mixed}")
+def test_rank_matches_fraction_oracle(shape, kind):
+    rng = random.Random(f"{shape}-{kind}")
     nrows, ncols = shape
     for _ in range(8):
         k = rng.randint(0, min(nrows, ncols))
-        rows = random_matrix(rng, nrows, ncols, k, mixed)
+        rows = make_matrix(rng, kind, nrows, ncols, k)
         expected = fraction_rank(rows)
         assert expected <= k
         assert linalg.rank(rows) == expected
         assert linalg.rank([tuple(r) for r in rows]) == expected
         assert linalg.affine_rank(rows) == fraction_affine_rank(rows)
+        if kind is not True:
+            assert fraction_calls(lambda: linalg.rank(rows)) == []
 
 
 def test_rank_small_cases():
@@ -107,6 +134,24 @@ def test_integer_input_makes_no_fraction():
     assert fraction_calls(lambda: linalg.incremental_rank_reaches(rows, 3)) == []
     # the probe sees Fraction work when there is some
     assert fraction_calls(lambda: linalg.rank([[Fraction(1, 2), 1], [1, 2]])) != []
+
+
+def test_unit_pivots_step_along_the_support(monkeypatch):
+    # The first row leads with -1 and is stored negated, so each later
+    # reduction meets pivot 1 and steps along the support: the only gcd calls
+    # are primitive's, one per basis row.  Pivot 2 takes the gcd-scaled step.
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(linalg, "gcd", counting_gcd)
+    assert linalg.rank([[-1, 1, 0], [1, 0, -1], [0, 1, -1], [0, -1, 1], [0, 0, 0]]) == 2
+    assert len(calls) == 2
+    calls.clear()
+    assert linalg.rank([[2, 1], [1, 1]]) == 2
+    assert len(calls) == 3
 
 
 def test_integer_row_scales_by_lcm_of_denominators():
@@ -181,12 +226,12 @@ def test_incremental_first_point_meets_target_one():
     assert not linalg.incremental_rank_reaches([], 1)
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["int", "mixed"])
-def test_incremental_agrees_with_affine_rank(mixed):
-    rng = random.Random(f"incremental-{mixed}")
+@pytest.mark.parametrize("kind", **KINDS)
+def test_incremental_agrees_with_affine_rank(kind):
+    rng = random.Random(f"incremental-{kind}")
     for _ in range(30):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 8)
-        points = random_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)), mixed)
+        points = make_matrix(rng, kind, nrows, ncols, rng.randint(0, min(nrows, ncols)))
         r = linalg.affine_rank(points)
         assert linalg.incremental_rank_reaches(iter(points), r)
         assert not linalg.incremental_rank_reaches(iter(points), r + 1)

@@ -88,6 +88,9 @@ def test_counterexample_dimension_check_reads_only_the_witnesses(monkeypatch):
     report = verify_counterexample()
     assert report.passed
     assert 0 < len(read) <= 27
+    imsets = [char_bits(g) for g in enumerate_dags(GroundSet.alpha(5))[:1601]]
+    assert original(imsets, 27)
+    assert not original(imsets[:1600], 27)
 
 
 def test_se_relaxation_vertices_within_ray_budget():
