@@ -153,6 +153,8 @@ class GroundSet:
             raise BnPolyError(f"need between 2 and {MAX_NODES} nodes, got {len(labels)}")
         if any(not lab or not isinstance(lab, str) for lab in labels):
             raise BnPolyError("node labels must be non-empty strings")
+        if any("|" in lab for lab in labels):
+            raise BnPolyError("node labels must not hold '|', the family-key separator")
         self.labels = labels
         self.n = len(labels)
         self.full_mask = (1 << self.n) - 1

@@ -33,9 +33,8 @@ that LP has one row per class (and per side of the set), not one per DAG.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
 
-from .dags import Dag, _dag_count, enumerate_dags
+from .dags import Dag, enumerate_dags
 from .errors import (
     BnPolyError,
     BudgetExceededError,
@@ -45,6 +44,7 @@ from .errors import (
 from .ground import (
     CharVector,
     FamVector,
+    GroundSet,
     bit,
     enumerate_cai,
     enumerate_family_indices,
@@ -125,51 +125,48 @@ def _setfn_row(graph: Dag, cai: list[int]) -> tuple[int, ...]:
 MAX_SE_FACE_NODES = 4
 
 
-def is_se_face(
-    graphs: Iterable[Dag], all_dags: list[Dag] | None = None
-) -> tuple[bool, FamVector | None]:
+def is_se_face(graphs: Iterable[Dag]) -> tuple[bool, FamVector | None]:
     """Decide whether the given nonempty set of DAGs is exactly the tight set
     of some valid SE inequality over the family-variable polytope; refused
-    up front with IndexFamilyMismatchError when the graphs and ``all_dags``
-    live over different ground sets, with BudgetExceededError above
-    MAX_SE_FACE_NODES nodes, and with BnPolyError when ``all_dags`` does not
-    hold every DAG over the ground set.
-
-    Decided by an exact margin-maximization LP over the parametrizing vector
-    m (boxed to |m(S)| <= 1 to prevent unbounded scaling), the shared value u
-    and the margin t:  equality on the set, value <= u - t outside, maximize
-    t.  An SE objective takes one value on a Markov class, so the LP has one
-    row per distinct (class row, in the set) pair, placed at its first DAG in
-    ``all_dags``; a set that splits a class keeps both rows of that class and
-    gets t <= 0.  The set is an SE face iff the optimum satisfies t > 0; a
-    witness objective is returned on success.
-    """
+    up front with IndexFamilyMismatchError when the graphs live over
+    different ground sets and with BudgetExceededError above
+    MAX_SE_FACE_NODES nodes.  The set is read as a bitmask over the DAGs of
+    its ground set, in enumeration order, and decided by ``_se_face_lp``."""
     graphs = list(graphs)
     if not graphs:
         raise BnPolyError("need a nonempty set of graphs")
     gs = graphs[0].gs
-    if any(g.gs != gs for g in chain(graphs, all_dags or ())):
+    if any(g.gs != gs for g in graphs):
         raise IndexFamilyMismatchError("graphs live over different ground sets")
     if gs.n > MAX_SE_FACE_NODES:
         raise BudgetExceededError(
             f"the face LP has a row per Markov class over {gs.n} nodes;"
             f" it stops at n = {MAX_SE_FACE_NODES}"
         )
-    if all_dags is None:
-        all_dags = enumerate_dags(gs)
-    universe = {g.parents for g in all_dags}
-    if len(universe) != _dag_count(gs.n):
-        raise BnPolyError(
-            f"all_dags holds {len(universe)} distinct DAGs;"
-            f" there are {_dag_count(gs.n)} over {gs.n} nodes"
-        )
-    face_keys = set()
-    for g in graphs:
-        if g.parents not in universe:
-            raise BnPolyError("graph set is not a subset of the DAG enumeration")
-        face_keys.add(g.parents)
+    face_keys = {g.parents for g in graphs}
+    dags = enumerate_dags(gs)
+    cai = enumerate_cai(gs)
+    face = sum(1 << i for i, g in enumerate(dags) if g.parents in face_keys)
+    return _se_face_lp(gs, [_setfn_row(g, cai) for g in dags], face)
 
-    if len(face_keys) == len(universe):
+
+def _se_face_lp(
+    gs: GroundSet, rows: list[tuple[int, ...]], face: int
+) -> tuple[bool, FamVector | None]:
+    """Decide whether the DAGs at the bits of ``face`` make an SE face, where
+    ``rows`` holds the ``_setfn_row`` of every DAG over ``gs`` in
+    enumeration order.
+
+    Decided by an exact margin-maximization LP over the parametrizing vector
+    m (boxed to |m(S)| <= 1 to prevent unbounded scaling), the shared value u
+    and the margin t:  equality on the set, value <= u - t outside, maximize
+    t.  An SE objective takes one value on a Markov class, so the LP has one
+    row per distinct (class row, in the set) pair, placed at its first DAG;
+    a set that splits a class keeps both rows of that class and gets t <= 0.
+    The set is an SE face iff the optimum satisfies t > 0; a witness
+    objective is returned on success.
+    """
+    if face == (1 << len(rows)) - 1:
         # The whole polytope is a face of itself, with the zero SE objective.
         return True, FamVector(gs, {})
 
@@ -178,8 +175,7 @@ def is_se_face(
     # Variables: m_0 .. m_{d-1}, u, t.
     nvars = d + 2
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
-    rows = dict.fromkeys((_setfn_row(g, cai), g.parents in face_keys) for g in all_dags)
-    for row, in_face in rows:
+    for row, in_face in dict.fromkeys((row, face >> i & 1) for i, row in enumerate(rows)):
         if in_face:
             A_eq.append([*row, -1, 0])
             b_eq.append(0)

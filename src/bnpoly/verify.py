@@ -51,7 +51,7 @@ from .polyhedra import (
     max_over_vertices,
     vertices_from_inequalities,
 )
-from .scoreeq import char_objective, is_se_face, moebius_up, objective_from_setfn
+from .scoreeq import _se_face_lp, _setfn_row, char_objective, moebius_up, objective_from_setfn
 from .supermod import cluster_pairs, is_extreme
 
 
@@ -648,8 +648,8 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     larger one is feasible), keep those whose DAG sets are closed under Markov
     equivalence, and confirm each admits a score-equivalent defining objective
     (via the exact-LP face test).  Faces and Markov classes are bitmasks over
-    the DAG indices, and member lists are built only for the closed faces.
-    The budget bounds the facet enumeration."""
+    the DAG indices from the tight-set closure to the LP, and every LP reads
+    one list of DAG rows built once.  The budget bounds the facet enumeration."""
     report = VerificationReport("conjecture-n3")
     gs = GroundSet.alpha(3)
     dags = enumerate_dags(gs)
@@ -659,11 +659,10 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
 
     faces = all_faces_by_tight_sets(fvp, hull)
     closed_faces = _markov_closed(faces, dags)
+    cai = enumerate_cai(gs)
+    rows = [_setfn_row(g, cai) for g in dags]
 
-    violations = sum(
-        not is_se_face([dags[i] for i in iter_bits(face)], all_dags=dags)[0]
-        for face in closed_faces
-    )
+    violations = sum(not _se_face_lp(gs, rows, face)[0] for face in closed_faces)
     report.check(
         "equivalence-closed faces that are not SE faces",
         0,
@@ -672,7 +671,7 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     )
 
     all_pairs = frozenset({(0, 1), (0, 2), (1, 2)})
-    full_class = [g for g in dags if g.adjacency_pairs() == all_pairs]
-    ok, witness = is_se_face(full_class, all_dags=dags)
+    full_class = sum(1 << i for i, g in enumerate(dags) if g.adjacency_pairs() == all_pairs)
+    ok, witness = _se_face_lp(gs, rows, full_class)
     report.check("the class of complete graphs is an SE face", True, ok and witness is not None)
     return report

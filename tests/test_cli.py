@@ -282,7 +282,9 @@ def test_built_in_hull_stdout_bytes_are_pinned(capsys, n, polytope, digest):
 # and their family translations, and a DAG's characteristic and standard
 # imsets, are all computed through mask-indexed set functions.  The
 # `verify counterexample --json` report rides along: its counts and
-# dimensions come from the exact rank routine.
+# dimensions come from the exact rank routine.  So do `verify n4 --json`,
+# whose stdout less its newline is the `n4_report` blob of test_verify, and
+# `verify conjecture --json`, whose face LPs read one row list.
 _ENCODE_DAG = '{"a":"","b":"a","c":"ab","d":"bc"}'
 
 
@@ -294,8 +296,18 @@ _ENCODE_DAG = '{"a":"","b":"a","c":"ab","d":"bc"}'
         (("encode", "--dag", _ENCODE_DAG, "--as", "char"), "4670028760894269394e587210373aab53a7058909ec5866acfd591d146a34e2"),
         (("encode", "--dag", _ENCODE_DAG, "--as", "standard"), "c5a2a4eec6419cc76cd5bf29051943ef68754607686cb9ee74f33426db71ae01"),
         (("verify", "counterexample", "--json"), "cbf446192d672d6765e86ea1f1ffc14aed4f07481acfeb0b274b4829f4a43992"),
+        (("verify", "n4", "--json"), "e7d6af21f86c480915569967a22b6f82ceb9d9dac85269725fbdb58b91999dad"),
+        (("verify", "conjecture", "--json"), "1a3a1d0790d504aed325d90677bd5e18c6c63bd2a26be36a7f932b1a692540b8"),
     ],
-    ids=["catalog-se4", "catalog-specific4", "encode-char", "encode-standard", "verify-counterexample"],
+    ids=[
+        "catalog-se4",
+        "catalog-specific4",
+        "encode-char",
+        "encode-standard",
+        "verify-counterexample",
+        "verify-n4",
+        "verify-conjecture",
+    ],
 )
 def test_catalog_and_encode_stdout_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
@@ -800,6 +812,12 @@ def test_a_dag_node_name_longer_than_one_character_is_named(capsys, dag):
     code, out, err = run_cli(capsys, "encode", "--dag", dag, "--as", "fam")
     assert code == 2 and out == ""
     assert err == "error: DAG node names must be single characters, got 'x1'\n"
+
+
+def test_a_dag_node_named_by_the_family_key_separator_is_refused(capsys):
+    code, out, err = run_cli(capsys, "encode", "--dag", '{"|":"a","a":""}', "--as", "fam")
+    assert code == 2 and out == ""
+    assert err == "error: node labels must not hold '|', the family-key separator\n"
 
 
 # An inequality row; %s takes its optional label entry.

@@ -15,7 +15,7 @@ from bnpoly.dags import (
     markov_equivalent,
 )
 from bnpoly.encodings import char_bits
-from bnpoly.errors import BnPolyError, BudgetExceededError
+from bnpoly.errors import BnPolyError, BudgetExceededError, IndexFamilyMismatchError
 from bnpoly.ground import GroundSet
 
 
@@ -227,3 +227,25 @@ def test_robinson_recurrence():
     assert [dags_module._dag_count(n) for n in range(8)] == [
         1, 1, 3, 25, 543, 29281, 3781503, 1138779265,
     ]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda gs3: Dag.from_json({"a": "", "b": "", "d": ""}, gs3),
+            BnPolyError,
+            "graph nodes do not match the ground set",
+        ),
+        (
+            lambda gs3: markov_equivalent(dag(gs3), dag(GroundSet(["x", "y", "z"]))),
+            IndexFamilyMismatchError,
+            "graphs live over different ground sets",
+        ),
+    ],
+    ids=["nodes-not-the-ground-set", "markov-across-ground-sets"],
+)
+def test_dag_refusals(gs3, call, error, message):
+    with pytest.raises(error) as info:
+        call(gs3)
+    assert str(info.value) == message

@@ -311,3 +311,50 @@ def test_record_defaults_are_fields_with_hashable_values():
         assert set(cls._defaults) <= set(cls._fields), cls
         for value in cls._defaults.values():
             hash(value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GroundSet(["a"]), "need between 2 and 16 nodes, got 1"),
+        (lambda: GroundSet(["a", ""]), "node labels must be non-empty strings"),
+        (lambda: GroundSet(["a", "|"]), "node labels must not hold '|', the family-key separator"),
+        (lambda: GroundSet(["a", "b|c"]), "node labels must not hold '|', the family-key separator"),
+        (lambda: GroundSet.alpha(17), "need between 2 and 16 nodes, got 17"),
+        (lambda: GroundSet.alpha(3).index("z"), "unknown node label 'z'"),
+        (
+            lambda: FamVector(GroundSet.alpha(3), [((0, 2), 1), ((0, 2), 2)]),
+            "duplicate coordinate key (0, 2)",
+        ),
+        (lambda: FamVector(GroundSet.alpha(3), {0: 1}), "family key must be (node, parent mask): 0"),
+        (lambda: FamVector(GroundSet.alpha(3), {(3, 1): 1}), "node index 3 out of range"),
+        (lambda: CharVector(GroundSet.alpha(3), {"ab": 1}), "subset key must be an int mask: 'ab'"),
+    ],
+    ids=[
+        "one-node",
+        "empty-label",
+        "separator-label",
+        "label-holding-separator",
+        "alpha-17",
+        "unknown-label",
+        "duplicate-key",
+        "malformed-family-key",
+        "node-out-of-range",
+        "non-int-subset-key",
+    ],
+)
+def test_ground_refusals(build, message):
+    with pytest.raises(BnPolyError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_family_keys_round_trip_for_every_printable_ascii_label_but_the_separator():
+    for label in map(chr, range(0x20, 0x7F)):
+        if label == "|":
+            continue
+        other = "b" if label == "a" else "a"
+        gs = GroundSet([label, other])
+        x, y = gs.index(label), gs.index(other)
+        vector = FamVector(gs, {(x, 1 << y): 1, (y, 1 << x): Fraction(-1, 2)})
+        assert FamVector.from_json(gs, vector.to_json()) == vector

@@ -520,3 +520,24 @@ def test_export_lp_text(gs3):
     with_obj = export_lp(gs3, objective=obj, clusters=[], integer=True)
     assert "+ 3 x_a_b" in with_obj and "- 2 x_b_a" in with_obj
     assert "Binaries" in with_obj
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda gs3: fam_from_char_ineq(modified_convexity(gs3)[0]),
+            "expected a characteristic-space inequality",
+        ),
+        (lambda gs3: binomial_identity(-1, 0, 0), "need s >= 0 and k >= K >= 0"),
+        (
+            lambda gs3: export_lp(gs3, objective=FamVector(gs3, {(0, 0b010): Fraction(1, 2)})),
+            "LP export needs integer objective coefficients",
+        ),
+    ],
+    ids=["fam-inequality-to-fam", "negative-s", "half-coefficient"],
+)
+def test_ineq_refusals(gs3, call, message):
+    with pytest.raises(BnPolyError) as info:
+        call(gs3)
+    assert str(info.value) == message

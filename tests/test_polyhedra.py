@@ -27,6 +27,7 @@ from bnpoly.polyhedra import (
     face_of,
     facets_from_vertices,
     fvp_vrep,
+    hrep_from_matrix_text,
     incidence,
     integer_values,
     is_facet,
@@ -474,3 +475,62 @@ def test_value_classes_compare_hash_and_refuse_assignment(name):
         with pytest.raises(AttributeError, match=f"cannot delete field '{f}'"):
             delattr(value, f)
     assert value == same
+
+
+def _segment_ineq(gs2):
+    return LinearInequality(FamVector(gs2, {(0, 0b10): 1}), 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda gs2: VRep("fam", gs2, ((0, 0), (0, 0))),
+            BnPolyError,
+            "V-representation points must be distinct",
+        ),
+        (
+            lambda gs2: VRep("fam", gs2, ((0, 0, 0),)),
+            BnPolyError,
+            "point width does not match the ambient index family",
+        ),
+        (
+            lambda gs2: HRep("char", gs2, (_segment_ineq(gs2),)),
+            BnPolyError,
+            "inequality does not match the H-representation space",
+        ),
+        (
+            lambda gs2: face_of(_segment_ineq(gs2), cip_vrep(gs2)),
+            BnPolyError,
+            "objective and V-representation spaces differ",
+        ),
+        (
+            lambda gs2: lp_maximize(CharVector(gs2, {0b11: 1}), HRep("fam", gs2, (_segment_ineq(gs2),))),
+            BnPolyError,
+            "objective and polyhedron spaces differ",
+        ),
+        (
+            lambda gs2: vertices_from_inequalities(HRep("fam", gs2, (_segment_ineq(gs2),))),
+            UnboundedError,
+            "polyhedron contains lines",
+        ),
+        (
+            lambda gs2: hrep_from_matrix_text(gs2, "fam", "1 0 1\n0 1\n"),
+            BnPolyError,
+            "matrix line 2: expected 3 entries, got 2",
+        ),
+    ],
+    ids=[
+        "duplicate-points",
+        "wrong-point-width",
+        "inequality-from-the-other-space",
+        "face-of-across-spaces",
+        "lp-maximize-across-spaces",
+        "vertices-of-a-polyhedron-with-lines",
+        "matrix-line-of-the-wrong-width",
+    ],
+)
+def test_polyhedra_refusals(gs2, call, error, message):
+    with pytest.raises(error) as info:
+        call(gs2)
+    assert str(info.value) == message

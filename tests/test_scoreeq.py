@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bnpoly import linalg, scoreeq
+from bnpoly import linalg, scoreeq, verify
 from bnpoly.dags import Dag, enumerate_dags, enumerate_equivalence_classes, equivalence_class
 from bnpoly.encodings import char_bits, char_from_fam, fam_vector
 from bnpoly.errors import (
@@ -32,7 +32,7 @@ from bnpoly.scoreeq import (
     objective_from_setfn,
     setfn_from_objective,
 )
-from bnpoly.verify import all_faces_by_tight_sets
+from bnpoly.verify import all_faces_by_tight_sets, explore_conjecture
 
 
 def random_setfn(gs, rng, span=5):
@@ -238,9 +238,6 @@ def test_is_se_face_whole_polytope_and_errors(gs3):
     assert ok and witness == FamVector(gs3, {})
     with pytest.raises(BnPolyError):
         is_se_face([])
-    foreign = Dag.from_json({"a": "", "b": "a", "c": "ab"}, gs3)
-    with pytest.raises(BnPolyError):
-        is_se_face([foreign], all_dags=[g for g in dags if g != foreign])
 
 
 def test_is_se_face_refuses_dags_over_other_ground_sets(gs3, monkeypatch):
@@ -253,21 +250,15 @@ def test_is_se_face_refuses_dags_over_other_ground_sets(gs3, monkeypatch):
     for graphs in ([empty, Dag(xyz, [0, 1, 0])], [empty, Dag(GroundSet.alpha(4), [0] * 4)]):
         with pytest.raises(IndexFamilyMismatchError, match="different ground sets"):
             is_se_face(graphs)
-        with pytest.raises(IndexFamilyMismatchError):
-            is_se_face(graphs, all_dags=enumerate_dags(gs3))
-    with pytest.raises(IndexFamilyMismatchError):
-        is_se_face([Dag(xyz, [0, 0, 0])], all_dags=enumerate_dags(gs3))
 
 
-def test_is_se_face_refuses_five_nodes_even_with_all_dags(monkeypatch):
+def test_is_se_face_refuses_five_nodes_up_front(monkeypatch):
     def never(*_, **__):
         raise AssertionError("no work may start before the refusal")
 
     monkeypatch.setattr(scoreeq, "enumerate_dags", never)
     monkeypatch.setattr(scoreeq, "solve_lp", never)
     empty = Dag.from_json({x: "" for x in "abcde"}, GroundSet.alpha(5))
-    with pytest.raises(BudgetExceededError):
-        is_se_face([empty], all_dags=[empty])
     with pytest.raises(BudgetExceededError):
         is_se_face([empty])
 
@@ -295,11 +286,35 @@ def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
     assert len(closed) == 93
     codes = [fam_vector(g) for g in dags]
     for face in closed:
-        ok, witness = is_se_face([dags[i] for i in face], all_dags=dags)
+        ok, witness = is_se_face([dags[i] for i in face])
         assert ok and is_se_objective(witness)
         values = [scalar_product(witness, code) for code in codes]
         best = max(values)
         assert {i for i, v in enumerate(values) if v == best} == face
+
+
+def test_the_mask_lp_agrees_with_is_se_face_on_every_closed_n3_face(gs3):
+    dags = enumerate_dags(gs3)
+    cai = enumerate_cai(gs3)
+    rows = [scoreeq._setfn_row(g, cai) for g in dags]
+    for face in _closed_n3_faces(dags):
+        mask = sum(1 << i for i in face)
+        assert scoreeq._se_face_lp(gs3, rows, mask) == is_se_face([dags[i] for i in face])
+
+
+def test_the_conjecture_pipeline_builds_each_dag_row_once(monkeypatch):
+    # One row per DAG for all 93 face LPs, not 25 per LP.
+    calls = []
+    setfn_row = scoreeq._setfn_row
+
+    def counting(graph, cai):
+        calls.append(graph.parents)
+        return setfn_row(graph, cai)
+
+    monkeypatch.setattr(scoreeq, "_setfn_row", counting)
+    monkeypatch.setattr(verify, "_setfn_row", counting)
+    assert explore_conjecture().passed
+    assert len(calls) == len(set(calls)) == 25
 
 
 @pytest.mark.parametrize("n, classes", [(3, 11), (4, 185)])
@@ -316,7 +331,7 @@ def test_class_lp_matches_the_per_dag_lp_on_every_closed_n3_face(gs3, se_face_pe
     dags = enumerate_dags(gs3)
     for face in _closed_n3_faces(dags):
         graphs = [dags[i] for i in face]
-        assert is_se_face(graphs, all_dags=dags) == se_face_per_dag(graphs, all_dags=dags)
+        assert is_se_face(graphs) == se_face_per_dag(graphs, all_dags=dags)
 
 
 def _class_members(gs):
@@ -341,7 +356,7 @@ def test_class_lp_matches_the_per_dag_lp_on_random_sets(n, trials, se_face_per_d
             graphs = [g for c in rng.sample(classes, rng.randint(1, 3)) for g in c]
             if kind == 2 and len(graphs) > 1:
                 graphs = graphs[1:]
-        result = is_se_face(graphs, all_dags=dags)
+        result = is_se_face(graphs)
         assert result == se_face_per_dag(graphs, all_dags=dags)
         verdicts.append(result[0])
     assert True in verdicts and False in verdicts
@@ -355,11 +370,11 @@ def test_a_set_that_splits_a_class_is_not_an_se_face(n, se_face_per_dag):
     split = [c for c in classes if len(c) > 1]
     for members in split if n == 3 else split[:10]:
         for graphs in (members[1:], members[:1]):
-            assert is_se_face(graphs, all_dags=dags) == (False, None)
+            assert is_se_face(graphs) == (False, None)
             assert se_face_per_dag(graphs, all_dags=dags) == (False, None)
 
 
-def test_is_se_face_refuses_a_partial_or_padded_dag_list(gs3, se_face_per_dag, monkeypatch):
+def test_a_partial_dag_list_misleads_only_the_per_dag_oracle(gs3, se_face_per_dag):
     dags = enumerate_dags(gs3)
     a_to_b = dag(gs3, b="a")
     b_to_a = dag(gs3, a="b")
@@ -367,14 +382,4 @@ def test_is_se_face_refuses_a_partial_or_padded_dag_list(gs3, se_face_per_dag, m
     # Over the list without b -> a, the class of a -> b looks like {a -> b}
     # alone, and the LP finds a witness for a set that is not a face.
     assert se_face_per_dag([a_to_b], all_dags=dropped)[0]
-    assert is_se_face([a_to_b], all_dags=dags) == (False, None)
-
-    def never(*_, **__):
-        raise AssertionError("no LP may start before the refusal")
-
-    monkeypatch.setattr(scoreeq, "solve_lp", never)
-    padded = dropped + [dropped[0]]
-    assert len(padded) == len(dags)
-    for all_dags in (dropped, padded):
-        with pytest.raises(BnPolyError, match="24 distinct DAGs; there are 25"):
-            is_se_face([a_to_b], all_dags=all_dags)
+    assert is_se_face([a_to_b]) == (False, None)

@@ -6,9 +6,15 @@ import pytest
 from bnpoly import polyhedra, scoreeq, simplex, verify
 from bnpoly.dags import enumerate_dags
 from bnpoly.errors import BnPolyError
-from bnpoly.ground import FamVector, GroundSet
+from bnpoly.ground import FamVector, GroundSet, iter_bits
 from bnpoly.ineq import LinearInequality, modified_convexity, nonneg_constraints
-from bnpoly.polyhedra import HRep, max_over_vertices, vertices_from_inequalities
+from bnpoly.polyhedra import (
+    HRep,
+    facets_from_vertices,
+    fvp_vrep,
+    max_over_vertices,
+    vertices_from_inequalities,
+)
 from bnpoly.simplex import LpResult, _check_certificate, solve_lp
 from bnpoly.verify import (
     _n4_catalog_fam_rows,
@@ -327,10 +333,17 @@ def test_theorem3_n5_pivot_path(monkeypatch):
     assert [r.objective for r in results] == [16, Fraction(35, 2)]
 
 
-def test_se_face_lps_pivot_totals(se_face_per_dag, monkeypatch):
-    # The conjecture pipeline's face LPs built with one row per DAG.
-    monkeypatch.setattr(verify, "is_se_face", se_face_per_dag)
-    results = _lp_results(monkeypatch, explore_conjecture)
+def test_se_face_lps_pivot_totals(gs3, se_face_per_dag, monkeypatch):
+    # The conjecture pipeline's face LPs built with one row per DAG: one per
+    # closed face (the whole polytope needs none) and one for the class of
+    # complete graphs.
+    dags = enumerate_dags(gs3)
+    fvp = fvp_vrep(gs3)
+    faces = verify.all_faces_by_tight_sets(fvp, facets_from_vertices(fvp))
+    closed = verify._markov_closed(faces, dags)
+    full_class = [g for g in dags if len(g.adjacency_pairs()) == 3]
+    sets = [[dags[i] for i in iter_bits(face)] for face in closed] + [full_class]
+    results = _lp_results(monkeypatch, lambda: [se_face_per_dag(g, all_dags=dags) for g in sets])
     assert len(results) == 93
     assert sum(r.pivots[0] for r in results) == 617
     assert sum(r.pivots[1] for r in results) == 153

@@ -290,3 +290,35 @@ def test_is_supermodular_matches_pairwise_set_definition():
             candidates.append(mix)
         for m in candidates:
             assert is_supermodular(m) == pairwise(m, gs)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda gs3: is_extreme(SetFunction(gs3, {0b001: 1, 0b011: 1})),
+            NotSupermodularError,
+            "set function is not standardized",
+        ),
+        # is_matroid_rank is False on r(empty) = 1 and on r({a}) = 2
+        (
+            lambda gs3: is_connected_matroid(SetFunction(gs3, {0: 1, 0b001: 1}), 0b001),
+            BnPolyError,
+            "not a matroid rank function on the given ground set",
+        ),
+        (
+            lambda gs3: is_connected_matroid(SetFunction(gs3, {0b001: 2}), 0b001),
+            BnPolyError,
+            "not a matroid rank function on the given ground set",
+        ),
+    ],
+    ids=[
+        "extreme-not-standardized",
+        "connected-matroid-with-a-nonzero-empty-rank",
+        "connected-matroid-with-a-step-of-two",
+    ],
+)
+def test_supermod_refusals(gs3, call, error, message):
+    with pytest.raises(error) as info:
+        call(gs3)
+    assert str(info.value) == message
