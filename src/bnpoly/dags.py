@@ -62,9 +62,6 @@ class Dag:
     def from_json(cls, obj: dict[str, str], gs: GroundSet | None = None) -> "Dag":
         if not isinstance(obj, dict) or not all(isinstance(v, str) for v in obj.values()):
             raise BnPolyError(f"a DAG must be a JSON object of parent letters, got {obj!r}")
-        for node in obj:
-            if len(node) != 1:
-                raise BnPolyError(f"DAG node names must be single characters, got {node!r}")
         if gs is None:
             gs = GroundSet(obj.keys())
         elif set(obj.keys()) != set(gs.labels):
@@ -227,7 +224,10 @@ def equivalence_class(graph: Dag) -> set[Dag]:
 def enumerate_equivalence_classes(gs: GroundSet) -> list[tuple[Dag, int]]:
     """Partition of all DAGs into Markov equivalence classes, each reported
     as (lexicographically least member, class size), in order of the first
-    member encountered by :func:`enumerate_dags`."""
+    member encountered by :func:`enumerate_dags`.  That order is the
+    lexicographic parent-map order, so the first member met of a class is
+    its least: a smaller one would have been met earlier and marked the
+    class seen."""
     seen: set[tuple[int, ...]] = set()
     classes = []
     for g in enumerate_dags(gs):
@@ -235,8 +235,7 @@ def enumerate_equivalence_classes(gs: GroundSet) -> list[tuple[Dag, int]]:
             continue
         members = equivalence_class(g)
         seen.update(m.parents for m in members)
-        rep = min(members)
-        classes.append((rep, len(members)))
+        classes.append((g, len(members)))
     return classes
 
 

@@ -141,7 +141,10 @@ class FrozenRecord(Record):
 
 
 class GroundSet:
-    """An ordered set of distinct node labels; subsets are n-bit masks."""
+    """An ordered set of distinct node labels; subsets are n-bit masks.
+
+    Each label is one character other than ``|``, so the text forms that
+    spell a subset as the run of its labels can be read back."""
 
     __slots__ = ("labels", "n", "full_mask", "_index")
 
@@ -151,9 +154,10 @@ class GroundSet:
             raise BnPolyError("node labels must be distinct")
         if not 2 <= len(labels) <= MAX_NODES:
             raise BnPolyError(f"need between 2 and {MAX_NODES} nodes, got {len(labels)}")
-        if any(not lab or not isinstance(lab, str) for lab in labels):
-            raise BnPolyError("node labels must be non-empty strings")
-        if any("|" in lab for lab in labels):
+        for lab in labels:
+            if not isinstance(lab, str) or len(lab) != 1:
+                raise BnPolyError(f"node labels must be single characters, got {lab!r}")
+        if "|" in labels:
             raise BnPolyError("node labels must not hold '|', the family-key separator")
         self.labels = labels
         self.n = len(labels)
@@ -174,8 +178,7 @@ class GroundSet:
             raise BnPolyError(f"unknown node label {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        """Mask of a subset given as an iterable of labels (a string works
-        only when all labels are single characters)."""
+        """Mask of a subset given as an iterable of labels."""
         mask = 0
         for lab in labels:
             mask |= bit(self.index(lab))
@@ -254,10 +257,7 @@ class _Vector:
         raise NotImplementedError
 
     def to_json(self) -> dict[str, str]:
-        """Text key -> "p/q" string, in the class's key order; text keys
-        need single-character node labels."""
-        if any(len(lab) != 1 for lab in self.gs.labels):
-            raise BnPolyError("text keys need single-character node labels")
+        """Text key -> "p/q" string, in the class's key order."""
         return {self.key_text(self.gs, k): str(v) for k, v in self.sorted_items()}
 
     @classmethod
@@ -266,8 +266,6 @@ class _Vector:
         texts naming one coordinate are refused, whatever their values."""
         if not isinstance(obj, Mapping):
             raise BnPolyError(f"a vector must be a JSON object, got {obj!r}")
-        if any(len(lab) != 1 for lab in gs.labels):
-            raise BnPolyError("text keys need single-character node labels")
         texts: dict = {}
         coords = []
         for text, value in obj.items():

@@ -73,11 +73,7 @@ class LinearInequality(FrozenRecord):
         return self.value_at(x) == self.bound
 
     def __str__(self) -> str:
-        """Key form, e.g. ``a|b + b|a <= 1/2``; the repr, which lists the
-        four fields, when the node labels are not single characters (text
-        keys need them)."""
-        if any(len(lab) != 1 for lab in self.gs.labels):
-            return repr(self)
+        """Key form, e.g. ``a|b + b|a <= 1/2``."""
         key_text = self.objective.key_text
         text = ""
         for k, v in self.objective.sorted_items():

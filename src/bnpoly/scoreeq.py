@@ -109,9 +109,10 @@ def char_objective(obj: FamVector) -> CharVector:
 def _setfn_row(graph: Dag, cai: list[int]) -> tuple[int, ...]:
     """Coefficients g with <obj_m, fam_G> = <m, g> for the parametrized
     objective, read at the masks of ``cai``: g(S) counts nodes with
-    {a} u pa(a) = S minus nodes with pa(a) = S.  Up to sign and the masks
-    below size 2, g is the standard imset of G, so two DAGs share a row
-    exactly when they are Markov equivalent."""
+    {a} u pa(a) = S minus nodes with pa(a) = S.  On the masks of size >= 2,
+    g = delta_N - u_G for the standard imset u_G, so <obj_m, fam_G> =
+    m(N) - <m, u_G>; delta_N is common to every DAG, so two DAGs share a
+    row exactly when they are Markov equivalent."""
     row = [0] * (1 << graph.gs.n)
     for a, B in enumerate(graph.parents):
         row[B | bit(a)] += 1

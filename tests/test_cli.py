@@ -298,6 +298,7 @@ _ENCODE_DAG = '{"a":"","b":"a","c":"ab","d":"bc"}'
         (("verify", "counterexample", "--json"), "cbf446192d672d6765e86ea1f1ffc14aed4f07481acfeb0b274b4829f4a43992"),
         (("verify", "n4", "--json"), "e7d6af21f86c480915569967a22b6f82ceb9d9dac85269725fbdb58b91999dad"),
         (("verify", "conjecture", "--json"), "1a3a1d0790d504aed325d90677bd5e18c6c63bd2a26be36a7f932b1a692540b8"),
+        (("export-lp", "--n", "4", "--integer"), "49d0376f835364b050f7c1ca5ddf495237357efe070714f4077aaa83ddd384c8"),
     ],
     ids=[
         "catalog-se4",
@@ -307,6 +308,7 @@ _ENCODE_DAG = '{"a":"","b":"a","c":"ab","d":"bc"}'
         "verify-counterexample",
         "verify-n4",
         "verify-conjecture",
+        "export-lp-n4-integer",
     ],
 )
 def test_catalog_and_encode_stdout_bytes_are_pinned(capsys, argv, digest):
@@ -811,7 +813,7 @@ def test_cli_import_loads_no_heavy_stdlib_module():
 def test_a_dag_node_name_longer_than_one_character_is_named(capsys, dag):
     code, out, err = run_cli(capsys, "encode", "--dag", dag, "--as", "fam")
     assert code == 2 and out == ""
-    assert err == "error: DAG node names must be single characters, got 'x1'\n"
+    assert err == "error: node labels must be single characters, got 'x1'\n"
 
 
 def test_a_dag_node_named_by_the_family_key_separator_is_refused(capsys):

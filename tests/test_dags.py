@@ -115,9 +115,10 @@ def test_class_counts(n, count):
     assert len(enumerate_equivalence_classes(GroundSet.alpha(n))) == count
 
 
-def test_classes_partition_dags(gs3):
-    classes = enumerate_equivalence_classes(gs3)
-    assert sum(size for _, size in classes) == 25
+@pytest.mark.parametrize("n, count", [(3, 25), (4, 543)])
+def test_classes_partition_dags(n, count):
+    classes = enumerate_equivalence_classes(GroundSet.alpha(n))
+    assert sum(size for _, size in classes) == count
     reps = [rep.parents for rep, _ in classes]
     assert len(set(reps)) == len(reps)
     # representative is the least member of its class

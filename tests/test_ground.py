@@ -198,14 +198,18 @@ def test_from_json_refuses_two_texts_for_one_coordinate(gs3, cls, blob):
     assert str(info.value) == f"keys {first!r} and {second!r} name the same coordinate"
 
 
-@pytest.mark.parametrize("cls", [FamVector, CharVector, SetFunction])
-def test_text_keys_need_single_character_labels(cls):
-    wide = GroundSet(["p", "q", "rs"])
-    vec = cls(wide, {})
-    with pytest.raises(BnPolyError, match="single-character node labels"):
-        vec.to_json()
-    with pytest.raises(BnPolyError, match="single-character node labels"):
-        cls.from_json(wide, {})
+def test_text_keys_need_single_character_labels():
+    with pytest.raises(BnPolyError) as info:
+        GroundSet(["p", "q", "rs"])
+    assert str(info.value) == "node labels must be single characters, got 'rs'"
+
+
+def test_text_keys_are_a_bijection_over_any_single_character_labels():
+    gs = GroundSet("Z9_~")
+    for S in range(1 << gs.n):
+        assert gs.mask_of(gs.letters(S)) == S
+    for k in enumerate_family_indices(gs):
+        assert FamVector.parse_key(gs, FamVector.key_text(gs, k)) == k
 
 
 def test_vector_class_decodes_space_tags():
@@ -317,9 +321,12 @@ def test_record_defaults_are_fields_with_hashable_values():
     "build, message",
     [
         (lambda: GroundSet(["a"]), "need between 2 and 16 nodes, got 1"),
-        (lambda: GroundSet(["a", ""]), "node labels must be non-empty strings"),
+        (lambda: GroundSet(["a", ""]), "node labels must be single characters, got ''"),
+        (lambda: GroundSet([1, 2]), "node labels must be single characters, got 1"),
         (lambda: GroundSet(["a", "|"]), "node labels must not hold '|', the family-key separator"),
-        (lambda: GroundSet(["a", "b|c"]), "node labels must not hold '|', the family-key separator"),
+        (lambda: GroundSet(["a", "b|c"]), "node labels must be single characters, got 'b|c'"),
+        # {a, b} and {ab} would both be written "ab"
+        (lambda: GroundSet(["a", "ab", "b", "c"]), "node labels must be single characters, got 'ab'"),
         (lambda: GroundSet.alpha(17), "need between 2 and 16 nodes, got 17"),
         (lambda: GroundSet.alpha(3).index("z"), "unknown node label 'z'"),
         (
@@ -333,8 +340,10 @@ def test_record_defaults_are_fields_with_hashable_values():
     ids=[
         "one-node",
         "empty-label",
+        "non-string-label",
         "separator-label",
         "label-holding-separator",
+        "label-spelling-two-others",
         "alpha-17",
         "unknown-label",
         "duplicate-key",

@@ -489,25 +489,6 @@ def test_text_form_uses_keys(gs3):
     char = CharVector(gs3, {m("ab"): -1, m("abc"): 2})
     assert str(LinearInequality(char, 0)) == "-ab + 2*abc <= 0"
     assert str(LinearInequality(CharVector(gs3, {}), 1)) == "0 <= 1"
-    # Text keys need single-character labels; others keep the repr.
-    wide = GroundSet(["x1", "y"])
-    q = LinearInequality(FamVector(wide, {(0, 0b10): 1}), 1)
-    assert str(q) == repr(q)
-
-
-def test_text_form_over_wide_labels_lists_the_fields():
-    # the text the dataclass repr printed, before LinearInequality became a
-    # plain class
-    wide = GroundSet(["x1", "y"])
-    fam = FamVector(wide, {(0, 0b10): 1, (1, 0b01): Fraction(-3, 2)})
-    assert str(LinearInequality(fam, Fraction(1, 2), "cut")) == (
-        "LinearInequality(space='fam', objective=FamVector({(0, 2): 1, (1, 1): -3/2}), "
-        "bound=Fraction(1, 2), label='cut')"
-    )
-    assert str(LinearInequality(CharVector(GroundSet(["p", "q", "rs"]), {0b11: 2}), 0)) == (
-        "LinearInequality(space='char', objective=CharVector({3: 2}), "
-        "bound=Fraction(0, 1), label='')"
-    )
 
 
 def test_export_lp_text(gs3):

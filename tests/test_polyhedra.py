@@ -432,7 +432,7 @@ def test_matrix_text_equations_and_comments(gs3):
 def _value_cases():
     """(instance, an equal one, an unequal one, field names) per frozen
     value class."""
-    gs = GroundSet(["x1", "y"])
+    gs = GroundSet(["x", "y"])
     fam = FamVector(gs, {(0, 0b10): 1})
     q = LinearInequality(fam, Fraction(1, 2), "cut")
     points = ((0, 0), (1, 0))
@@ -445,7 +445,7 @@ def _value_cases():
         ),
         "VRep": (
             VRep("fam", gs, points),
-            VRep("fam", GroundSet(["y", "x1"]), ((0, 0), (1, 0))),
+            VRep("fam", GroundSet(["y", "x"]), ((0, 0), (1, 0))),
             VRep("fam", gs, points[:1]),
             ("space", "gs", "points"),
         ),

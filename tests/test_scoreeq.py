@@ -5,7 +5,7 @@ import pytest
 
 from bnpoly import linalg, scoreeq, verify
 from bnpoly.dags import Dag, enumerate_dags, enumerate_equivalence_classes, equivalence_class
-from bnpoly.encodings import char_bits, char_from_fam, fam_vector
+from bnpoly.encodings import char_bits, char_from_fam, fam_vector, standard_imset
 from bnpoly.errors import (
     BnPolyError,
     BudgetExceededError,
@@ -315,6 +315,15 @@ def test_the_conjecture_pipeline_builds_each_dag_row_once(monkeypatch):
     monkeypatch.setattr(verify, "_setfn_row", counting)
     assert explore_conjecture().passed
     assert len(calls) == len(set(calls)) == 25
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_setfn_row_is_delta_n_minus_the_standard_imset(n):
+    gs = GroundSet.alpha(n)
+    cai = enumerate_cai(gs)
+    for g in enumerate_dags(gs):
+        u = standard_imset(g)
+        assert scoreeq._setfn_row(g, cai) == tuple(int(S == gs.full_mask) - u[S] for S in cai)
 
 
 @pytest.mark.parametrize("n, classes", [(3, 11), (4, 185)])
