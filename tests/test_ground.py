@@ -198,10 +198,24 @@ def test_from_json_refuses_two_texts_for_one_coordinate(gs3, cls, blob):
     assert str(info.value) == f"keys {first!r} and {second!r} name the same coordinate"
 
 
-def test_text_keys_need_single_character_labels():
+@pytest.mark.parametrize(
+    "cls, keys",
+    [
+        (FamVector, enumerate_family_indices),
+        (CharVector, enumerate_cai),
+        (SetFunction, lambda gs: range(1 << gs.n)),
+    ],
+    ids=["FamVector", "CharVector", "SetFunction"],
+)
+def test_text_keys_need_single_character_labels(cls, keys):
+    # no vector of any class can be built over a wide label, so its keys are never written
     with pytest.raises(BnPolyError) as info:
-        GroundSet(["p", "q", "rs"])
+        cls(GroundSet(["p", "q", "rs"]), {})
     assert str(info.value) == "node labels must be single characters, got 'rs'"
+    gs = GroundSet(["p", "q", "r"])
+    vec = cls(gs, {key: i + 1 for i, key in enumerate(keys(gs))})
+    assert len(vec.to_json()) == len(keys(gs))
+    assert cls.from_json(gs, vec.to_json()) == vec
 
 
 def test_text_keys_are_a_bijection_over_any_single_character_labels():
