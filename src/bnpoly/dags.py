@@ -78,12 +78,9 @@ def _acyclic(parents: Sequence[int], full_mask: int) -> bool:
     progressed = True
     while remaining and progressed:
         progressed = False
-        m = remaining
-        while m:
-            low = m & -m
-            m ^= low
-            if not parents[low.bit_length() - 1] & remaining:
-                remaining ^= low
+        for a in iter_bits(remaining):
+            if not parents[a] & remaining:
+                remaining ^= bit(a)
                 progressed = True
     return remaining == 0
 

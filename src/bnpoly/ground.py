@@ -178,10 +178,13 @@ class GroundSet:
             raise BnPolyError(f"unknown node label {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        """Mask of a subset given as an iterable of labels."""
+        """Mask of a subset given as an iterable of labels, each at most once."""
         mask = 0
         for lab in labels:
-            mask |= bit(self.index(lab))
+            b = bit(self.index(lab))
+            if mask & b:
+                raise BnPolyError(f"node label {lab!r} given twice")
+            mask |= b
         return mask
 
     def letters(self, mask: int) -> str:

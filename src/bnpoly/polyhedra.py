@@ -34,6 +34,7 @@ from .ground import (
     GroundSet,
     as_fraction,
     enumerate_family_indices,
+    iter_bits,
     vector_class,
 )
 from .ineq import LinearInequality
@@ -178,9 +179,7 @@ def incidence(inequalities: Sequence[LinearInequality], vrep: VRep) -> list[int]
 def face_of(ineq: LinearInequality, vrep: VRep) -> FaceInfo:
     """Tight points of a valid inequality and the dimension of their affine
     hull (-1 for the empty face); raises if the inequality is violated."""
-    # the mask's binary digits, lowest bit first: linear in the point count
-    digits = f"{incidence([ineq], vrep)[0]:b}"[::-1]
-    tight = tuple(i for i, digit in enumerate(digits) if digit == "1")
+    tight = tuple(iter_bits(incidence([ineq], vrep)[0]))
     if not tight:
         return FaceInfo((), -1)
     dim = affine_rank([vrep.points[i] for i in tight]) - 1

@@ -169,17 +169,13 @@ def _facet_keyset(inequalities) -> set:
     return {q.canonical_key() for q in inequalities}
 
 
-def _n4_catalog_fam_rows(se_only: bool) -> list[LinearInequality]:
-    """fam-mode translations of the CIP facets not containing the zero
-    vertex: the 37 one-vertex facets and, unless ``se_only``, the four
-    bound-1 specific facets (which contain neither distinguished vertex)."""
-    rows = []
+def _se_relaxation(gs: GroundSet) -> list[LinearInequality]:
+    """The 69-row SE relaxation at n = 4: non-negativity, modified convexity
+    and the fam translations of the 37 one-vertex facets, in that order (it
+    fixes the simplex's Bland path)."""
+    rows = nonneg_constraints(gs) + modified_convexity(gs)
     for entry in catalog_se_n4():
         rows.extend(entry.fam_orbit())
-    if not se_only:
-        for entry in catalog_specific_n4():
-            if entry.char_ineq.bound != 0:
-                rows.extend(entry.fam_orbit())
     return rows
 
 
@@ -297,21 +293,21 @@ def verify_n4(stretch: bool = False, budget: Budget | None = None) -> Verificati
     count = len(facets_from_vertices(fvp_vrep(gs), budget=budget).inequalities)
     report.check("family-variable polytope facet count", 135, count, source="published")
 
-    summary = _fvp_star_summary(budget)
-    report.check("relaxation vertex count", 1329, summary["total"], source="published")
-    report.check("fractional vertices", 786, summary["fractional"], source="published")
-    report.check("first published fractional vertex found", True, summary["witness1"])
-    report.check("second published fractional vertex found", True, summary["witness2"])
+    total, fractional, (found1, found2, found3) = _fvp_star_summary(budget)
+    report.check("relaxation vertex count", 1329, total, source="published")
+    report.check("fractional vertices", 786, fractional, source="published")
+    report.check("first published fractional vertex found", True, found1)
+    report.check("second published fractional vertex found", True, found2)
     report.check(
         "third published fractional vertex found",
         True,
-        summary["witness3"],
+        found3,
         note=(
             "the printed third witness satisfies all 69 constraints but its tight"
             " rows only reach rank 24 of 28, so it lies inside a 4-face; a true"
             " vertex with identical support and leading coefficient 2/3 exists"
         )
-        if not summary["witness3"]
+        if not found3
         else "",
     )
     return report
@@ -332,26 +328,16 @@ def _published_fractional_witnesses(gs: GroundSet) -> list[FamVector]:
     return [FamVector(gs, w) for w in (w1, w2, w3)]
 
 
-def _fvp_star_summary(budget: Budget | None) -> dict:
+def _fvp_star_summary(budget: Budget | None) -> tuple[int, int, list[bool]]:
+    """The SE relaxation's vertex count, its fractional vertex count, and
+    whether each published fractional witness is one of its vertices."""
     gs = GroundSet.alpha(4)
-    rows = nonneg_constraints(gs) + modified_convexity(gs) + _n4_catalog_fam_rows(se_only=True)
-    star = vertices_from_inequalities(HRep("fam", gs, tuple(rows)), budget=budget)
-    fractional = sum(
-        1 for p in star.points if any(Fraction(x).denominator != 1 for x in p)
-    )
+    star = vertices_from_inequalities(HRep("fam", gs, tuple(_se_relaxation(gs))), budget=budget)
+    fractional = sum(any(Fraction(x).denominator != 1 for x in p) for p in star.points)
     fai = enumerate_family_indices(gs)
     points = set(star.points)
-    witnesses = [
-        tuple(w[key] for key in fai) in points
-        for w in _published_fractional_witnesses(gs)
-    ]
-    return {
-        "total": len(star.points),
-        "fractional": fractional,
-        "witness1": witnesses[0],
-        "witness2": witnesses[1],
-        "witness3": witnesses[2],
-    }
+    found = [w.dense(fai) in points for w in _published_fractional_witnesses(gs)]
+    return len(star.points), fractional, found
 
 
 # --- pipeline: optimal-value reductions ---------------------------------------------
@@ -384,12 +370,12 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
     if n == 3:
         variants = {"reduced polyhedron": HRep("fam", gs, tuple(_cluster_relaxation(gs)))}
     else:
-        base = nonneg_constraints(gs) + modified_convexity(gs)
-        no_zero = base + _n4_catalog_fam_rows(se_only=False)
-        se_only = base + _n4_catalog_fam_rows(se_only=True)
+        # the four bound-1 specific facets miss both distinguished vertices
+        se_rows = _se_relaxation(gs)
+        bound_one = [q for e in catalog_specific_n4() if e.char_ineq.bound for q in e.fam_orbit()]
         variants = {
-            "reduced polyhedron": HRep("fam", gs, tuple(no_zero)),
-            "one-vertex-facet polyhedron": HRep("fam", gs, tuple(se_only)),
+            "reduced polyhedron": HRep("fam", gs, tuple(se_rows + bound_one)),
+            "one-vertex-facet polyhedron": HRep("fam", gs, tuple(se_rows)),
         }
 
     import random  # only this pipeline draws, so `import bnpoly` does not load it
@@ -620,14 +606,14 @@ def all_faces_by_tight_sets(vrep: VRep, hull: HRep) -> list[int]:
     return sorted(by_index, key=int.bit_count)
 
 
-def _markov_closed(faces: list[int], dags: list[Dag]) -> list[int]:
+def _markov_closed(faces: list[int], rows: list[tuple]) -> list[int]:
     """The faces, bitmasks over the DAG indices, that are closed under Markov
     equivalence: each class that meets the face, found by its lowest bit
-    left in the face, lies inside it."""
+    left in the face, lies inside it.  ``rows`` holds each DAG's
+    ``_setfn_row``; equal rows are one Markov class."""
     class_masks: dict[tuple, int] = {}
-    for i, g in enumerate(dags):
-        signature = char_bits(g)
-        class_masks[signature] = class_masks.get(signature, 0) | 1 << i
+    for i, row in enumerate(rows):
+        class_masks[row] = class_masks.get(row, 0) | 1 << i
     class_at = {1 << i: mask for mask in class_masks.values() for i in iter_bits(mask)}
     closed = []
     for face in faces:
@@ -647,20 +633,21 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     """Enumerate every face of the three-node family-variable polytope (no
     larger one is feasible), keep those whose DAG sets are closed under Markov
     equivalence, and confirm each admits a score-equivalent defining objective
-    (via the exact-LP face test).  Faces and Markov classes are bitmasks over
-    the DAG indices from the tight-set closure to the LP, and every LP reads
-    one list of DAG rows built once.  The budget bounds the facet enumeration."""
+    (via the exact-LP face test).  One DAG list gives the vertices, so faces
+    are bitmasks over its indices from the tight-set closure to the LP, and
+    one list of its ``_setfn_row`` rows names the Markov classes and is what
+    every LP reads.  The budget bounds the facet enumeration."""
     report = VerificationReport("conjecture-n3")
     gs = GroundSet.alpha(3)
     dags = enumerate_dags(gs)
-    fvp = fvp_vrep(gs)
+    fvp = VRep("fam", gs, dag_codes(gs, dags))
     hull = facets_from_vertices(fvp, budget=budget)
     report.check("facet count", 17, len(hull.inequalities))
 
     faces = all_faces_by_tight_sets(fvp, hull)
-    closed_faces = _markov_closed(faces, dags)
     cai = enumerate_cai(gs)
     rows = [_setfn_row(g, cai) for g in dags]
+    closed_faces = _markov_closed(faces, rows)
 
     violations = sum(not _se_face_lp(gs, rows, face)[0] for face in closed_faces)
     report.check(

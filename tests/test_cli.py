@@ -203,6 +203,10 @@ def test_verify_json_deterministic(capsys):
         ("export-lp", "--n", "3", "--clusters", "ab:x"),
         ("export-lp", "--n", "3", "--clusters", ","),
         ("se", "check", "--n", "3", "--objective", "@no-such-file.json"),
+        ("se", "check", "--n", "3", "--objective", '{"a|bb":"1"}'),
+        ("encode", "--dag", '{"a":"","b":"aa","c":""}', "--as", "fam"),
+        ("ineq", "cluster", "--n", "4", "--C", "abb"),
+        ("supermod", "check", "--n", "3", "--setfn", '{"aab":"1"}'),
     ],
     ids=[
         "unknown-command",
@@ -234,6 +238,10 @@ def test_verify_json_deterministic(capsys):
         "cluster-level-not-integer",
         "cluster-empty-entries",
         "missing-at-file",
+        "repeated-parent-label",
+        "repeated-dag-parent",
+        "repeated-cluster-label",
+        "repeated-setfn-label",
     ],
 )
 def test_usage_error_exit_two(capsys, argv):

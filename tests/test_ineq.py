@@ -18,6 +18,7 @@ from bnpoly.ground import (
     scalar_product,
 )
 from bnpoly.ineq import (
+    CatalogEntry,
     LinearInequality,
     binomial_identity,
     catalog_se_n4,
@@ -35,7 +36,8 @@ from bnpoly.ineq import (
 from bnpoly.scoreeq import char_objective, is_se_objective
 from bnpoly.supermod import cluster_pairs, cluster_supermodular
 from bnpoly.scoreeq import objective_from_setfn
-from bnpoly.verify import _n4_catalog_fam_rows, verify_n4, verify_theorem3
+from bnpoly.polyhedra import lp_maximize
+from bnpoly.verify import verify_n4, verify_theorem3
 
 
 def test_nonneg_constraints(gs3, gs4):
@@ -377,13 +379,29 @@ def _text_sha256(rows):
     return hashlib.sha256("\n".join(str(q) for q in rows).encode()).hexdigest()
 
 
-def test_catalog_orbits_and_translations_pinned():
+def test_catalog_orbits_and_translations_pinned(monkeypatch):
     entries = catalog_se_n4() + catalog_specific_n4()
     members = [m for e in entries for m in e.char_orbit]
     assert len(members) == 154
     for e in entries:
         assert e.fam_orbit() == [fam_from_char_ineq(m) for m in e.char_orbit]
-    reduced, one_vertex = _n4_catalog_fam_rows(False), _n4_catalog_fam_rows(True)
+    # the fam rows are read from the polyhedra the theorem3 LPs are handed:
+    # the reduced one first, then the one-vertex-facet one
+    import bnpoly.verify as verify_module
+
+    polyhedra = []
+
+    def recording_lp(objective, hrep):
+        polyhedra.append(hrep.inequalities)
+        return lp_maximize(objective, hrep)
+
+    monkeypatch.setattr(verify_module, "lp_maximize", recording_lp)
+    assert verify_theorem3(4, trials=1).passed
+    reduced, one_vertex = dict.fromkeys(polyhedra)
+    gs = GroundSet.alpha(4)
+    base = tuple(nonneg_constraints(gs) + modified_convexity(gs))
+    assert reduced[: len(base)] == one_vertex[: len(base)] == base
+    reduced, one_vertex = reduced[len(base) :], one_vertex[len(base) :]
     assert (len(reduced), len(one_vertex)) == (41, 37)
     assert {
         "char members": _text_sha256(members),
@@ -423,6 +441,28 @@ def test_cold_theorem3_n4_translates_each_type_once(monkeypatch):
     # 10 + 20 catalog types, one translation each; no orbit member is
     # translated on its own
     assert count <= 30
+
+
+def test_cold_theorem3_n4_relabels_each_orbit_once(monkeypatch):
+    # one fam_orbit per SE catalog type and one for the bound-1 specific
+    # type: the 37 one-vertex rows are built once and shared by both
+    # polyhedra
+    calls = []
+    fam_orbit = CatalogEntry.fam_orbit
+
+    def counting_fam_orbit(entry):
+        calls.append(entry.char_ineq.label)
+        return fam_orbit(entry)
+
+    monkeypatch.setattr(CatalogEntry, "fam_orbit", counting_fam_orbit)
+    catalog_se_n4.cache_clear()
+    catalog_specific_n4.cache_clear()
+    try:
+        assert verify_theorem3(4, trials=1).passed
+    finally:
+        catalog_se_n4.cache_clear()
+        catalog_specific_n4.cache_clear()
+    assert len(calls) == 11 == len(set(calls))
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ import pytest
 from bnpoly import polyhedra, scoreeq, simplex, verify
 from bnpoly.dags import enumerate_dags
 from bnpoly.errors import BnPolyError
-from bnpoly.ground import FamVector, GroundSet, iter_bits
-from bnpoly.ineq import LinearInequality, modified_convexity, nonneg_constraints
+from bnpoly.ground import FamVector, GroundSet, enumerate_cai, iter_bits
+from bnpoly.ineq import LinearInequality, catalog_specific_n4
 from bnpoly.polyhedra import (
     HRep,
     facets_from_vertices,
@@ -17,8 +17,8 @@ from bnpoly.polyhedra import (
 )
 from bnpoly.simplex import LpResult, _check_certificate, solve_lp
 from bnpoly.verify import (
-    _n4_catalog_fam_rows,
     _random_se_objective,
+    _se_relaxation,
     explore_conjecture,
     verify_theorem3,
 )
@@ -219,7 +219,9 @@ def test_random_lps_match_vertex_maximum(seed):
 def test_n4_reduced_polyhedron_starts_feasible():
     # the origin satisfies every row, so the slack basis is feasible
     gs = GroundSet.alpha(4)
-    rows = nonneg_constraints(gs) + modified_convexity(gs) + _n4_catalog_fam_rows(se_only=False)
+    rows = _se_relaxation(gs) + [
+        q for e in catalog_specific_n4() if e.char_ineq.bound != 0 for q in e.fam_orbit()
+    ]
     hrep = HRep("fam", gs, tuple(rows))
     objective = _random_se_objective(gs, random.Random(0))
     A_ub, b_ub, _, _ = hrep.matrix()
@@ -340,7 +342,8 @@ def test_se_face_lps_pivot_totals(gs3, se_face_per_dag, monkeypatch):
     dags = enumerate_dags(gs3)
     fvp = fvp_vrep(gs3)
     faces = verify.all_faces_by_tight_sets(fvp, facets_from_vertices(fvp))
-    closed = verify._markov_closed(faces, dags)
+    cai = enumerate_cai(gs3)
+    closed = verify._markov_closed(faces, [scoreeq._setfn_row(g, cai) for g in dags])
     full_class = [g for g in dags if len(g.adjacency_pairs()) == 3]
     sets = [[dags[i] for i in iter_bits(face)] for face in closed] + [full_class]
     results = _lp_results(monkeypatch, lambda: [se_face_per_dag(g, all_dags=dags) for g in sets])

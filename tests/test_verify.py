@@ -10,12 +10,14 @@ from bnpoly.encodings import char_bits
 from bnpoly.errors import BudgetExceededError
 from bnpoly.ground import GroundSet, enumerate_cai, iter_bits
 from bnpoly.polyhedra import facets_from_vertices, fvp_vrep, incidence
+from bnpoly.scoreeq import _setfn_row
 from bnpoly.verify import (
     VerificationReport,
     _dimension_witnesses,
     _fvp_star_summary,
     _markov_closed,
     all_faces_by_tight_sets,
+    explore_conjecture,
     verify_counterexample,
     verify_n4,
     verify_theorem3,
@@ -100,10 +102,10 @@ def test_se_relaxation_vertices_within_ray_budget():
     # order); the cap leaves about 2x headroom, so an order that blows
     # the cone up fails within seconds.  The printed third witness is not a
     # vertex (criterion 3 reports that), so it is not checked here.
-    summary = _fvp_star_summary(Budget(max_rays=2800))
-    assert summary["total"] == 1329
-    assert summary["fractional"] == 786
-    assert summary["witness1"] and summary["witness2"]
+    total, fractional, found = _fvp_star_summary(Budget(max_rays=2800))
+    assert total == 1329
+    assert fractional == 786
+    assert found[0] and found[1]
 
 
 def test_theorem3_n3_passes(theorem3_n3_report):
@@ -128,6 +130,24 @@ def test_conjecture_pipeline_passes(conjecture_report):
     assert conjecture_report.passed
     checks = _by_description(conjecture_report)
     assert checks["equivalence-closed faces that are not SE faces"].observed == 0
+
+
+def test_conjecture_enumerates_the_dags_once(monkeypatch):
+    # the polytope's vertices are the codes of the pipeline's own DAG list,
+    # so no enumeration runs behind it in fvp_vrep
+    import bnpoly.polyhedra as polyhedra_module
+    import bnpoly.verify as verify_module
+
+    calls = []
+
+    def counting_enumeration(gs):
+        calls.append(gs.n)
+        return enumerate_dags(gs)
+
+    for module in (verify_module, polyhedra_module):
+        monkeypatch.setattr(module, "enumerate_dags", counting_enumeration)
+    assert explore_conjecture().passed
+    assert calls == [3]
 
 
 def test_report_json_shape(n3_report):
@@ -214,7 +234,9 @@ def test_face_lattice_masks_match_frozenset_closure(gs3):
         if {i for i in range(len(dags)) if class_of[i] in signatures} == set(face):
             closed.append(face)
     assert len(closed) == 93
-    assert [frozenset(iter_bits(m)) for m in _markov_closed(masks, dags)] == closed
+    cai = enumerate_cai(gs3)
+    rows = [_setfn_row(g, cai) for g in dags]
+    assert [frozenset(iter_bits(m)) for m in _markov_closed(masks, rows)] == closed
 
 
 def test_spent_budget_under_stretch_raises():
