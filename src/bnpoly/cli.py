@@ -74,16 +74,27 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict, refusing a key given twice (plain
+    ``json`` would keep only the last value)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise BnPolyError(f"JSON key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
 def _load_json_arg(text: str | None, option: str, kind: type = dict):
     """Parse an option given as inline JSON or ``@path``; the option must be
-    present and hold a JSON object (or a list when ``kind`` is ``list``)."""
+    present and hold a JSON object (or a list when ``kind`` is ``list``), and
+    no object in it may repeat a key."""
     if text is None:
         raise BnPolyError(f"{option} is required")
     if text.startswith("@"):
         with open(text[1:]) as handle:
-            data = json.load(handle)
-    else:
-        data = json.loads(text)
+            text = handle.read()
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(data, kind):
         raise BnPolyError(f"{option} must be a JSON {'list' if kind is list else 'object'}")
     return data

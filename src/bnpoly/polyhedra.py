@@ -229,7 +229,7 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
         if not any(coeffs):
             continue  # the trivial valid inequality 0 <= u
         obj = cls(vrep.gs, zip(index, coeffs))
-        inequalities.append(LinearInequality(obj, Fraction(bound), label="facet"))
+        inequalities.append(LinearInequality(obj, bound, label="facet"))
     equations = [(cls(vrep.gs, zip(index, line[1:])), Fraction(line[0])) for line in lineality]
     inequalities.sort(key=lambda q: q.canonical_key())
     return HRep(vrep.space, vrep.gs, tuple(inequalities), tuple(equations))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 from .errors import BnPolyError, BudgetExceededError, NotSupermodularError
 from .ground import (
@@ -67,15 +67,29 @@ def _require_standardized_supermodular(m: SetFunction) -> None:
         raise NotSupermodularError("set function is not supermodular")
 
 
+# One dense row over all 2^n masks per tight difference, up to
+# C(n, 2) * 2^(n - 2) of them.  For the cluster function of {a, b} at level 1
+# this took 0.6 s and 34 MB at n = 9 and 2.7 s and 112 MB at n = 10 on a
+# 2-vCPU host; each further node doubles the row width and more than doubles
+# the row count.
+MAX_EXTREME_NODES = 10
+
+
 def is_extreme(m: SetFunction) -> bool:
     """Whether a nonzero standardized supermodular function spans an extreme
     ray of the cone: the space of standardized functions vanishing on all of
     m's tight elementary differences must be one-dimensional.  ``m`` may be
-    a CharVector, which reads 0 on sets of size <= 1."""
+    a CharVector, which reads 0 on sets of size <= 1.  Refused with
+    BudgetExceededError for n > MAX_EXTREME_NODES before any work starts."""
+    gs = m.gs
+    if gs.n > MAX_EXTREME_NODES:
+        raise BudgetExceededError(
+            f"the extremality test reads {comb(gs.n, 2) << (gs.n - 2)} elementary differences"
+            f" over {gs.n} nodes; it stops at n = {MAX_EXTREME_NODES}"
+        )
     if not m:
         raise NotSupermodularError("the zero function spans no ray")
     _require_standardized_supermodular(m)
-    gs = m.gs
     rows = []
     for a, b, Z in elementary_triplets(gs):
         if delta(m, a, b, Z) == 0:

@@ -187,20 +187,19 @@ def verify_n3(budget: Budget | None = None) -> VerificationReport:
     report = VerificationReport("n3")
     gs = GroundSet.alpha(3)
 
-    dags = enumerate_dags(gs)
-    report.check("number of DAGs", 25, len(dags), source="published")
+    fvp = fvp_vrep(gs)
+    report.check("number of DAGs", 25, len(fvp.points), source="published")
     classes = enumerate_equivalence_classes(gs)
     report.check("number of Markov equivalence classes", 11, len(classes), source="published")
 
-    fvp = fvp_vrep(gs)
     hull = facets_from_vertices(fvp, budget=budget)
     report.check("family-variable polytope facet count", 17, len(hull.inequalities), source="published")
     report.check("affine hull equations", 0, len(hull.equations))
-    expected = _facet_keyset(_cluster_relaxation(gs))
+    relaxation = _cluster_relaxation(gs)
     report.check(
         "facets = 9 non-negativity + 3 convexity + 5 cluster",
         True,
-        _facet_keyset(hull.inequalities) == expected,
+        _facet_keyset(hull.inequalities) == _facet_keyset(relaxation),
     )
 
     cip = cip_vrep(gs)
@@ -214,12 +213,12 @@ def verify_n3(budget: Budget | None = None) -> VerificationReport:
     report.check("imset facets tight at the all-ones vertex", 5, tight_one, source="published")
     report.check("imset facets tight at the zero vertex", 8, tight_zero, source="published")
 
-    cluster_rows = [cluster_fam(gs, C, k) for C, k in cluster_pairs(gs)]
-    partial = HRep("fam", gs, tuple(nonneg_constraints(gs) + cluster_rows))
+    # the vertex sets do not depend on the order of the rows
+    convexity = set(modified_convexity(gs))
+    partial = HRep("fam", gs, tuple(q for q in relaxation if q not in convexity))
     inter = vertices_from_inequalities(partial, budget=budget)
     report.check("cluster + non-negativity polytope vertex count", 28, len(inter.points), source="published")
-    completed = HRep("fam", gs, partial.inequalities + tuple(modified_convexity(gs)))
-    full = vertices_from_inequalities(completed, budget=budget)
+    full = vertices_from_inequalities(HRep("fam", gs, tuple(relaxation)), budget=budget)
     report.check(
         "adding convexity recovers the DAG codes",
         True,
@@ -239,9 +238,9 @@ def verify_n4(stretch: bool = False, budget: Budget | None = None) -> Verificati
     report = VerificationReport("n4")
     gs = GroundSet.alpha(4)
 
-    dags = enumerate_dags(gs)
-    report.check("number of DAGs", 543, len(dags), source="published")
     classes = enumerate_equivalence_classes(gs)
+    # the classes partition the DAGs
+    report.check("number of DAGs", 543, sum(size for _, size in classes), source="published")
     report.check("number of Markov equivalence classes", 185, len(classes), source="published")
 
     cip = cip_vrep(gs)
@@ -333,7 +332,7 @@ def _fvp_star_summary(budget: Budget | None) -> tuple[int, int, list[bool]]:
     whether each published fractional witness is one of its vertices."""
     gs = GroundSet.alpha(4)
     star = vertices_from_inequalities(HRep("fam", gs, tuple(_se_relaxation(gs))), budget=budget)
-    fractional = sum(any(Fraction(x).denominator != 1 for x in p) for p in star.points)
+    fractional = sum(any(x.denominator != 1 for x in p) for p in star.points)
     fai = enumerate_family_indices(gs)
     points = set(star.points)
     found = [w.dense(fai) in points for w in _published_fractional_witnesses(gs)]
@@ -511,7 +510,8 @@ def verify_counterexample() -> VerificationReport:
     # (5) the uniform combination of the tight codes is the published vector.
     # From here on the centroid is integer numerators over ``den``, and the
     # objective, convexity and cluster values are integers on one scale per
-    # row; only the reported values and the char_from_fam image are Fractions.
+    # row; only the reported values, eps and the char_from_fam image are
+    # Fractions.
     nums, den = linalg.integer_row(cx.centroid.dense(enumerate_family_indices(gs)))
     count = len(tight)
     report.check(
@@ -564,10 +564,8 @@ def verify_counterexample() -> VerificationReport:
     report.check("positive slack at every checked inequality", True, feasible)
     if not feasible:
         return report
-    p, r = 1, 0  # 1 / 0 stands for no candidate yet
-    for v, b in scaled:
-        if v > 0 and (b - v) * r < p * 2 * v:
-            p, r = b - v, 2 * v
+    eps = min(Fraction(b - v, 2 * v) for v, b in scaled if v > 0)
+    p, r = eps.numerator, eps.denominator
     report.check("perturbation size is positive", True, p > 0)
     report.check(
         "scaled point satisfies non-negativity",
@@ -579,7 +577,6 @@ def verify_counterexample() -> VerificationReport:
         True,
         all((r + p) * v < r * b for v, b in scaled),
     )
-    eps = Fraction(p, r)
     star_value = Fraction((r + p) * obj_value, r * unit * den)
     report.check("objective value at the scaled point", (1 + eps) * 16, star_value)
     report.check("scaled value exceeds the true maximum", True, star_value > 16)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -534,6 +535,49 @@ def test_supermod_core_refuses_nine_nodes_up_front(capsys, monkeypatch):
     assert code == 3
     assert out == "" and "budget exhausted" in err
     assert "362880 node orders over 9 nodes" in err
+
+
+def test_supermod_extreme_refuses_above_ten_nodes_up_front(capsys, monkeypatch):
+    def never(*_):
+        raise AssertionError("no work may start before the refusal")
+
+    monkeypatch.setattr(supermod, "is_supermodular", never)
+    monkeypatch.setattr(supermod, "elementary_triplets", never)
+    n = supermod.MAX_EXTREME_NODES + 1
+    code, out, err = run_cli(capsys, "supermod", "extreme", "--n", str(n), "--setfn", "{}")
+    assert code == 3
+    assert out == "" and "budget exhausted" in err
+    assert f"{math.comb(n, 2) << (n - 2)} elementary differences over {n} nodes" in err
+
+
+_NESTED_REPEAT = (
+    '{"space":"fam","inequalities":[{"objective":{"a|b":"-1"},"bound":"0"},'
+    '{"objective":{"b|a":"-1"},"bound":"0"},'
+    '{"objective":{"a|b":"1","b|a":"1","a|b":"2"},"bound":"1"}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("supermod", "check", "--n", "3", "--setfn", '{"abc":"1","abc":"-1"}'), "abc"),
+        (("encode", "--dag", '{"a":"","a":"b","b":""}', "--as", "fam"), "a"),
+        (("polytope", "vertices", "--n", "2", "--hrep", _NESTED_REPEAT), "a|b"),
+    ],
+    ids=["setfn", "dag", "nested-hrep"],
+)
+def test_repeated_json_key_is_refused(capsys, argv, key):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: JSON key {key!r} is given twice\n"
+
+
+def test_repeated_json_key_is_refused_in_a_file(tmp_path, capsys):
+    setfn = tmp_path / "setfn.json"
+    setfn.write_text('{"abc": "1",\n "abc": "-1"}\n')
+    code, out, err = run_cli(capsys, "supermod", "check", "--n", "3", "--setfn", f"@{setfn}")
+    assert code == 2 and out == ""
+    assert err == "error: JSON key 'abc' is given twice\n"
 
 
 @pytest.mark.parametrize(

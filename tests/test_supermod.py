@@ -7,11 +7,12 @@ import pytest
 
 from bnpoly.dags import enumerate_dags, is_closed_under_equivalence
 from bnpoly.encodings import fam_vector
-from bnpoly.errors import BnPolyError, NotSupermodularError
+from bnpoly.errors import BnPolyError, BudgetExceededError, NotSupermodularError
 from bnpoly.ground import GroundSet, SetFunction, enumerate_cai, scalar_product
 from bnpoly.ineq import catalog_se_n4
 from bnpoly.scoreeq import moebius_up, objective_from_setfn
 from bnpoly.supermod import (
+    MAX_EXTREME_NODES,
     cluster_pairs,
     cluster_supermodular,
     core_vertices,
@@ -70,6 +71,24 @@ def test_is_extreme_examples(gs3):
         is_extreme(SetFunction(gs3, {}))
     with pytest.raises(NotSupermodularError):
         is_extreme(SetFunction(gs3, {m("ab"): 1}))
+
+
+def test_is_extreme_refuses_above_max_nodes_before_reading_m():
+    class Unread:
+        gs = GroundSet.alpha(MAX_EXTREME_NODES + 1)
+
+        def __bool__(self):
+            raise AssertionError("m must not be read before the refusal")
+
+        def __getitem__(self, mask):
+            raise AssertionError("m must not be read before the refusal")
+
+    with pytest.raises(BudgetExceededError, match=f"it stops at n = {MAX_EXTREME_NODES}$"):
+        is_extreme(Unread())
+    # the limit itself is allowed: this function fails the supermodularity check
+    gs = GroundSet.alpha(MAX_EXTREME_NODES)
+    with pytest.raises(NotSupermodularError):
+        is_extreme(SetFunction(gs, {gs.mask_of("ab"): 1}))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -19,6 +19,7 @@ from bnpoly.verify import (
     all_faces_by_tight_sets,
     explore_conjecture,
     verify_counterexample,
+    verify_n3,
     verify_n4,
     verify_theorem3,
 )
@@ -148,6 +149,35 @@ def test_conjecture_enumerates_the_dags_once(monkeypatch):
         monkeypatch.setattr(module, "enumerate_dags", counting_enumeration)
     assert explore_conjecture().passed
     assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "pipeline, kwargs, expected",
+    [
+        (verify_n3, {}, [3, 3, 3]),
+        (verify_n4, {}, [4, 4]),
+        (verify_n4, {"stretch": True}, [4, 4, 4]),
+    ],
+    ids=["n3", "n4", "n4-stretch"],
+)
+def test_small_pipelines_enumerate_only_inside_their_builders(monkeypatch, pipeline, kwargs, expected):
+    # the DAG and class counts come from the built polytope or the classes;
+    # what is left runs inside enumerate_equivalence_classes, cip_vrep and
+    # (at n = 3, or under stretch) fvp_vrep
+    import bnpoly.dags as dags_module
+    import bnpoly.polyhedra as polyhedra_module
+    import bnpoly.verify as verify_module
+
+    calls = []
+
+    def counting_enumeration(gs):
+        calls.append(gs.n)
+        return enumerate_dags(gs)
+
+    for module in (dags_module, verify_module, polyhedra_module):
+        monkeypatch.setattr(module, "enumerate_dags", counting_enumeration)
+    pipeline(**kwargs)
+    assert calls == expected
 
 
 def test_report_json_shape(n3_report):
