@@ -92,7 +92,7 @@ def _load_json_arg(text: str | None, option: str, kind: type = dict):
     if text is None:
         raise BnPolyError(f"{option} is required")
     if text.startswith("@"):
-        with open(text[1:]) as handle:
+        with open(text[1:], encoding="utf-8") as handle:
             text = handle.read()
     data = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(data, kind):
@@ -317,7 +317,7 @@ def _ineq_from_json(gs: GroundSet, cls: type, item, option: str) -> LinearInequa
 
 def _hrep_from_args(args, gs: GroundSet) -> HRep:
     if args.matrix:
-        with open(args.matrix) as handle:
+        with open(args.matrix, encoding="utf-8") as handle:
             return hrep_from_matrix_text(gs, args.space or "fam", handle.read())
     data = _load_json_arg(args.hrep, "--matrix or --hrep")
     cls = _space_class(data, "--hrep")
@@ -372,7 +372,7 @@ def _cmd_polytope(args) -> int:
         vrep = _vrep_from_args(args, gs)
         hull = facets_from_vertices(vrep, budget=budget)
         if args.matrix_out:
-            with open(args.matrix_out, "w") as handle:
+            with open(args.matrix_out, "w", encoding="utf-8") as handle:
                 handle.write(hrep_to_matrix_text(hull))
         _emit({
             "space": hull.space,
@@ -433,7 +433,7 @@ def _cmd_export_lp(args) -> int:
             clusters.append((gs.mask_of(letters), k))
     text = export_lp(gs, objective=objective, clusters=clusters, integer=args.integer)
     if args.out:
-        with open(args.out, "w") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

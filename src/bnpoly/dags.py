@@ -19,7 +19,9 @@ from .ground import GroundSet, bit, iter_bits, submasks
 
 
 class Dag:
-    """Immutable acyclic directed graph: one parent mask per node."""
+    """Acyclic directed graph: one parent mask per node.  Immutable by
+    convention only: ``__slots__`` keep the one built per DAG small, and
+    nothing refuses assignment."""
 
     __slots__ = ("gs", "parents")
 

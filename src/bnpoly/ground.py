@@ -12,17 +12,19 @@ Three index families are used throughout the package:
 
 Extension conventions are baked into reads: a ``FamVector`` yields 0 at any
 (node, empty set) coordinate and a ``CharVector`` yields 0 on subsets of size
-<= 1, so downstream formulas need no special cases.  Vectors are immutable
-after construction and store only nonzero coordinates (absent means zero).
+<= 1, so downstream formulas need no special cases.  Vectors store only
+nonzero coordinates (absent means zero) and are immutable by convention
+only: their ``__slots__`` keep them small, and nothing refuses assignment.
 
 Each vector class owns its index family (``index``), its text keys (``"a|bc"``,
 ``"abc"``) and its JSON form (``to_json``/``from_json``, rationals as "p/q");
 :func:`vector_class` turns a space tag ("fam" or "char") into its class.
 
-:class:`Record` and :class:`FrozenRecord` are the bases of the package's
-value classes (inequalities, representations, LP results, reports): plain
-classes with one constructor over ``_fields`` and field-wise ``==`` and
-``repr``, so importing the package loads no ``dataclasses``.
+:class:`Record` is the one base of the package's value classes (ground sets,
+inequalities, representations, LP results, reports): plain classes with one
+constructor over ``_fields``, field-wise ``==``, ``hash`` and ``repr``, and
+fields that refuse assignment and deletion, so importing the package loads no
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ def subset_sums(values: list, sign: int = 1) -> list:
 
 
 class Record:
-    """A plain value class built from ``_fields``, by position or name; those in
+    """A value class built from ``_fields``, by position or name; those in
     ``_defaults`` (immutable values) may be left out, and a missing, unknown,
-    repeated or surplus field is a TypeError.  ``==``, ``repr`` go by field."""
+    repeated or surplus field is a TypeError.  ``==``, ``hash`` and ``repr`` go
+    by field, and the fields cannot be reassigned or deleted: a constructor of
+    its own sets them through ``self.__dict__``."""
 
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
@@ -121,17 +125,12 @@ class Record:
             return self._values() == other._values()
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({body})"
-
-
-class FrozenRecord(Record):
-    """A :class:`Record` whose fields cannot be reassigned or deleted, hashed
-    by their values.  Constructors set them through ``self.__dict__``."""
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -140,13 +139,13 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class GroundSet:
+class GroundSet(Record):
     """An ordered set of distinct node labels; subsets are n-bit masks.
 
     Each label is one character other than ``|``, so the text forms that
     spell a subset as the run of its labels can be read back."""
 
-    __slots__ = ("labels", "n", "full_mask", "_index")
+    _fields = ("labels",)
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(sorted(labels))
@@ -159,10 +158,9 @@ class GroundSet:
                 raise BnPolyError(f"node labels must be single characters, got {lab!r}")
         if "|" in labels:
             raise BnPolyError("node labels must not hold '|', the family-key separator")
-        self.labels = labels
-        self.n = len(labels)
-        self.full_mask = (1 << self.n) - 1
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        n = len(labels)
+        index = {lab: i for i, lab in enumerate(labels)}
+        self.__dict__.update(labels=labels, n=n, full_mask=(1 << n) - 1, _index=index)
 
     @classmethod
     def alpha(cls, n: int) -> "GroundSet":
@@ -195,15 +193,6 @@ class GroundSet:
     def check_mask(self, mask: int) -> None:
         if not 0 <= mask <= self.full_mask:
             raise BnPolyError(f"mask {mask} out of range for n={self.n}")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroundSet) and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash(self.labels)
-
-    def __repr__(self) -> str:
-        return f"GroundSet({list(self.labels)!r})"
 
 
 def enumerate_family_indices(gs: GroundSet) -> list[tuple[int, int]]:

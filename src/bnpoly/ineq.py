@@ -32,8 +32,8 @@ from .errors import BnPolyError
 from .ground import (
     CharVector,
     FamVector,
-    FrozenRecord,
     GroundSet,
+    Record,
     ZERO,
     as_fraction,
     bit,
@@ -46,7 +46,7 @@ from .scoreeq import moebius_up, objective_from_setfn
 from .supermod import check_cluster
 
 
-class LinearInequality(FrozenRecord):
+class LinearInequality(Record):
     """<objective, x> <= bound over family or characteristic coordinates;
     the space is the objective's."""
 
@@ -263,7 +263,7 @@ def binomial_identity(s: int, k: int, K: int) -> tuple[int, int]:
 # --- golden catalogs ----------------------------------------------------------
 
 
-class CatalogEntry(FrozenRecord):
+class CatalogEntry(Record):
     """One permutation type of a four-node catalog: its representative, the
     orbit members and the relabelings (mask images) that make them.  ``kind``
     is "cluster" (with its (cluster mask, level) pair), "noncluster" or
@@ -346,7 +346,7 @@ def catalog_specific_n4() -> tuple[CatalogEntry, ...]:
     return _build_catalog("specific_facets_n4.json", "specific", 117, "specific")
 
 
-class CounterexampleConstants(FrozenRecord):
+class CounterexampleConstants(Record):
     """The five-node char inequality (bound 16), its fam translation, that
     translation's objective and the centroid of its 153 tight DAG codes."""
 

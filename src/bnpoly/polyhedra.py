@@ -30,8 +30,8 @@ from .errors import (
 from .ground import (
     CharVector,
     FamVector,
-    FrozenRecord,
     GroundSet,
+    Record,
     as_fraction,
     enumerate_family_indices,
     iter_bits,
@@ -42,7 +42,7 @@ from .linalg import affine_rank, integer_row, primitive
 from .simplex import solve_lp
 
 
-class VRep(FrozenRecord):
+class VRep(Record):
     """Polytope as a list of distinct rational points in fam or char space."""
 
     _fields = ("space", "gs", "points")
@@ -65,7 +65,7 @@ class VRep(FrozenRecord):
         return [cls(self.gs, zip(index, p)) for p in self.points]
 
 
-class HRep(FrozenRecord):
+class HRep(Record):
     """Polyhedron as valid inequalities plus affine-hull equations."""
 
     _fields = ("space", "gs", "inequalities", "equations")
@@ -128,7 +128,7 @@ def cip_vrep(gs: GroundSet) -> VRep:
     return VRep("char", gs, tuple(points))
 
 
-class FaceInfo(FrozenRecord):
+class FaceInfo(Record):
     _fields = ("tight_indices", "dimension")
 
 

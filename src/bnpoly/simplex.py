@@ -94,17 +94,8 @@ def solve_lp(
                 first_sign_row.setdefault(j, (i, -v))
     kept = [i for i in range(len(A_ub)) if i not in sign_rows]
 
-    bounded = {j: a for j, (_, a) in first_sign_row.items()}
-    result = _solve_standard(
-        c, [A_ub[i] for i in kept], [b_ub[i] for i in kept], A_eq, b_eq, bounded
-    )
+    result = _solve_standard(c, A_ub, b_ub, A_eq, b_eq, kept, first_sign_row)
     if result.status == "optimal":
-        # Full-length dual_ub: the kept rows' multipliers, then those of the
-        # first sign row of each variable; further sign rows get 0.
-        dual = [_ZERO] * len(A_ub)
-        for i, y in zip(kept + [i for i, _ in first_sign_row.values()], result.dual_ub):
-            dual[i] = y
-        result.dual_ub = tuple(dual)
         _check_certificate(c, A_ub, b_ub, A_eq, b_eq, result)
     return result
 
@@ -115,10 +106,13 @@ def _exact(values) -> list:
     return [v if type(v) is int or isinstance(v, Fraction) else as_fraction(v) for v in values]
 
 
-def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
-    """Solve with the variables in ``bounded`` (variable -> a of its sign
-    row -a x_j <= 0) nonnegative and the others free; ``dual_ub`` holds the
-    rows' multipliers and then one per bounded variable, in its order."""
+def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, kept, bounded) -> LpResult:
+    """Solve over the rows ``kept`` of ``A_ub`` with the variables in
+    ``bounded`` (variable -> (i, a) of its first sign row -a x_j <= 0)
+    nonnegative and the others free.  ``dual_ub`` is full length: the kept
+    rows' multipliers, each variable's at its first sign row, 0 elsewhere."""
+    dual_ub = [_ZERO] * len(A_ub)
+    A_ub, b_ub = [A_ub[i] for i in kept], [b_ub[i] for i in kept]
     # Column layout: each variable's own column, followed by a negated copy
     # when the variable is free.
     split = []  # variable -> (column, negated column or None)
@@ -250,13 +244,14 @@ def _solve_standard(c, A_ub, b_ub, A_eq, b_eq, bounded) -> LpResult:
         else:
             y = cost2[art_col.get(i, n_struct + i)] * rhs_sign[i] * row_scale[i]
             dual.append(Fraction(y, c_scale * D))
+    for i, y in zip(kept, dual):
+        dual_ub[i] = y
     # A bounded variable's sign row takes the multiplier that closes the dual
     # equation of its column: its reduced cost, unscaled, divided by a.
-    for j, a in bounded.items():
-        dual.append(Fraction(cost2[split[j][0]], c_scale * D * a))
-    dual_ub = tuple(dual[:m_ub] + dual[m:])
-    dual_eq = tuple(dual[m_ub:m])
-    return LpResult("optimal", objective, x, dual_ub, dual_eq, (pivots1, pivots2))
+    for j, (i, a) in bounded.items():
+        dual_ub[i] = Fraction(cost2[split[j][0]], c_scale * D * a)
+    dual_eq = tuple(dual[m_ub:])
+    return LpResult("optimal", objective, x, tuple(dual_ub), dual_eq, (pivots1, pivots2))
 
 
 def _bland_min(tableau, cost, basis, entering_limit, D) -> tuple[str, int, int]:

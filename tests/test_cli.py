@@ -96,6 +96,36 @@ def test_json_options_read_at_path(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def _run_in_c_locale(*argv):
+    """``python -m bnpoly.cli *argv`` in a subprocess whose locale encoding
+    is ASCII: the C locale, neither coerced to C.UTF-8 nor in UTF-8 mode."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "bnpoly.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_files_are_read_as_utf8_in_the_c_locale(tmp_path, capsys):
+    dag = '{"\u00e9":"","b":"\u00e9"}'  # a node named by one non-ASCII letter
+    path = tmp_path / "dag.json"
+    path.write_bytes(dag.encode("utf-8"))
+    code, inline, _ = run_cli(capsys, "encode", "--dag", dag, "--as", "fam")
+    assert code == 0 and json.loads(inline)["vector"] == {"b|\u00e9": "1"}
+    run = _run_in_c_locale("encode", "--dag", f"@{path}", "--as", "fam")
+    assert (run.returncode, run.stdout, run.stderr) == (0, inline, "")
+
+    hull = tmp_path / "hull.txt"
+    argv = ("polytope", "hull", "--n", "3", "--polytope", "fvp", "--matrix-out", str(hull))
+    assert run_cli(capsys, *argv)[0] == 0
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_bytes("# r\u00e9sum\u00e9\n".encode("utf-8") + hull.read_bytes())
+    code, expected, _ = run_cli(capsys, "polytope", "vertices", "--n", "3", "--matrix", str(hull))
+    run = _run_in_c_locale("polytope", "vertices", "--n", "3", "--matrix", str(matrix))
+    assert code == 0 and (run.returncode, run.stdout, run.stderr) == (0, expected, "")
+
+
 def test_supermod_subcommands(capsys):
     code, out, _ = run_cli(
         capsys, "supermod", "extreme", "--n", "3", "--setfn", '{"abc":"1"}'

@@ -10,7 +10,6 @@ from bnpoly.errors import BnPolyError, IndexFamilyMismatchError
 from bnpoly.ground import (
     CharVector,
     FamVector,
-    FrozenRecord,
     GroundSet,
     Record,
     SetFunction,
@@ -273,10 +272,6 @@ class _Point(Record):
     _defaults = {"tag": ""}
 
 
-class _FrozenPoint(FrozenRecord):
-    _fields = ("x", "y")
-
-
 def test_record_takes_fields_by_position_name_or_default():
     expected = _Point(1, 2, "p")
     assert _Point(x=1, y=2, tag="p") == expected
@@ -284,8 +279,7 @@ def test_record_takes_fields_by_position_name_or_default():
     assert _Point(1, 2) == _Point(1, 2, "")
     assert _Point(1, 2).tag == ""
     assert repr(expected) == "_Point(x=1, y=2, tag='p')"
-    assert _FrozenPoint(1, y=2) == _FrozenPoint(1, 2)
-    assert hash(_FrozenPoint(1, 2)) == hash(_FrozenPoint(x=1, y=2))
+    assert hash(_Point(1, 2)) == hash(_Point(x=1, y=2, tag=""))
 
 
 @pytest.mark.parametrize(
@@ -304,13 +298,13 @@ def test_record_refuses_a_bad_field_list(args, kwargs, message):
     assert str(info.value) == message
 
 
-def test_frozen_record_refuses_assignment_after_construction():
-    point = _FrozenPoint(1, 2)
+def test_record_refuses_assignment_after_construction():
+    point = _Point(1, 2)
     with pytest.raises(AttributeError, match="cannot assign to field 'x'"):
         point.x = 3
     with pytest.raises(AttributeError, match="cannot delete field 'y'"):
         del point.y
-    assert point == _FrozenPoint(1, 2)
+    assert point == _Point(1, 2)
 
 
 def _record_classes(cls=Record):

@@ -35,6 +35,7 @@ from bnpoly.polyhedra import (
     max_over_vertices,
     vertices_from_inequalities,
 )
+from bnpoly.simplex import solve_lp
 from bnpoly.supermod import cluster_pairs
 
 
@@ -430,13 +431,20 @@ def test_matrix_text_equations_and_comments(gs3):
 
 
 def _value_cases():
-    """(instance, an equal one, an unequal one, field names) per frozen
-    value class."""
+    """(instance, an equal one, an unequal one, field names) per value class."""
     gs = GroundSet(["x", "y"])
     fam = FamVector(gs, {(0, 0b10): 1})
     q = LinearInequality(fam, Fraction(1, 2), "cut")
     points = ((0, 0), (1, 0))
+    lp = dict(c=[1, 1], A_ub=[[1, 1], [-1, 0]], b_ub=[2, 0])
     return {
+        "GroundSet": (gs, GroundSet("yx"), GroundSet(["x", "z"]), ("labels",)),
+        "LpResult": (
+            solve_lp(**lp),
+            solve_lp(**lp),
+            solve_lp(**{**lp, "b_ub": [3, 0]}),
+            ("status", "objective", "x", "dual_ub", "dual_eq", "pivots"),
+        ),
         "LinearInequality": (
             q,
             LinearInequality(FamVector(gs, {(0, 0b10): 1}), "1/2", "cut"),
@@ -458,7 +466,7 @@ def _value_cases():
     }
 
 
-@pytest.mark.parametrize("name", ["LinearInequality", "VRep", "HRep"])
+@pytest.mark.parametrize("name", ["LinearInequality", "VRep", "HRep", "GroundSet", "LpResult"])
 def test_value_classes_compare_hash_and_refuse_assignment(name):
     value, same, other, fields = _value_cases()[name]
     assert value == same and not value != same

@@ -74,8 +74,8 @@ def test_dimension_witnesses_are_unitriangular(n):
 
 
 def test_counterexample_dimension_check_reads_only_the_witnesses(monkeypatch):
-    # The witnesses reach affine rank 27 after 27 imsets; the DAG stream
-    # behind them in lexicographic order would need 1601.
+    # The witnesses reach affine rank 27 after 27 imsets; the DAG stream in
+    # lexicographic order would need 1601.
     read = []
     original = linalg.incremental_rank_reaches
 
@@ -278,9 +278,8 @@ def test_spent_budget_under_stretch_raises():
 
 
 def test_report_table_notes_and_elapsed_time():
-    report = VerificationReport("demo")
+    report = VerificationReport("demo", elapsed=1.5)
     report.check("count", 3, 3, note="three of them")
-    report.elapsed = 1.5
     assert report.format_table() == (
         "== demo ==\n[pass] count: expected 3, observed 3  (three of them)\n== demo: PASSED =="
     )
@@ -290,6 +289,16 @@ def test_report_table_notes_and_elapsed_time():
 
 def test_pipelines_time_themselves(counterexample_report):
     assert counterexample_report.elapsed > 0
+
+
+def test_pipeline_reports_refuse_edits(n4_stretch_report):
+    # the stretch report fails, and an empty check list would read as passed
+    assert not n4_stretch_report.passed
+    assert isinstance(n4_stretch_report.checks, tuple)
+    for name, value in (("checks", []), ("elapsed", 0.0), ("name", "n4")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(n4_stretch_report, name, value)
+    assert not n4_stretch_report.passed
 
 
 def test_stretch_checks_are_reported_when_disabled():
