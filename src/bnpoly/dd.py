@@ -109,11 +109,16 @@ def extreme_rays(
     dim: int,
     budget: Budget | None = None,
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Return (rays, lineality_basis) of the cone {x : rows . x >= 0}.
+    """Return (rays, lineality_basis) of the cone {x : rows . x >= 0} in
+    ``dim`` coordinates; a row of another width raises ValueError.
 
     Rays are primitive integer tuples, sorted; the lineality basis vectors
     are primitive with positive leading entry.
     """
+    rows = list(rows)
+    for row in rows:
+        if len(row) != dim:
+            raise ValueError(f"row of width {len(row)} in a cone of dimension {dim}")
     int_rows = _insertion_order(rows)
 
     lineality: list[tuple[int, ...]] = [

@@ -23,6 +23,7 @@ from .dd import Budget, _sign_normalize, extreme_rays
 from .encodings import char_bits
 from .errors import (
     BnPolyError,
+    IndexFamilyMismatchError,
     InfeasibleError,
     InvalidInequalityError,
     UnboundedError,
@@ -102,10 +103,13 @@ class HRep(Record):
 
 
 def dag_codes(gs: GroundSet, graphs: Sequence[Dag]) -> tuple[tuple[int, ...], ...]:
-    """Dense 0/1 family-variable codes of the graphs over the family index."""
+    """Dense 0/1 family-variable codes of the graphs over the family index;
+    a graph over another ground set raises IndexFamilyMismatchError."""
     pos = {key: i for i, key in enumerate(enumerate_family_indices(gs))}
     points = []
     for g in graphs:
+        if g.gs is not gs and g.gs != gs:
+            raise IndexFamilyMismatchError(f"a DAG over {g.gs.labels} among codes over {gs.labels}")
         row = [0] * len(pos)
         for a, B in enumerate(g.parents):
             if B:

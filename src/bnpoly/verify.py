@@ -1,16 +1,19 @@
 """End-to-end verification pipelines for the small-case catalogs, the
 optimal-value reductions, and the five-node counterexample.
 
-Each pipeline produces a :class:`VerificationReport` whose expected values
-come either from published constants or from independent oracles computed on
-the spot (exhaustive enumeration, brute-force maxima, rank computations).
-Nothing is cached on disk: every run computes what it reports.
+Each pipeline yields its report's name, then its :class:`Check` values, and
+:func:`_timed` builds its one :class:`VerificationReport`.  A check passes when
+what it observed equals what it expected, which is a published constant or
+comes from an oracle computed on the spot (exhaustive enumeration, brute-force
+maxima, rank computations).  Nothing is cached on disk: every run computes
+what it reports.
 """
 
 from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import linalg
@@ -58,11 +61,16 @@ from .supermod import cluster_pairs, is_extreme
 
 
 class Check(Record):
-    """One check; ``source`` is the provenance of the expected value,
-    "published" or "derived"."""
+    """One check; it passes when what it observed equals what it expected.
+    ``source`` is the provenance of the expected value, "published" or
+    "derived"; a skipped check holds None for both values."""
 
-    _fields = ("description", "expected", "observed", "passed", "skipped", "note", "source")
-    _defaults = {"skipped": False, "note": "", "source": ""}
+    _fields = ("description", "expected", "observed", "skipped", "note", "source")
+    _defaults = {"skipped": False, "note": "", "source": "derived"}
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.observed
 
     def to_json(self) -> dict:
         out = {
@@ -89,29 +97,15 @@ def _jsonable(value):
 
 
 class VerificationReport(Record):
-    """A pipeline's checks: ``check`` and ``skip`` append to the list it
-    starts with, and a timed pipeline returns them as a tuple."""
+    """A pipeline's name, its checks as a tuple and its wall time; it passes
+    when every check does."""
 
     _fields = ("name", "checks", "elapsed")
-
-    def __init__(
-        self, name: str, checks: list[Check] | tuple[Check, ...] | None = None, elapsed: float = 0.0
-    ):
-        self.__dict__.update(name=name, checks=[] if checks is None else checks, elapsed=elapsed)
-
-    def check(
-        self, description: str, expected, observed, note: str = "", source: str = "derived"
-    ) -> None:
-        self.checks.append(
-            Check(description, expected, observed, expected == observed, note=note, source=source)
-        )
-
-    def skip(self, description: str, reason: str) -> None:
-        self.checks.append(Check(description, None, None, passed=True, skipped=True, note=reason))
+    _defaults = {"checks": (), "elapsed": 0.0}
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.skipped)
+        return all(c.passed for c in self.checks)
 
     def to_json(self, include_elapsed: bool = False) -> dict:
         out = {
@@ -132,7 +126,9 @@ class VerificationReport(Record):
                 body = c.note
             else:
                 status = "pass" if c.passed else "FAIL"
-                body = f"expected {c.expected!r}, observed {c.observed!r}"
+                # a tuple prints in list brackets, as in the JSON form
+                shown = [list(v) if isinstance(v, tuple) else v for v in (c.expected, c.observed)]
+                body = f"expected {shown[0]!r}, observed {shown[1]!r}"
                 if c.note:
                     body += f"  ({c.note})"
             lines.append(f"[{status}] {c.description}: {body}")
@@ -144,14 +140,15 @@ class VerificationReport(Record):
 
 
 def _timed(pipeline):
-    """Return the pipeline's report as a new one that holds its checks as a
-    tuple and the pipeline's wall time as ``elapsed``."""
+    """Build, once, the report of a pipeline that yields its name, then its
+    checks: the checks as a tuple and the wall time as ``elapsed``.  The
+    pipeline runs here, so its argument errors raise from the call."""
 
     @functools.wraps(pipeline)
     def run(*args, **kwargs) -> VerificationReport:
         start = time.monotonic()
-        report = pipeline(*args, **kwargs)
-        return VerificationReport(report.name, tuple(report.checks), time.monotonic() - start)
+        name, *checks = pipeline(*args, **kwargs)
+        return VerificationReport(name, tuple(checks), time.monotonic() - start)
     return run
 
 
@@ -185,20 +182,20 @@ def _se_relaxation(gs: GroundSet) -> list[LinearInequality]:
 
 
 @_timed
-def verify_n3(budget: Budget | None = None) -> VerificationReport:
-    report = VerificationReport("n3")
+def verify_n3(budget: Budget | None = None) -> Iterator[str | Check]:
+    yield "n3"
     gs = GroundSet.alpha(3)
 
     fvp = fvp_vrep(gs)
-    report.check("number of DAGs", 25, len(fvp.points), source="published")
+    yield Check("number of DAGs", 25, len(fvp.points), source="published")
     classes = enumerate_equivalence_classes(gs)
-    report.check("number of Markov equivalence classes", 11, len(classes), source="published")
+    yield Check("number of Markov equivalence classes", 11, len(classes), source="published")
 
     hull = facets_from_vertices(fvp, budget=budget)
-    report.check("family-variable polytope facet count", 17, len(hull.inequalities), source="published")
-    report.check("affine hull equations", 0, len(hull.equations))
+    yield Check("family-variable polytope facet count", 17, len(hull.inequalities), source="published")
+    yield Check("affine hull equations", 0, len(hull.equations))
     relaxation = _cluster_relaxation(gs)
-    report.check(
+    yield Check(
         "facets = 9 non-negativity + 3 convexity + 5 cluster",
         True,
         _facet_keyset(hull.inequalities) == _facet_keyset(relaxation),
@@ -206,112 +203,108 @@ def verify_n3(budget: Budget | None = None) -> VerificationReport:
 
     cip = cip_vrep(gs)
     chull = facets_from_vertices(cip, budget=budget)
-    report.check("characteristic-imset polytope facet count", 13, len(chull.inequalities), source="published")
+    yield Check("characteristic-imset polytope facet count", 13, len(chull.inequalities), source="published")
     width = len(cip.index)
     one, zero = cip.points.index((1,) * width), cip.points.index((0,) * width)
     tight_sets = incidence(chull.inequalities, cip)
     tight_one = sum(tight >> one & 1 for tight in tight_sets)
     tight_zero = sum(tight >> zero & 1 for tight in tight_sets)
-    report.check("imset facets tight at the all-ones vertex", 5, tight_one, source="published")
-    report.check("imset facets tight at the zero vertex", 8, tight_zero, source="published")
+    yield Check("imset facets tight at the all-ones vertex", 5, tight_one, source="published")
+    yield Check("imset facets tight at the zero vertex", 8, tight_zero, source="published")
 
     # the vertex sets do not depend on the order of the rows
     convexity = set(modified_convexity(gs))
     partial = HRep("fam", gs, tuple(q for q in relaxation if q not in convexity))
     inter = vertices_from_inequalities(partial, budget=budget)
-    report.check("cluster + non-negativity polytope vertex count", 28, len(inter.points), source="published")
+    yield Check("cluster + non-negativity polytope vertex count", 28, len(inter.points), source="published")
     full = vertices_from_inequalities(HRep("fam", gs, tuple(relaxation)), budget=budget)
-    report.check(
+    yield Check(
         "adding convexity recovers the DAG codes",
         True,
         set(full.points) == set(fvp.points),
     )
-    return report
 
 
 # --- pipeline: four nodes ---------------------------------------------------------
 
 
 @_timed
-def verify_n4(stretch: bool = False, budget: Budget | None = None) -> VerificationReport:
+def verify_n4(stretch: bool = False, budget: Budget | None = None) -> Iterator[str | Check]:
     """The four-node counts and catalogs; ``stretch`` adds the fvp hull and
     the relaxation, whose third published witness is known to FAIL.  A spent
     budget raises BudgetExceededError, in the stretch steps too."""
-    report = VerificationReport("n4")
+    yield "n4"
     gs = GroundSet.alpha(4)
 
     classes = enumerate_equivalence_classes(gs)
     # the classes partition the DAGs
-    report.check("number of DAGs", 543, sum(size for _, size in classes), source="published")
-    report.check("number of Markov equivalence classes", 185, len(classes), source="published")
+    yield Check("number of DAGs", 543, sum(size for _, size in classes), source="published")
+    yield Check("number of Markov equivalence classes", 185, len(classes), source="published")
 
     cip = cip_vrep(gs)
-    report.check("characteristic-imset polytope vertex count", 185, len(cip.points), source="published")
+    yield Check("characteristic-imset polytope vertex count", 185, len(cip.points), source="published")
     chull = facets_from_vertices(cip, budget=budget)
-    report.check("characteristic-imset polytope facet count", 154, len(chull.inequalities), source="published")
+    yield Check("characteristic-imset polytope facet count", 154, len(chull.inequalities), source="published")
 
     one = cip.points.index((1,) * len(cip.index))
     at_one = [tight >> one & 1 for tight in incidence(chull.inequalities, cip)]
     tight_one = [q for q, flag in zip(chull.inequalities, at_one) if flag]
     rest = [q for q, flag in zip(chull.inequalities, at_one) if not flag]
-    report.check("facets containing the all-ones vertex", 37, len(tight_one), source="published")
+    yield Check("facets containing the all-ones vertex", 37, len(tight_one), source="published")
 
     se_entries = catalog_se_n4()
-    report.check(
+    yield Check(
         "one-vertex facets match the catalog",
         True,
         _facet_keyset(tight_one)
         == {m.canonical_key() for e in se_entries for m in e.char_orbit},
     )
-    report.check(
+    yield Check(
         "catalog orbit sizes",
-        [6, 4, 4, 1, 1, 1, 4, 6, 4, 6],
-        [len(e.char_orbit) for e in se_entries],
+        (6, 4, 4, 1, 1, 1, 4, 6, 4, 6),
+        tuple(len(e.char_orbit) for e in se_entries),
     )
 
     spec_entries = catalog_specific_n4()
-    report.check("remaining facet count", 117, len(rest), source="published")
-    report.check(
+    yield Check("remaining facet count", 117, len(rest), source="published")
+    yield Check(
         "remaining facets match the specific catalog",
         True,
         _facet_keyset(rest)
         == {m.canonical_key() for e in spec_entries for m in e.char_orbit},
     )
-    report.check(
+    yield Check(
         "specific orbit sizes",
-        [6, 4, 1, 4, 6, 4, 1, 4, 6, 1, 12, 6, 12, 3, 4, 12, 12, 12, 3, 4],
-        [len(e.char_orbit) for e in spec_entries],
+        (6, 4, 1, 4, 6, 4, 1, 4, 6, 1, 12, 6, 12, 3, 4, 12, 12, 12, 3, 4),
+        tuple(len(e.char_orbit) for e in spec_entries),
     )
 
     extreme = sum(is_extreme(moebius_up(m.objective)) for e in se_entries for m in e.char_orbit)
-    report.check("all 37 one-vertex facet set functions extreme", 37, extreme)
+    yield Check("all 37 one-vertex facet set functions extreme", 37, extreme)
 
     if not stretch:
-        report.skip("family-variable polytope facet count", "stretch check disabled")
-        report.skip("relaxation vertex enumeration", "stretch check disabled")
-        return report
+        for description in ("family-variable polytope facet count", "relaxation vertex enumeration"):
+            yield Check(description, None, None, skipped=True, note="stretch check disabled", source="")
+        return
 
     count = len(facets_from_vertices(fvp_vrep(gs), budget=budget).inequalities)
-    report.check("family-variable polytope facet count", 135, count, source="published")
+    yield Check("family-variable polytope facet count", 135, count, source="published")
 
     total, fractional, (found1, found2, found3) = _fvp_star_summary(budget)
-    report.check("relaxation vertex count", 1329, total, source="published")
-    report.check("fractional vertices", 786, fractional, source="published")
-    report.check("first published fractional vertex found", True, found1)
-    report.check("second published fractional vertex found", True, found2)
-    report.check(
+    yield Check("relaxation vertex count", 1329, total, source="published")
+    yield Check("fractional vertices", 786, fractional, source="published")
+    yield Check("first published fractional vertex found", True, found1)
+    yield Check("second published fractional vertex found", True, found2)
+    yield Check(
         "third published fractional vertex found",
         True,
         found3,
-        note=(
+        note="" if found3 else (
             "the printed third witness satisfies all 69 constraints but its tight"
             " rows only reach rank 24 of 28, so it lies inside a 4-face; a true"
             " vertex with identical support and leading coefficient 2/3 exists"
-        )
-        if not found3
-        else "",
+        ),
     )
-    return report
 
 
 def _published_fractional_witnesses(gs: GroundSet) -> list[FamVector]:
@@ -350,7 +343,7 @@ def _random_se_objective(gs: GroundSet, rng: random.Random) -> FamVector:
 
 
 @_timed
-def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
+def verify_theorem3(n: int, trials: int, seed: int = 0) -> Iterator[str | Check]:
     """Maximizing a score-equivalent objective over the reduced constraint
     polyhedron (imset facets missing the zero vertex, in fam mode, plus
     non-negativity and convexity) matches the brute-force maximum over all
@@ -361,11 +354,11 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
         raise ValueError(f"verify theorem3 is supported for n in {{3, 4, 5}}, got {n}")
     if n != 5 and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    report = VerificationReport(f"theorem3-n{n}")
+    yield f"theorem3-n{n}"
     gs = GroundSet.alpha(n)
     if n == 5:
-        _counterexample_optimum(report, gs)
-        return report
+        yield from _counterexample_optimum(gs)
+        return
     fvp = fvp_vrep(gs)
 
     if n == 3:
@@ -388,41 +381,40 @@ def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
         agree = sum(
             1 for obj, best in zip(objectives, brute) if lp_maximize(obj, hrep)[0] == best
         )
-        report.check(f"{name}: optima agree on {trials} random objectives", trials, agree)
+        yield Check(f"{name}: optima agree on {trials} random objectives", trials, agree)
 
     # Named instances: the zero objective and a two-node cluster objective.
     zero = FamVector(gs, {})
     hrep = next(iter(variants.values()))
-    report.check("zero objective optimum", Fraction(0), lp_maximize(zero, hrep)[0])
+    yield Check("zero objective optimum", Fraction(0), lp_maximize(zero, hrep)[0])
     cl = cluster_fam(gs, gs.mask_of("ab"), 1)
-    report.check(
+    yield Check(
         "two-node cluster objective optimum",
         Fraction(1),
         lp_maximize(cl.objective, hrep)[0],
     )
-    report.check(
+    yield Check(
         "two-node cluster brute-force maximum",
         Fraction(1),
         max_over_vertices(cl.objective, fvp)[0],
     )
-    return report
 
 
-def _counterexample_optimum(report: VerificationReport, gs: GroundSet) -> None:
+def _counterexample_optimum(gs: GroundSet) -> Iterator[Check]:
     """The operational content of the five-node counterexample: with the
     published facet translation included the LP optimum is exactly 16, and
     dropping it lifts the optimum strictly above 16."""
     cx = counterexample_constants()
-    report.check("generalized cluster inequality count", 49, len(cluster_pairs(gs)))
+    yield Check("generalized cluster inequality count", 49, len(cluster_pairs(gs)))
     base = _cluster_relaxation(gs)
 
     with_facet = HRep("fam", gs, tuple(base + [cx.fam_ineq]))
     optimum, _ = lp_maximize(cx.objective, with_facet)
-    report.check("optimum with the imset-facet translation", Fraction(16), optimum, source="published")
+    yield Check("optimum with the imset-facet translation", Fraction(16), optimum, source="published")
 
     without = HRep("fam", gs, tuple(base))
     relaxed, _ = lp_maximize(cx.objective, without)
-    report.check("dropping it lifts the optimum above 16", True, relaxed > 16)
+    yield Check("dropping it lifts the optimum above 16", True, relaxed > 16)
 
 
 # --- pipeline: five-node counterexample ----------------------------------------------
@@ -451,27 +443,27 @@ def _dimension_witnesses(gs: GroundSet) -> list[Dag]:
 
 
 @_timed
-def verify_counterexample() -> VerificationReport:
-    report = VerificationReport("counterexample")
+def verify_counterexample() -> Iterator[str | Check]:
+    yield "counterexample"
     gs = GroundSet.alpha(5)
     cx = counterexample_constants()
     obj = cx.objective
 
     # (1) the two published forms of the inequality translate into each other
     translated = fam_from_char_ineq(cx.char_ineq)
-    report.check(
+    yield Check(
         "imset form translates to the published fam form",
         True,
         translated.objective == obj and translated.bound == cx.fam_ineq.bound,
     )
-    report.check(
+    yield Check(
         "fam objective translates back to the imset form",
         True,
         char_objective(obj) == cx.char_ineq.objective,
     )
 
     dags = enumerate_dags(gs)
-    report.check("number of DAGs", 29281, len(dags))
+    yield Check("number of DAGs", 29281, len(dags))
 
     # (2) validity with exactly 153 tight codes, in integers: the objective's
     # integer row is looked up by (node, parent mask), one table per node.
@@ -488,21 +480,21 @@ def verify_counterexample() -> VerificationReport:
     bound = 16 * scale
     w0, w1, w2, w3, w4 = weights
     values = [w0[a] + w1[b] + w2[c] + w3[d] + w4[e] for a, b, c, d, e in (g.parents for g in dags)]
-    report.check("inequality valid over all DAG codes", True, max(values) <= bound)
+    yield Check("inequality valid over all DAG codes", True, max(values) <= bound)
     tight = [g for g, v in zip(dags, values) if v == bound]
-    report.check("tight DAG codes", 153, len(tight), source="published")
+    yield Check("tight DAG codes", 153, len(tight), source="published")
 
     # (3) dimension of the family-variable face
     fam_points = dag_codes(gs, tight)
-    report.check("family-variable face dimension", 53, linalg.affine_rank(fam_points) - 1, source="published")
+    yield Check("family-variable face dimension", 53, linalg.affine_rank(fam_points) - 1, source="published")
 
     # (4) the characteristic side is a facet; the polytope's dimension is
     # certified by the 27 unitriangular witnesses alone
     signatures = [char_bits(g) for g in tight]
     chars = sorted(set(signatures))
-    report.check("distinct characteristic imsets on the face", 59, len(chars), source="published")
-    report.check("affine rank of those imsets", 26, linalg.affine_rank(chars), source="published")
-    report.check(
+    yield Check("distinct characteristic imsets on the face", 59, len(chars), source="published")
+    yield Check("affine rank of those imsets", 26, linalg.affine_rank(chars), source="published")
+    yield Check(
         "characteristic polytope has dimension 26",
         True,
         linalg.incremental_rank_reaches(map(char_bits, _dimension_witnesses(gs)), 27),
@@ -515,7 +507,7 @@ def verify_counterexample() -> VerificationReport:
     # Fractions.
     nums, den = linalg.integer_row(cx.centroid.dense(enumerate_family_indices(gs)))
     count = len(tight)
-    report.check(
+    yield Check(
         "centroid of tight codes equals published vector",
         True,
         all(s * den == x * count for s, x in zip(map(sum, zip(*fam_points)), nums)),
@@ -523,7 +515,7 @@ def verify_counterexample() -> VerificationReport:
     # the bound 1 comes back as the objective's scale, so the value at the
     # centroid is obj_value / (unit * den)
     [obj_value], unit = integer_values(obj, 1, [nums])
-    report.check(
+    yield Check(
         "objective value at the centroid",
         Fraction(16),
         Fraction(obj_value, unit * den),
@@ -534,12 +526,12 @@ def verify_counterexample() -> VerificationReport:
     # tight imsets, each weighted by its number of tight codes, so it sits in
     # the relative interior of the imset-side face.
     image = char_from_fam(cx.centroid)
-    report.check(
+    yield Check(
         "characteristic image of the centroid averages the tight imsets",
         True,
         all(image[S] * count == s for S, s in zip(enumerate_cai(gs), map(sum, zip(*signatures)))),
     )
-    report.check(
+    yield Check(
         "that average has full support over the 59 face vertices",
         True,
         len(chars) == 59,
@@ -553,7 +545,7 @@ def verify_counterexample() -> VerificationReport:
     for q in checked:
         [value], bound = integer_values(q.objective, q.bound, [nums])
         scaled.append((value, bound * den))
-    report.check(
+    yield Check(
         "no convexity constraint tight at the centroid",
         True,
         all(v < b for v, b in scaled[: len(convexity)]),
@@ -562,26 +554,25 @@ def verify_counterexample() -> VerificationReport:
     # (7) the scaled point stays feasible for the other constraint families:
     # eps = p / r is the smallest (b - v) / (2v) over the rows with v > 0
     feasible = all(v < b for v, b in scaled)
-    report.check("positive slack at every checked inequality", True, feasible)
+    yield Check("positive slack at every checked inequality", True, feasible)
     if not feasible:
-        return report
+        return
     eps = min(Fraction(b - v, 2 * v) for v, b in scaled if v > 0)
     p, r = eps.numerator, eps.denominator
-    report.check("perturbation size is positive", True, p > 0)
-    report.check(
+    yield Check("perturbation size is positive", True, p > 0)
+    yield Check(
         "scaled point satisfies non-negativity",
         True,
         all(x * (r + p) >= 0 for x in nums),
     )
-    report.check(
+    yield Check(
         "scaled point strictly satisfies convexity and all 49 cluster cuts",
         True,
         all((r + p) * v < r * b for v, b in scaled),
     )
     star_value = Fraction((r + p) * obj_value, r * unit * den)
-    report.check("objective value at the scaled point", (1 + eps) * 16, star_value)
-    report.check("scaled value exceeds the true maximum", True, star_value > 16)
-    return report
+    yield Check("objective value at the scaled point", (1 + eps) * 16, star_value)
+    yield Check("scaled value exceeds the true maximum", True, star_value > 16)
 
 
 # --- pipeline: equivalence-closed faces ------------------------------------------------
@@ -627,7 +618,7 @@ def _markov_closed(faces: list[int], rows: list[tuple]) -> list[int]:
 
 
 @_timed
-def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
+def explore_conjecture(budget: Budget | None = None) -> Iterator[str | Check]:
     """Enumerate every face of the three-node family-variable polytope (no
     larger one is feasible), keep those whose DAG sets are closed under Markov
     equivalence, and confirm each admits a score-equivalent defining objective
@@ -635,12 +626,12 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     are bitmasks over its indices from the tight-set closure to the LP, and
     one list of its ``_setfn_row`` rows names the Markov classes and is what
     every LP reads.  The budget bounds the facet enumeration."""
-    report = VerificationReport("conjecture-n3")
+    yield "conjecture-n3"
     gs = GroundSet.alpha(3)
     dags = enumerate_dags(gs)
     fvp = VRep("fam", gs, dag_codes(gs, dags))
     hull = facets_from_vertices(fvp, budget=budget)
-    report.check("facet count", 17, len(hull.inequalities))
+    yield Check("facet count", 17, len(hull.inequalities))
 
     faces = all_faces_by_tight_sets(fvp, hull)
     cai = enumerate_cai(gs)
@@ -648,7 +639,7 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     closed_faces = _markov_closed(faces, rows)
 
     violations = sum(not _se_face_lp(gs, rows, face)[0] for face in closed_faces)
-    report.check(
+    yield Check(
         "equivalence-closed faces that are not SE faces",
         0,
         violations,
@@ -658,5 +649,4 @@ def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     all_pairs = frozenset({(0, 1), (0, 2), (1, 2)})
     full_class = sum(1 << i for i, g in enumerate(dags) if g.adjacency_pairs() == all_pairs)
     ok, witness = _se_face_lp(gs, rows, full_class)
-    report.check("the class of complete graphs is an SE face", True, ok and witness is not None)
-    return report
+    yield Check("the class of complete graphs is an SE face", True, ok and witness is not None)

@@ -356,6 +356,26 @@ def test_catalog_and_encode_stdout_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the `verify` text tables, with their exit codes.  The first three
+# are the benchmark's references; a check whose values are tuples prints them
+# in list brackets, as its JSON form does.  The stretch table exits 1 on its
+# known third-witness FAIL.
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    [
+        (("verify", "n4"), 0, "89c134814d497b9b5321b552b3f804b9edd2ddb5183fb68bdb61e5f7286bcc46"),
+        (("verify", "counterexample"), 0, "42148f78d5ea83c7fc07eec7d66cd8c5c81ffa04d22fd1f0f36a4a1c000aa775"),
+        (("verify", "conjecture"), 0, "a96493aac27893bf2f3e371ca38f7fb12d801465d1d545d3ce31c7db0950664a"),
+        (("verify", "n4", "--stretch"), 1, "cc56507531cfd5fd7a7898c3f0b3d6c0c4b8d843ab70926b7755569f2fc56b9c"),
+    ],
+    ids=["n4", "counterexample", "conjecture", "n4-stretch"],
+)
+def test_verify_table_stdout_bytes_are_pinned(capsys, argv, exit_code, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == exit_code and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the `se is-face` stdout for the class of a - b at n = 3 and
 # n = 4: the witness is the face LP's optimal vertex, so these bytes pin
 # the LP's rows and their order as well as the verdict.

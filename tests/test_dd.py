@@ -296,6 +296,18 @@ def test_budget_ray_cap():
         extreme_rays(rows, 7, budget=Budget(max_rays=5))
 
 
+@pytest.mark.parametrize(
+    "rows, dim, width",
+    [([(1, 0)], 3, 2), ([(1, 0, 0)], 2, 3), ([(1, 0), (0, 0, 0)], 2, 3)],
+    ids=["narrow", "wide", "zero-row"],
+)
+def test_rows_of_another_width_are_refused(rows, dim, width):
+    # a narrow row used to come back as a cone in dim coordinates, and a
+    # wide one lost its last coordinates
+    with pytest.raises(ValueError, match=f"row of width {width} in a cone of dimension {dim}"):
+        extreme_rays(rows, dim)
+
+
 def test_insertion_order():
     # By the last negative entry; rows without one come last; ties colex.
     rows = [(0, 0, 1), (1, -1, 0), (-1, 1, 1), (0, 1, -1), (-1, 0, 0),

@@ -6,10 +6,16 @@ from fractions import Fraction
 import pytest
 
 from bnpoly.cli import main
-from bnpoly.dags import enumerate_equivalence_classes
+from bnpoly.dags import enumerate_dags, enumerate_equivalence_classes
 from bnpoly.dd import Budget, extreme_rays
 from bnpoly.encodings import char_bits
-from bnpoly.errors import BnPolyError, InfeasibleError, InvalidInequalityError, UnboundedError
+from bnpoly.errors import (
+    BnPolyError,
+    IndexFamilyMismatchError,
+    InfeasibleError,
+    InvalidInequalityError,
+    UnboundedError,
+)
 from bnpoly.ground import CharVector, FamVector, GroundSet
 from bnpoly.ineq import (
     LinearInequality,
@@ -24,6 +30,7 @@ from bnpoly.polyhedra import (
     _reduced_echelon,
     affine_rank,
     cip_vrep,
+    dag_codes,
     face_of,
     facets_from_vertices,
     fvp_vrep,
@@ -167,6 +174,15 @@ def test_cip_vertices_are_the_class_representatives_imsets(n, classes):
     expected = [char_bits(rep) for rep, _ in enumerate_equivalence_classes(gs)]
     assert len(expected) == classes
     assert list(cip_vrep(gs).points) == expected
+
+
+def test_dag_codes_refuse_dags_of_another_ground_set(gs3, gs4):
+    # three-node DAGs used to come back as 28-wide four-node codes
+    dags3, dags4 = enumerate_dags(gs3), enumerate_dags(gs4)
+    assert len(dag_codes(gs4, dags4)[0]) == 28
+    for graphs in (dags3, dags4[:5] + dags3[:1]):
+        with pytest.raises(IndexFamilyMismatchError, match="a DAG over .'a', 'b', 'c'. among codes over"):
+            dag_codes(gs4, graphs)
 
 
 def test_c20_is_facet_of_cip4(gs4):

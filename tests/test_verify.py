@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from bnpoly.ground import GroundSet, enumerate_cai, iter_bits
 from bnpoly.polyhedra import facets_from_vertices, fvp_vrep, incidence
 from bnpoly.scoreeq import _setfn_row
 from bnpoly.verify import (
+    Check,
     VerificationReport,
     _dimension_witnesses,
     _fvp_star_summary,
@@ -190,14 +192,25 @@ def test_report_json_shape(n3_report):
 
 
 def test_report_failure_and_skip_semantics():
-    report = VerificationReport("demo")
-    report.check("good", 1, 1)
-    report.skip("later", "disabled")
-    assert report.passed
-    report.check("bad", 1, 2)
+    good = Check("good", 1, 1)
+    later = Check("later", None, None, skipped=True, note="disabled", source="")
+    assert VerificationReport("demo", (good, later)).passed
+    report = VerificationReport("demo", (good, later, Check("bad", 1, 2)))
     assert not report.passed
     table = report.format_table()
-    assert "[SKIP]" in table and "[FAIL]" in table
+    assert "[SKIP] later: disabled" in table and "[FAIL] bad: expected 1, observed 2" in table
+    assert table.endswith("\n== demo: FAILED ==")
+    assert "source" not in later.to_json() and later.to_json()["passed"] is True
+
+
+def test_check_verdict_comes_from_its_values():
+    with pytest.raises(TypeError, match="unknown field 'passed'"):
+        Check("x", 1, 2, passed=True)
+    assert not Check("x", 1, 2).passed
+    assert Check("x", Fraction(2), 2).passed
+    # a skip flag does not excuse values that disagree
+    assert not VerificationReport("demo", (Check("x", 1, 2, skipped=True),)).passed
+    assert VerificationReport("demo").checks == () and VerificationReport("demo").passed
 
 
 def test_face_enumeration_and_non_face_rejection(gs3):
@@ -278,8 +291,7 @@ def test_spent_budget_under_stretch_raises():
 
 
 def test_report_table_notes_and_elapsed_time():
-    report = VerificationReport("demo", elapsed=1.5)
-    report.check("count", 3, 3, note="three of them")
+    report = VerificationReport("demo", (Check("count", 3, 3, note="three of them"),), 1.5)
     assert report.format_table() == (
         "== demo ==\n[pass] count: expected 3, observed 3  (three of them)\n== demo: PASSED =="
     )
@@ -346,3 +358,10 @@ def test_report_json_bytes_unchanged(fixture, request):
     report = request.getfixturevalue(fixture)
     blob = json.dumps(report.to_json(), sort_keys=True, indent=2).encode()
     assert hashlib.sha256(blob).hexdigest() == _REPORT_SHA256[fixture]
+
+
+@pytest.mark.parametrize("fixture", sorted(_REPORT_SHA256))
+def test_pipeline_reports_hash(fixture, request):
+    # every check value is hashable: sequences are tuples, not lists
+    report = request.getfixturevalue(fixture)
+    assert hash(report) == hash(VerificationReport(report.name, report.checks, report.elapsed))
