@@ -244,6 +244,15 @@ class _Vector:
                 clean[key] = q
         self._c = clean
 
+    @classmethod
+    def _from_valid(cls, gs: GroundSet, coords: dict) -> "_Vector":
+        """The vector holding ``coords`` as it is, with no checks: a dict
+        from valid keys of the space to nonzero Fractions."""
+        vec = cls.__new__(cls)
+        vec.gs = gs
+        vec._c = coords
+        return vec
+
     @staticmethod
     def _check_key(gs: GroundSet, key) -> None:  # pragma: no cover - overridden
         raise NotImplementedError

@@ -128,11 +128,12 @@ def _relabel(space: str, row: tuple[int, ...]):
 
 
 def _relabeled(ineq: LinearInequality, row: tuple[int, ...]) -> LinearInequality:
-    """The inequality with its coordinate keys relabeled, coefficients kept."""
+    """The inequality with its coordinate keys relabeled, coefficients kept;
+    a relabeling maps the valid keys one to one onto valid keys."""
     obj = ineq.objective
     relabel = _relabel(ineq.space, row)
     coords = {relabel(k): v for k, v in obj.items()}
-    return LinearInequality(type(obj)(obj.gs, coords), ineq.bound, ineq.label)
+    return LinearInequality(type(obj)._from_valid(obj.gs, coords), ineq.bound, ineq.label)
 
 
 def _orbit_rows(ineq: LinearInequality) -> list[tuple[int, ...]]:

@@ -24,7 +24,10 @@ from math import gcd, lcm
 
 def integer_row(row: Sequence) -> tuple[list[int], int]:
     """``(ints, scale)``: the row (int or Fraction entries) times ``scale``,
-    the lcm of its denominators.  Integer input creates no Fraction."""
+    the lcm of its denominators, as a new list.  A row of ints is copied as
+    it is, with scale 1."""
+    if set(map(type, row)) <= {int}:
+        return list(row), 1
     scale = lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row], scale
 

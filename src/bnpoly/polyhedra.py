@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import gcd
 
 from .dags import Dag, enumerate_dags
 from .dd import Budget, _sign_normalize, extreme_rays
@@ -219,7 +220,7 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     index = cls.index(vrep.gs)
     density = [sum(map(bool, column)) for column in zip(*vrep.points)]
     order = sorted(range(len(index)), key=lambda j: -density[j])
-    rows = [(Fraction(1),) + tuple(-p[j] for j in order) for p in vrep.points]
+    rows = [(1,) + tuple(-p[j] for j in order) for p in vrep.points]
     rays, lineality = extreme_rays(rows, len(index) + 1, budget=budget)
     # coordinate j sits at lifted position 1 + order.index(j)
     position = [0] + [1 + order.index(j) for j in range(len(index))]
@@ -227,15 +228,23 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     lineality = [tuple(line[k] for k in position) for line in lineality]
     if lineality:
         rays, lineality = _reduced_echelon(rays, lineality)
-    inequalities = []
-    for ray in rays:
-        bound, coeffs = ray[0], ray[1:]
-        if not any(coeffs):
+
+    def vector(coeffs):
+        return cls._from_valid(vrep.gs, {k: Fraction(c) for k, c in zip(index, coeffs) if c})
+
+    # The canonical_key() of a ray's inequality, less the space, is its
+    # coefficients over their gcd g, the nonzero ones in index order (the key
+    # order of the class), and the bound over g.
+    keyed = []
+    for bound, *coeffs in rays:
+        g = gcd(*coeffs)
+        if not g:
             continue  # the trivial valid inequality 0 <= u
-        obj = cls(vrep.gs, zip(index, coeffs))
-        inequalities.append(LinearInequality(obj, bound, label="facet"))
-    equations = [(cls(vrep.gs, zip(index, line[1:])), Fraction(line[0])) for line in lineality]
-    inequalities.sort(key=lambda q: q.canonical_key())
+        items = tuple((k, c // g) for k, c in zip(index, coeffs) if c)
+        keyed.append(((items, Fraction(bound, g)), bound, coeffs))
+    keyed.sort(key=lambda entry: entry[0])
+    inequalities = [LinearInequality(vector(coeffs), bound, "facet") for _, bound, coeffs in keyed]
+    equations = [(vector(line[1:]), Fraction(line[0])) for line in lineality]
     return HRep(vrep.space, vrep.gs, tuple(inequalities), tuple(equations))
 
 

@@ -80,7 +80,11 @@ def is_extreme(m: SetFunction) -> bool:
     ray of the cone: the space of standardized functions vanishing on all of
     m's tight elementary differences must be one-dimensional.  ``m`` may be
     a CharVector, which reads 0 on sets of size <= 1.  Refused with
-    BudgetExceededError for n > MAX_EXTREME_NODES before any work starts."""
+    BudgetExceededError for n > MAX_EXTREME_NODES before any work starts.
+
+    m is read once, as an integer row over all 2^n masks, and one pass over
+    the elementary differences refuses the first negative one and collects
+    the tight ones."""
     gs = m.gs
     if gs.n > MAX_EXTREME_NODES:
         raise BudgetExceededError(
@@ -89,17 +93,23 @@ def is_extreme(m: SetFunction) -> bool:
         )
     if not m:
         raise NotSupermodularError("the zero function spans no ray")
-    _require_standardized_supermodular(m)
+    if not is_standardized(m):
+        raise NotSupermodularError("set function is not standardized")
+    ms, _ = linalg.integer_row([m[S] for S in range(gs.full_mask + 1)])
     rows = []
     for a, b, Z in elementary_triplets(gs):
-        if delta(m, a, b, Z) == 0:
+        aZ, bZ = bit(a) | Z, bit(b) | Z
+        d = ms[aZ | bZ] + ms[Z] - ms[aZ] - ms[bZ]
+        if d < 0:
+            raise NotSupermodularError("set function is not supermodular")
+        if d == 0:
             row = [0] * (1 << gs.n)  # over all masks; size <= 1 columns stay 0
-            row[bit(a) | bit(b) | Z] = 1
+            row[aZ | bZ] = 1
             if Z.bit_count() >= 2:
                 row[Z] = 1
             if Z:
-                row[bit(a) | Z] = -1
-                row[bit(b) | Z] = -1
+                row[aZ] = -1
+                row[bZ] = -1
             rows.append(row)
     return len(enumerate_cai(gs)) - linalg.rank(rows) == 1
 

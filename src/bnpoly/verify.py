@@ -1,17 +1,17 @@
 """End-to-end verification pipelines for the small-case catalogs, the
 optimal-value reductions, and the five-node counterexample.
 
-Each pipeline yields its report's name, then its :class:`Check` values, and
-:func:`_timed` builds its one :class:`VerificationReport`.  A check passes when
-what it observed equals what it expected, which is a published constant or
-comes from an oracle computed on the spot (exhaustive enumeration, brute-force
-maxima, rank computations).  Nothing is cached on disk: every run computes
-what it reports.
+Each pipeline is a generator that yields its report's name, then its
+:class:`Check` values; its public function returns the one
+:class:`VerificationReport` that :func:`_report` builds from them.  A check
+passes when what it observed equals what it expected, which is a published
+constant or comes from an oracle computed on the spot (exhaustive
+enumeration, brute-force maxima, rank computations).  Nothing is cached on
+disk: every run computes what it reports.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from collections.abc import Iterator
 from fractions import Fraction
@@ -139,17 +139,13 @@ class VerificationReport(Record):
         return "\n".join(lines)
 
 
-def _timed(pipeline):
+def _report(pipeline: Iterator[str | Check]) -> VerificationReport:
     """Build, once, the report of a pipeline that yields its name, then its
     checks: the checks as a tuple and the wall time as ``elapsed``.  The
     pipeline runs here, so its argument errors raise from the call."""
-
-    @functools.wraps(pipeline)
-    def run(*args, **kwargs) -> VerificationReport:
-        start = time.monotonic()
-        name, *checks = pipeline(*args, **kwargs)
-        return VerificationReport(name, tuple(checks), time.monotonic() - start)
-    return run
+    start = time.monotonic()
+    name, *checks = pipeline
+    return VerificationReport(name, tuple(checks), time.monotonic() - start)
 
 
 # --- shared constructions --------------------------------------------------------
@@ -181,8 +177,13 @@ def _se_relaxation(gs: GroundSet) -> list[LinearInequality]:
 # --- pipeline: three nodes --------------------------------------------------------
 
 
-@_timed
-def verify_n3(budget: Budget | None = None) -> Iterator[str | Check]:
+def verify_n3(budget: Budget | None = None) -> VerificationReport:
+    """The three-node counts: DAGs, Markov classes, the 17 family-variable
+    and 13 characteristic-imset facets and the relaxation vertices."""
+    return _report(_n3_checks(budget))
+
+
+def _n3_checks(budget: Budget | None = None) -> Iterator[str | Check]:
     yield "n3"
     gs = GroundSet.alpha(3)
 
@@ -228,11 +229,14 @@ def verify_n3(budget: Budget | None = None) -> Iterator[str | Check]:
 # --- pipeline: four nodes ---------------------------------------------------------
 
 
-@_timed
-def verify_n4(stretch: bool = False, budget: Budget | None = None) -> Iterator[str | Check]:
+def verify_n4(stretch: bool = False, budget: Budget | None = None) -> VerificationReport:
     """The four-node counts and catalogs; ``stretch`` adds the fvp hull and
     the relaxation, whose third published witness is known to FAIL.  A spent
     budget raises BudgetExceededError, in the stretch steps too."""
+    return _report(_n4_checks(stretch, budget))
+
+
+def _n4_checks(stretch: bool = False, budget: Budget | None = None) -> Iterator[str | Check]:
     yield "n4"
     gs = GroundSet.alpha(4)
 
@@ -246,8 +250,13 @@ def verify_n4(stretch: bool = False, budget: Budget | None = None) -> Iterator[s
     chull = facets_from_vertices(cip, budget=budget)
     yield Check("characteristic-imset polytope facet count", 154, len(chull.inequalities), source="published")
 
-    one = cip.points.index((1,) * len(cip.index))
-    at_one = [tight >> one & 1 for tight in incidence(chull.inequalities, cip)]
+    # only the all-ones vertex is read; the facets' validity at every
+    # vertex is left to the tests
+    one = [(1,) * len(cip.index)]
+    at_one = []
+    for q in chull.inequalities:
+        [value], bound = integer_values(q.objective, q.bound, one)
+        at_one.append(value == bound)
     tight_one = [q for q, flag in zip(chull.inequalities, at_one) if flag]
     rest = [q for q, flag in zip(chull.inequalities, at_one) if not flag]
     yield Check("facets containing the all-ones vertex", 37, len(tight_one), source="published")
@@ -342,14 +351,17 @@ def _random_se_objective(gs: GroundSet, rng: random.Random) -> FamVector:
     return objective_from_setfn(m)
 
 
-@_timed
-def verify_theorem3(n: int, trials: int, seed: int = 0) -> Iterator[str | Check]:
+def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
     """Maximizing a score-equivalent objective over the reduced constraint
     polyhedron (imset facets missing the zero vertex, in fam mode, plus
     non-negativity and convexity) matches the brute-force maximum over all
     DAG codes; at n = 4 the variant restricted to the one-vertex facets
     agrees as well.  At n = 5 it checks the LP side of the counterexample
     instead, and ``trials`` and ``seed`` are not used."""
+    return _report(_theorem3_checks(n, trials, seed))
+
+
+def _theorem3_checks(n: int, trials: int, seed: int = 0) -> Iterator[str | Check]:
     if n not in (3, 4, 5):
         raise ValueError(f"verify theorem3 is supported for n in {{3, 4, 5}}, got {n}")
     if n != 5 and trials < 1:
@@ -442,8 +454,15 @@ def _dimension_witnesses(gs: GroundSet) -> list[Dag]:
     return witnesses
 
 
-@_timed
-def verify_counterexample() -> Iterator[str | Check]:
+def verify_counterexample() -> VerificationReport:
+    """The five-node counterexample: the published imset facet and its
+    family-variable form, its 153 tight DAG codes and their face, and a
+    point that satisfies convexity and all 49 cluster cuts with objective
+    value above the true maximum 16."""
+    return _report(_counterexample_checks())
+
+
+def _counterexample_checks() -> Iterator[str | Check]:
     yield "counterexample"
     gs = GroundSet.alpha(5)
     cx = counterexample_constants()
@@ -617,8 +636,7 @@ def _markov_closed(faces: list[int], rows: list[tuple]) -> list[int]:
     return closed
 
 
-@_timed
-def explore_conjecture(budget: Budget | None = None) -> Iterator[str | Check]:
+def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     """Enumerate every face of the three-node family-variable polytope (no
     larger one is feasible), keep those whose DAG sets are closed under Markov
     equivalence, and confirm each admits a score-equivalent defining objective
@@ -626,6 +644,10 @@ def explore_conjecture(budget: Budget | None = None) -> Iterator[str | Check]:
     are bitmasks over its indices from the tight-set closure to the LP, and
     one list of its ``_setfn_row`` rows names the Markov classes and is what
     every LP reads.  The budget bounds the facet enumeration."""
+    return _report(_conjecture_checks(budget))
+
+
+def _conjecture_checks(budget: Budget | None = None) -> Iterator[str | Check]:
     yield "conjecture-n3"
     gs = GroundSet.alpha(3)
     dags = enumerate_dags(gs)

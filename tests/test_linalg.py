@@ -165,6 +165,24 @@ def test_integer_row_scales_by_lcm_of_denominators():
     assert all(type(x) is int for x in ints)
 
 
+def test_integer_row_copies_a_row_of_ints():
+    # _echelon_rank writes into the list it gets back, so a row of ints must
+    # come back as a new list, whatever the input's type
+    for row in ([-4, 6, 0], (-4, 6, 0)):
+        ints, scale = linalg.integer_row(row)
+        assert (ints, scale) == ([-4, 6, 0], 1)
+        assert type(ints) is list and ints is not row
+        ints[0] = 99
+        assert list(row) == [-4, 6, 0]
+    rows = [[1, -1, 0], [0, 1, -1], [1, 0, -1]]
+    assert linalg.rank(rows) == 2
+    assert rows == [[1, -1, 0], [0, 1, -1], [1, 0, -1]]
+    # booleans and mixed rows take the scaled path and come back as ints
+    ints, scale = linalg.integer_row([True, 2, Fraction(1, 2)])
+    assert (ints, scale) == ([2, 4, 1], 2)
+    assert all(type(x) is int for x in linalg.integer_row([True, False])[0])
+
+
 def test_primitive_divides_by_gcd_and_keeps_signs():
     assert linalg.primitive([-4, 6, 0, -10]) == (-2, 3, 0, -5)
     assert linalg.primitive([0, -7, 0]) == (0, -1, 0)

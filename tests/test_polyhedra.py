@@ -197,12 +197,58 @@ def test_hull_counts(gs3):
     assert len(facets_from_vertices(cip_vrep(gs3)).inequalities) == 13
 
 
-def test_fvp_n4_hull_has_135_facets(gs4):
-    # Lifted densest first, the hull peaks at 422 intermediate rays (505 in
-    # index order); the cap leaves about 1.5x headroom.
-    hull = facets_from_vertices(fvp_vrep(gs4), budget=Budget(max_rays=640))
+@pytest.fixture(scope="module")
+def n4_hulls(gs4):
+    """The n = 4 vertex lists and hulls, each hull built once for this module.
+    Lifted densest first, the FVP hull peaks at 422 intermediate rays (505
+    in index order); the cap leaves about 1.5x headroom."""
+    cip, fvp = cip_vrep(gs4), fvp_vrep(gs4)
+    return {
+        "cip": (cip, facets_from_vertices(cip)),
+        "fvp": (fvp, facets_from_vertices(fvp, budget=Budget(max_rays=640))),
+    }
+
+
+def test_fvp_n4_hull_has_135_facets(n4_hulls):
+    _, hull = n4_hulls["fvp"]
     assert len(hull.inequalities) == 135
     assert hull.equations == ()  # full-dimensional in the 28 family variables
+
+
+@pytest.mark.parametrize("polytope", ["cip", "fvp"])
+def test_n4_hull_facets_hold_at_every_vertex(n4_hulls, polytope):
+    # verify n4 evaluates the CIP facets at the all-ones vertex alone, so the
+    # validity of every facet at every vertex is checked here
+    vrep, hull = n4_hulls[polytope]
+    tight_sets = incidence(hull.inequalities, vrep)  # raises at a violation
+    assert all(tight_sets)
+    keys = [q.canonical_key() for q in hull.inequalities]
+    assert keys == sorted(keys)
+    if polytope == "cip":
+        one = vrep.points.index((1,) * len(vrep.index))
+        assert sum(tight >> one & 1 for tight in tight_sets) == 37
+
+
+def test_hull_facets_keep_their_primitive_integer_rows(gs2):
+    # conv{(0, 0), (1/2, 0), (0, 1/2)} over the family coordinates a|b, b|a:
+    # the slanted facet's primitive ray is 2x + 2y <= 1, coefficients with
+    # gcd 2, which its canonical key divides out
+    half = Fraction(1, 2)
+    ab, ba = FamVector.index(gs2)
+    hull = facets_from_vertices(VRep("fam", gs2, ((0, 0), (half, 0), (0, half))))
+    assert hull.equations == ()
+    listed = [(dict(q.objective.items()), q.bound, q.label) for q in hull.inequalities]
+    assert listed == [
+        ({ab: -1}, 0, "facet"),
+        ({ab: 2, ba: 2}, 1, "facet"),
+        ({ba: -1}, 0, "facet"),
+    ]
+    slanted = hull.inequalities[1]
+    assert slanted.canonical_key() == ("fam", ((ab, 1), (ba, 1)), half)
+    keys = [q.canonical_key() for q in hull.inequalities]
+    assert keys == sorted(keys)
+    assert all(type(v) is Fraction for q in hull.inequalities for _, v in q.objective.items())
+    assert slanted.objective == FamVector(gs2, {ab: 2, ba: 2})
 
 
 def test_hull_low_dimensional_reports_equations(gs3):
@@ -321,10 +367,12 @@ def test_roundtrip_fvp3(gs3):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_roundtrip_cip(n):
-    gs = GroundSet.alpha(n)
-    cip = cip_vrep(gs)
-    hull = facets_from_vertices(cip)
+def test_roundtrip_cip(n, request):
+    if n == 4:
+        cip, hull = request.getfixturevalue("n4_hulls")["cip"]
+    else:
+        cip = cip_vrep(GroundSet.alpha(n))
+        hull = facets_from_vertices(cip)
     # The n=4 vertex enumeration from the 154 facets peaks at 1188
     # intermediate rays, against 1783 in plain colex insertion order.
     budget = Budget(max_rays=1500) if n == 4 else None

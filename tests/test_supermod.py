@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bnpoly import linalg
 from bnpoly.dags import enumerate_dags, is_closed_under_equivalence
 from bnpoly.encodings import fam_vector
 from bnpoly.errors import BnPolyError, BudgetExceededError, NotSupermodularError
@@ -341,3 +342,80 @@ def test_supermod_refusals(gs3, call, error, message):
     with pytest.raises(error) as info:
         call(gs3)
     assert str(info.value) == message
+
+
+def _two_pass_is_extreme(m):
+    """The Fraction form of the extremality test: every elementary difference
+    read through ``delta`` and checked nonnegative, then a second pass for
+    the tight rows and their rank."""
+    gs = m.gs
+    if not m:
+        raise NotSupermodularError("the zero function spans no ray")
+    if not all(mask.bit_count() >= 2 for mask in m.support()):
+        raise NotSupermodularError("set function is not standardized")
+    if not all(delta(m, a, b, Z) >= 0 for a, b, Z in elementary_triplets(gs)):
+        raise NotSupermodularError("set function is not supermodular")
+    rows = []
+    for a, b, Z in elementary_triplets(gs):
+        if delta(m, a, b, Z) == 0:
+            row = [0] * (1 << gs.n)
+            row[(1 << a) | (1 << b) | Z] = 1
+            if Z.bit_count() >= 2:
+                row[Z] = 1
+            if Z:
+                row[(1 << a) | Z] = -1
+                row[(1 << b) | Z] = -1
+            rows.append(row)
+    return len(enumerate_cai(gs)) - linalg.rank(rows) == 1
+
+
+def _rays(gs):
+    return [cluster_supermodular(gs, C, k) for C, k in cluster_pairs(gs)]
+
+
+def _se_catalog_functions():
+    return [moebius_up(m.objective) for e in catalog_se_n4() for m in e.char_orbit]
+
+
+def test_is_extreme_matches_the_two_pass_form_on_rays(gs3):
+    rays = _rays(gs3)
+    assert len(rays) == 5
+    catalog = _se_catalog_functions()
+    assert len(catalog) == 37
+    for m in rays + catalog:
+        assert is_extreme(m) is _two_pass_is_extreme(m) is True
+
+
+def test_is_extreme_matches_the_two_pass_form_on_sums_of_two_rays(gs3):
+    for rays in (_rays(gs3), _se_catalog_functions()):
+        for x, y in itertools.combinations(rays, 2):
+            assert is_extreme(x + y) is _two_pass_is_extreme(x + y) is False
+
+
+def test_is_extreme_reads_non_integer_values(gs3):
+    m = gs3.mask_of
+    third = Fraction(1, 3) * cluster_supermodular(gs3, m("abc"), 1)
+    assert is_extreme(third) is _two_pass_is_extreme(third) is True
+    mixed = third + Fraction(1, 2) * cluster_supermodular(gs3, m("ab"), 1)
+    assert is_extreme(mixed) is _two_pass_is_extreme(mixed) is False
+    # the halves below scale to the cluster function of {a, b}
+    half = SetFunction(gs3, {m("ab"): Fraction(1, 2), m("abc"): Fraction(1, 2)})
+    assert is_extreme(half) is _two_pass_is_extreme(half) is True
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({}, "the zero function spans no ray"),
+        # not standardized and not supermodular: standardization is read first
+        ({0b001: 1, 0b011: -1}, "set function is not standardized"),
+        ({0b011: 1, 0b111: Fraction(-1, 2)}, "set function is not supermodular"),
+    ],
+    ids=["zero", "not-standardized", "not-supermodular"],
+)
+def test_is_extreme_refusals_match_the_two_pass_form(gs3, values, message):
+    m = SetFunction(gs3, values)
+    for test in (is_extreme, _two_pass_is_extreme):
+        with pytest.raises(NotSupermodularError) as info:
+            test(m)
+        assert str(info.value) == message

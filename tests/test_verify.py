@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 
@@ -318,6 +319,27 @@ def test_stretch_checks_are_reported_when_disabled():
     skipped = [c.description for c in report.checks if c.skipped]
     assert "family-variable polytope facet count" in skipped
     assert "relaxation vertex enumeration" in skipped
+
+
+@pytest.mark.parametrize(
+    "pipeline, parameters",
+    [
+        (verify_n3, ["budget"]),
+        (verify_n4, ["stretch", "budget"]),
+        (verify_theorem3, ["n", "trials", "seed"]),
+        (verify_counterexample, []),
+        (explore_conjecture, ["budget"]),
+    ],
+    ids=["verify_n3", "verify_n4", "verify_theorem3", "verify_counterexample", "explore_conjecture"],
+)
+def test_pipeline_signatures_return_a_report(pipeline, parameters):
+    # the public function states its own signature; it does not take the
+    # generator's through __wrapped__
+    signature = inspect.signature(pipeline, eval_str=True)
+    assert list(signature.parameters) == parameters
+    assert signature.return_annotation is VerificationReport
+    assert not hasattr(pipeline, "__wrapped__")
+    assert pipeline.__doc__
 
 
 @pytest.mark.parametrize(
