@@ -222,9 +222,9 @@ def _same_family(x: "_Vector", y: "_Vector") -> None:
 
 
 class _Vector:
-    """Sparse exact-rational vector; absent coordinates read as zero.  The
-    JSON codec reads and writes keys through the subclass's ``parse_key``
-    and ``key_text``."""
+    """Sparse exact-rational vector; absent coordinates read as zero, and a
+    key given twice is refused, whatever its values.  The JSON codec reads
+    and writes keys through the subclass's ``parse_key`` and ``key_text``."""
 
     __slots__ = ("gs", "_c")
     space: str = ""
@@ -236,13 +236,10 @@ class _Vector:
             items = coords.items() if hasattr(coords, "items") else coords
             for key, value in items:
                 self._check_key(gs, key)
-                q = as_fraction(value)
-                if q == 0:
-                    continue
                 if key in clean:
                     raise BnPolyError(f"duplicate coordinate key {key!r}")
-                clean[key] = q
-        self._c = clean
+                clean[key] = as_fraction(value)
+        self._c = {key: q for key, q in clean.items() if q}
 
     @classmethod
     def _from_valid(cls, gs: GroundSet, coords: dict) -> "_Vector":

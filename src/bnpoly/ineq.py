@@ -7,16 +7,16 @@ the two four-node facet catalogs (one representative per permutation type,
 orbits generated on the fly), and the five-node constants used by the
 counterexample pipeline.
 
-Orbits are computed in integers.  :func:`orbit` takes the primitive integer
-row of the inequality once (a relabeling moves coefficients without changing
+Orbits are computed in integers.  ``canonical_key`` is formed once per
+inequality, from its primitive integer row, and kept on it.  :func:`orbit`
+reads the input's key (a relabeling moves coefficients without changing
 them), maps its keys through a table of permuted masks (n! * 2^n ints per n,
-built on first use), keeps each image whose integer key is new, and rebuilds
-the members from the input's own coefficients.  ``canonical_key`` comes from
-the same integer form.  A catalog type is translated into family variables
-once, by :func:`fam_from_char_ineq`, on the first read of
-``CatalogEntry.fam_ineq``; since the translation commutes with relabeling,
-each member's translation is the representative's, relabeled by the
-permutation that made the member.
+built on first use), keeps each image whose key is new, and rebuilds the
+members from the input's own coefficients, each holding its image key.  A
+catalog type is translated into family variables once, by
+:func:`fam_from_char_ineq`, on the first read of ``CatalogEntry.fam_ineq``;
+since the translation commutes with relabeling, each member's translation is
+the representative's, relabeled by the permutation that made the member.
 """
 
 from __future__ import annotations
@@ -86,23 +86,18 @@ class LinearInequality(Record):
         return f"{text or '0'} <= {self.bound}"
 
     def canonical_key(self):
-        """(space, sorted primitive integer coefficients, bound scaled along);
-        two inequalities with nonzero objectives share it exactly when one
-        is a positive multiple of the other."""
-        items, bound = _integer_form(self)
-        return (self.space, tuple(sorted(items, key=self.objective._sort_key)), bound)
+        """(space, sorted primitive integer coefficients, bound scaled along),
+        formed once per inequality; two inequalities with nonzero objectives
+        share it exactly when one is a positive multiple of the other."""
+        return self._key
 
-
-def _integer_form(ineq: LinearInequality) -> tuple[list, Fraction]:
-    """The objective's ``(key, coefficient)`` pairs, in its own order, as a
-    primitive integer row, and the bound scaled by the same positive factor.
-    The zero objective keeps its bound."""
-    items = list(ineq.objective.items())
-    if not items:
-        return [], ineq.bound
-    ints, scale = integer_row([v for _, v in items])
-    g = gcd(*ints)
-    return [(k, x // g) for (k, _), x in zip(items, ints)], ineq.bound * Fraction(scale, g)
+    @cached_property
+    def _key(self):
+        items = self.objective.sorted_items()
+        ints, scale = integer_row([v for _, v in items])
+        g = gcd(*ints) or 1  # the zero objective keeps its bound
+        coeffs = tuple([(k, x // g) for (k, _), x in zip(items, ints)])
+        return (self.space, coeffs, self.bound * Fraction(scale, g))
 
 
 @lru_cache(maxsize=None)
@@ -127,34 +122,38 @@ def _relabel(space: str, row: tuple[int, ...]):
     return lambda key: (row[1 << key[0]].bit_length() - 1, row[key[1]])
 
 
-def _relabeled(ineq: LinearInequality, row: tuple[int, ...]) -> LinearInequality:
+def _relabeled(ineq: LinearInequality, row: tuple[int, ...], key=None) -> LinearInequality:
     """The inequality with its coordinate keys relabeled, coefficients kept;
-    a relabeling maps the valid keys one to one onto valid keys."""
+    a relabeling maps the valid keys one to one onto valid keys.  ``key``,
+    if given, is the image's canonical key, and the image keeps it."""
     obj = ineq.objective
     relabel = _relabel(ineq.space, row)
     coords = {relabel(k): v for k, v in obj.items()}
-    return LinearInequality(type(obj)._from_valid(obj.gs, coords), ineq.bound, ineq.label)
+    image = LinearInequality(type(obj)._from_valid(obj.gs, coords), ineq.bound, ineq.label)
+    if key is not None:
+        image.__dict__["_key"] = key
+    return image
 
 
-def _orbit_rows(ineq: LinearInequality) -> list[tuple[int, ...]]:
-    """One relabeling per distinct image of the inequality, in canonical-key
-    order: the mask-image row of the first permutation that reaches it.  A
-    relabeling moves coefficients without changing them, so the primitive
-    integer row is taken once and serves every image."""
-    items, bound = _integer_form(ineq)
+def _orbit_rows(ineq: LinearInequality) -> list[tuple[tuple, tuple[int, ...]]]:
+    """One ``(canonical key, relabeling)`` pair per distinct image of the
+    inequality, in key order: the image's key and the mask-image row of the
+    first permutation that reaches it.  A relabeling moves coefficients
+    without changing them, so each image's key is the input's, relabeled."""
+    space, items, bound = ineq.canonical_key()
     sort_key = ineq.objective._sort_key
     seen = {}
     for row in _mask_images(ineq.gs.n):
-        relabel = _relabel(ineq.space, row)
+        relabel = _relabel(space, row)
         image = sorted([(relabel(k), v) for k, v in items], key=sort_key)
-        seen.setdefault((ineq.space, tuple(image), bound), row)
-    return [seen[key] for key in sorted(seen)]
+        seen.setdefault((space, tuple(image), bound), row)
+    return sorted(seen.items())
 
 
 def orbit(ineq: LinearInequality) -> list[LinearInequality]:
     """All distinct images of the inequality under node relabelings, sorted
     by canonical key."""
-    return [_relabeled(ineq, row) for row in _orbit_rows(ineq)]
+    return [_relabeled(ineq, row, key) for key, row in _orbit_rows(ineq)]
 
 
 # --- the basic facet families ------------------------------------------------
@@ -302,10 +301,10 @@ def _load_data(name: str) -> dict:
 def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry:
     char_obj = CharVector.from_json(gs, record["char"])
     char_ineq = LinearInequality(char_obj, as_fraction(record["bound"]), label=record["type_id"])
-    rows = _orbit_rows(char_ineq)
-    if len(rows) != record["count"]:
+    images = _orbit_rows(char_ineq)
+    if len(images) != record["count"]:
         raise BnPolyError(
-            f"catalog type {record['type_id']}: orbit has {len(rows)} members, "
+            f"catalog type {record['type_id']}: orbit has {len(images)} members, "
             f"expected {record['count']}"
         )
     cluster = None
@@ -315,8 +314,8 @@ def _build_entry(gs: GroundSet, record: dict, kind_default: str) -> CatalogEntry
     return CatalogEntry(
         type_id=record["type_id"],
         char_ineq=char_ineq,
-        char_orbit=tuple(_relabeled(char_ineq, row) for row in rows),
-        relabelings=tuple(rows),
+        char_orbit=tuple(_relabeled(char_ineq, row, key) for key, row in images),
+        relabelings=tuple(row for _, row in images),
         expected_orbit_size=record["count"],
         kind=kind,
         cluster=cluster,

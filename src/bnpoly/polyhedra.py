@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
 
 from .dags import Dag, enumerate_dags
 from .dd import Budget, _sign_normalize, extreme_rays
@@ -232,18 +231,10 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     def vector(coeffs):
         return cls._from_valid(vrep.gs, {k: Fraction(c) for k, c in zip(index, coeffs) if c})
 
-    # The canonical_key() of a ray's inequality, less the space, is its
-    # coefficients over their gcd g, the nonzero ones in index order (the key
-    # order of the class), and the bound over g.
-    keyed = []
-    for bound, *coeffs in rays:
-        g = gcd(*coeffs)
-        if not g:
-            continue  # the trivial valid inequality 0 <= u
-        items = tuple((k, c // g) for k, c in zip(index, coeffs) if c)
-        keyed.append(((items, Fraction(bound, g)), bound, coeffs))
-    keyed.sort(key=lambda entry: entry[0])
-    inequalities = [LinearInequality(vector(coeffs), bound, "facet") for _, bound, coeffs in keyed]
+    inequalities = [
+        LinearInequality(vector(coeffs), bound, "facet") for bound, *coeffs in rays if any(coeffs)
+    ]
+    inequalities.sort(key=LinearInequality.canonical_key)
     equations = [(vector(line[1:]), Fraction(line[0])) for line in lineality]
     return HRep(vrep.space, vrep.gs, tuple(inequalities), tuple(equations))
 

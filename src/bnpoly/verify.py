@@ -252,13 +252,10 @@ def _n4_checks(stretch: bool = False, budget: Budget | None = None) -> Iterator[
 
     # only the all-ones vertex is read; the facets' validity at every
     # vertex is left to the tests
-    one = [(1,) * len(cip.index)]
-    at_one = []
-    for q in chull.inequalities:
-        [value], bound = integer_values(q.objective, q.bound, one)
-        at_one.append(value == bound)
-    tight_one = [q for q, flag in zip(chull.inequalities, at_one) if flag]
-    rest = [q for q, flag in zip(chull.inequalities, at_one) if not flag]
+    ones = VRep("char", gs, ((1,) * len(cip.index),))
+    at_one = incidence(chull.inequalities, ones)
+    tight_one = [q for q, tight in zip(chull.inequalities, at_one) if tight]
+    rest = [q for q, tight in zip(chull.inequalities, at_one) if not tight]
     yield Check("facets containing the all-ones vertex", 37, len(tight_one), source="published")
 
     se_entries = catalog_se_n4()
@@ -266,7 +263,7 @@ def _n4_checks(stretch: bool = False, budget: Budget | None = None) -> Iterator[
         "one-vertex facets match the catalog",
         True,
         _facet_keyset(tight_one)
-        == {m.canonical_key() for e in se_entries for m in e.char_orbit},
+        == _facet_keyset(m for e in se_entries for m in e.char_orbit),
     )
     yield Check(
         "catalog orbit sizes",
@@ -280,7 +277,7 @@ def _n4_checks(stretch: bool = False, budget: Budget | None = None) -> Iterator[
         "remaining facets match the specific catalog",
         True,
         _facet_keyset(rest)
-        == {m.canonical_key() for e in spec_entries for m in e.char_orbit},
+        == _facet_keyset(m for e in spec_entries for m in e.char_orbit),
     )
     yield Check(
         "specific orbit sizes",

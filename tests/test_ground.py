@@ -366,6 +366,16 @@ def test_ground_refusals(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "cls, key", [(FamVector, (0, 2)), (CharVector, 0b011), (SetFunction, 0b001)]
+)
+@pytest.mark.parametrize("values", [(1, 0), (0, 1), (0, 0)])
+def test_a_coordinate_key_given_twice_is_refused_whatever_its_values(cls, key, values):
+    with pytest.raises(BnPolyError) as info:
+        cls(GroundSet.alpha(3), [(key, values[0]), (key, values[1])])
+    assert str(info.value) == f"duplicate coordinate key {key!r}"
+
+
 def test_family_keys_round_trip_for_every_printable_ascii_label_but_the_separator():
     for label in map(chr, range(0x20, 0x7F)):
         if label == "|":

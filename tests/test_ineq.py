@@ -33,6 +33,7 @@ from bnpoly.ineq import (
     orbit,
     paper_binom,
 )
+from bnpoly.linalg import integer_row
 from bnpoly.scoreeq import char_objective, is_se_objective
 from bnpoly.supermod import cluster_pairs, cluster_supermodular
 from bnpoly.scoreeq import objective_from_setfn
@@ -348,6 +349,23 @@ def test_orbit_matches_brute_force_relabeling(n):
         assert orbit(q) == _oracle_orbit(q), str(q)
 
 
+def _fresh_key(q):
+    return LinearInequality(q.objective, q.bound).canonical_key()
+
+
+def test_cached_and_handed_down_keys_equal_fresh_ones():
+    # catalog members and orbit images are handed the keys their orbits
+    # formed; each must be the key the member would form for itself
+    members = [m for e in catalog_se_n4() + catalog_specific_n4() for m in e.char_orbit]
+    for q in members:
+        assert q.canonical_key() == _fresh_key(q), str(q)
+    for n in (3, 4):
+        for q in _random_inequalities(GroundSet.alpha(n), random.Random(20 + n)):
+            assert q.canonical_key() == _fresh_key(q), str(q)
+            for image in orbit(q):
+                assert image.canonical_key() == _fresh_key(image), str(image)
+
+
 def test_canonical_key_is_the_primitive_multiple(gs4):
     rng = random.Random(5)
     for q in _random_inequalities(gs4, rng):
@@ -463,6 +481,30 @@ def test_cold_theorem3_n4_relabels_each_orbit_once(monkeypatch):
         catalog_se_n4.cache_clear()
         catalog_specific_n4.cache_clear()
     assert len(calls) == 11 == len(set(calls))
+
+
+def test_cold_verify_n4_forms_each_key_once(monkeypatch):
+    # the hull sort forms the keys of the 154 CIP facets and verify_n4 reads
+    # them from there; the catalog members keep the keys their orbits
+    # handed them, so no key is formed twice
+    import bnpoly.ineq as ineq_module
+
+    formed = []
+
+    def counting_integer_row(row):
+        formed.append(row)
+        return integer_row(row)
+
+    catalog_se_n4.cache_clear()
+    catalog_specific_n4.cache_clear()
+    try:
+        catalog_se_n4(), catalog_specific_n4()
+        monkeypatch.setattr(ineq_module, "integer_row", counting_integer_row)
+        assert verify_n4().passed
+    finally:
+        catalog_se_n4.cache_clear()
+        catalog_specific_n4.cache_clear()
+    assert len(formed) <= 154
 
 
 @pytest.mark.parametrize(

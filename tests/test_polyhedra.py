@@ -229,6 +229,15 @@ def test_n4_hull_facets_hold_at_every_vertex(n4_hulls, polytope):
         assert sum(tight >> one & 1 for tight in tight_sets) == 37
 
 
+def test_hull_facet_keys_equal_fresh_ones(gs3, n4_hulls):
+    # each facet's key is formed once, by the hull sort, and kept
+    hulls = [facets_from_vertices(build(gs3)) for build in (cip_vrep, fvp_vrep)]
+    hulls += [hull for _, hull in n4_hulls.values()]
+    for hull in hulls:
+        for q in hull.inequalities:
+            assert q.canonical_key() == LinearInequality(q.objective, q.bound).canonical_key()
+
+
 def test_hull_facets_keep_their_primitive_integer_rows(gs2):
     # conv{(0, 0), (1/2, 0), (0, 1/2)} over the family coordinates a|b, b|a:
     # the slanted facet's primitive ray is 2x + 2y <= 1, coefficients with
