@@ -27,7 +27,8 @@ The two composites are stated through them only:
 The module also holds the membership test and an exact-LP decision
 procedure for whether a set of DAGs is an SE face of the family-variable
 polytope.  An SE objective takes one value on a Markov equivalence class, so
-that LP has one row per class (and per side of the set), not one per DAG.
+an SE face is a union of classes: a set that splits a class is refused
+without an LP, and the LP has one row per class, not one per DAG.
 """
 
 from __future__ import annotations
@@ -120,6 +121,18 @@ def _setfn_row(graph: Dag, cai: list[int]) -> tuple[int, ...]:
     return tuple([row[S] for S in cai])
 
 
+def _class_rows(dags: list[Dag]) -> dict[tuple[int, ...], int]:
+    """The Markov classes of ``dags``, DAGs over one ground set: each
+    class's ``_setfn_row`` mapped to the bitmask of its DAGs' indices, in
+    order of each class's first DAG."""
+    cai = enumerate_cai(dags[0].gs)
+    classes: dict[tuple[int, ...], int] = {}
+    for i, g in enumerate(dags):
+        row = _setfn_row(g, cai)
+        classes[row] = classes.get(row, 0) | 1 << i
+    return classes
+
+
 # The face LP has a row per Markov class, 8782 at n = 5, but is built from
 # all 29281 DAGs there; the limit stays at 4 until n = 5 is measured under a
 # Budget.
@@ -132,7 +145,8 @@ def is_se_face(graphs: Iterable[Dag]) -> tuple[bool, FamVector | None]:
     up front with IndexFamilyMismatchError when the graphs live over
     different ground sets and with BudgetExceededError above
     MAX_SE_FACE_NODES nodes.  The set is read as a bitmask over the DAGs of
-    its ground set, in enumeration order, and decided by ``_se_face_lp``."""
+    its ground set, in enumeration order, and decided by ``_se_face_lp``
+    over their ``_class_rows``, so a set that splits a class solves no LP."""
     graphs = list(graphs)
     if not graphs:
         raise BnPolyError("need a nonempty set of graphs")
@@ -146,43 +160,44 @@ def is_se_face(graphs: Iterable[Dag]) -> tuple[bool, FamVector | None]:
         )
     face_keys = {g.parents for g in graphs}
     dags = enumerate_dags(gs)
-    cai = enumerate_cai(gs)
     face = sum(1 << i for i, g in enumerate(dags) if g.parents in face_keys)
-    return _se_face_lp(gs, [_setfn_row(g, cai) for g in dags], face)
+    return _se_face_lp(gs, _class_rows(dags), face)
 
 
 def _se_face_lp(
-    gs: GroundSet, rows: list[tuple[int, ...]], face: int
+    gs: GroundSet, classes: dict[tuple[int, ...], int], face: int
 ) -> tuple[bool, FamVector | None]:
     """Decide whether the DAGs at the bits of ``face`` make an SE face, where
-    ``rows`` holds the ``_setfn_row`` of every DAG over ``gs`` in
+    ``classes`` is the ``_class_rows`` of every DAG over ``gs`` in
     enumeration order.
 
-    Decided by an exact margin-maximization LP over the parametrizing vector
-    m (boxed to |m(S)| <= 1 to prevent unbounded scaling), the shared value u
-    and the margin t:  equality on the set, value <= u - t outside, maximize
-    t.  An SE objective takes one value on a Markov class, so the LP has one
-    row per distinct (class row, in the set) pair, placed at its first DAG;
-    a set that splits a class keeps both rows of that class and gets t <= 0.
-    The set is an SE face iff the optimum satisfies t > 0; a witness
-    objective is returned on success.
+    An SE objective takes one value on a Markov class, so a set that splits
+    a class is no SE face and is refused before any LP is built.  A union of
+    classes is decided by an exact margin-maximization LP over the
+    parametrizing vector m (boxed to |m(S)| <= 1 to prevent unbounded
+    scaling), the shared value u and the margin t:  equality on the set,
+    value <= u - t outside, maximize t, with one row per class in the order
+    of ``classes``.  The set is an SE face iff the optimum satisfies t > 0;
+    a witness objective is returned on success.
     """
-    if face == (1 << len(rows)) - 1:
-        # The whole polytope is a face of itself, with the zero SE objective.
-        return True, FamVector(gs, {})
-
     cai = enumerate_cai(gs)
     d = len(cai)
     # Variables: m_0 .. m_{d-1}, u, t.
     nvars = d + 2
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
-    for row, in_face in dict.fromkeys((row, face >> i & 1) for i, row in enumerate(rows)):
-        if in_face:
+    for row, members in classes.items():
+        inside = face & members
+        if inside == members:
             A_eq.append([*row, -1, 0])
             b_eq.append(0)
+        elif inside:
+            return False, None
         else:
             A_ub.append([*row, -1, 1])
             b_ub.append(0)
+    if not A_ub:
+        # The whole polytope is a face of itself, with the zero SE objective.
+        return True, FamVector(gs, {})
     for i in range(d):  # |m_i| <= 1
         for sign in (1, -1):
             row = [0] * nvars

@@ -28,7 +28,6 @@ from .ground import (
     bit,
     enumerate_cai,
     enumerate_family_indices,
-    iter_bits,
 )
 from .ineq import (
     LinearInequality,
@@ -53,7 +52,7 @@ from .polyhedra import (
     max_over_vertices,
     vertices_from_inequalities,
 )
-from .scoreeq import _se_face_lp, _setfn_row, char_objective, moebius_up, objective_from_setfn
+from .scoreeq import _class_rows, _se_face_lp, char_objective, moebius_up, objective_from_setfn
 from .supermod import cluster_pairs, is_extreme
 
 
@@ -343,11 +342,6 @@ def _fvp_star_summary(budget: Budget | None) -> tuple[int, int, list[bool]]:
 # --- pipeline: optimal-value reductions ---------------------------------------------
 
 
-def _random_se_objective(gs: GroundSet, rng: random.Random) -> FamVector:
-    m = CharVector(gs, {S: rng.randint(-5, 5) for S in enumerate_cai(gs)})
-    return objective_from_setfn(m)
-
-
 def verify_theorem3(n: int, trials: int, seed: int = 0) -> VerificationReport:
     """Maximizing a score-equivalent objective over the reduced constraint
     polyhedron (imset facets missing the zero vertex, in fam mode, plus
@@ -384,7 +378,9 @@ def _theorem3_checks(n: int, trials: int, seed: int = 0) -> Iterator[str | Check
     import random  # only this pipeline draws, so `import bnpoly` does not load it
 
     rng = random.Random(seed)
-    objectives = [_random_se_objective(gs, rng) for _ in range(trials)]
+    cai = enumerate_cai(gs)
+    setfns = [CharVector(gs, {S: rng.randint(-5, 5) for S in cai}) for _ in range(trials)]
+    objectives = [objective_from_setfn(m) for m in setfns]
     brute = [max_over_vertices(obj, fvp)[0] for obj in objectives]
     for name, hrep in variants.items():
         agree = sum(
@@ -598,49 +594,23 @@ def all_faces_by_tight_sets(vrep: VRep, hull: HRep) -> list[int]:
     """Every nonempty face of conv(points) as an int bitmask, bit i set when
     point i lies on the face: the whole polytope plus the closure of the
     tight sets of the ``hull`` facets under ``&``.  Faces come by size, then
-    by sorted index list."""
-    width = len(vrep.points)
+    by mask value."""
     # after the k-th tight set, faces holds the & of every subset of the first k
-    faces = {(1 << width) - 1}
+    faces = {(1 << len(vrep.points)) - 1}
     for tight in incidence(hull.inequalities, vrep):
         faces |= {face & tight for face in faces}
     faces.discard(0)
-    # Of two equal-sized masks, the one holding the lowest bit of their xor
-    # has the larger bit-reversed binary string; a stable sort by size follows.
-    by_index = sorted(faces, key=lambda f: f"{f:0{width}b}"[::-1], reverse=True)
-    return sorted(by_index, key=int.bit_count)
-
-
-def _markov_closed(faces: list[int], rows: list[tuple]) -> list[int]:
-    """The faces, bitmasks over the DAG indices, that are closed under Markov
-    equivalence: each class that meets the face, found by its lowest bit
-    left in the face, lies inside it.  ``rows`` holds each DAG's
-    ``_setfn_row``; equal rows are one Markov class."""
-    class_masks: dict[tuple, int] = {}
-    for i, row in enumerate(rows):
-        class_masks[row] = class_masks.get(row, 0) | 1 << i
-    class_at = {1 << i: mask for mask in class_masks.values() for i in iter_bits(mask)}
-    closed = []
-    for face in faces:
-        rest = face
-        while rest:
-            members = class_at[rest & -rest]
-            if face & members != members:
-                break
-            rest ^= members
-        else:
-            closed.append(face)
-    return closed
+    return sorted(sorted(faces), key=int.bit_count)
 
 
 def explore_conjecture(budget: Budget | None = None) -> VerificationReport:
     """Enumerate every face of the three-node family-variable polytope (no
-    larger one is feasible), keep those whose DAG sets are closed under Markov
-    equivalence, and confirm each admits a score-equivalent defining objective
-    (via the exact-LP face test).  One DAG list gives the vertices, so faces
-    are bitmasks over its indices from the tight-set closure to the LP, and
-    one list of its ``_setfn_row`` rows names the Markov classes and is what
-    every LP reads.  The budget bounds the facet enumeration."""
+    larger one is feasible), keep those that are unions of Markov classes,
+    and confirm each admits a score-equivalent defining objective (via the
+    exact-LP face test).  One DAG list gives the vertices, so faces are
+    bitmasks over its indices from the tight-set closure to the LP, and its
+    one ``_class_rows`` dict gives the unions and every LP's rows.  The
+    budget bounds the facet enumeration."""
     return _report(_conjecture_checks(budget))
 
 
@@ -653,11 +623,13 @@ def _conjecture_checks(budget: Budget | None = None) -> Iterator[str | Check]:
     yield Check("facet count", 17, len(hull.inequalities))
 
     faces = all_faces_by_tight_sets(fvp, hull)
-    cai = enumerate_cai(gs)
-    rows = [_setfn_row(g, cai) for g in dags]
-    closed_faces = _markov_closed(faces, rows)
+    classes = _class_rows(dags)
+    unions = {0}
+    for members in classes.values():
+        unions |= {union | members for union in unions}
+    closed_faces = [face for face in faces if face in unions]
 
-    violations = sum(not _se_face_lp(gs, rows, face)[0] for face in closed_faces)
+    violations = sum(not _se_face_lp(gs, classes, face)[0] for face in closed_faces)
     yield Check(
         "equivalence-closed faces that are not SE faces",
         0,
@@ -667,5 +639,5 @@ def _conjecture_checks(budget: Budget | None = None) -> Iterator[str | Check]:
 
     all_pairs = frozenset({(0, 1), (0, 2), (1, 2)})
     full_class = sum(1 << i for i, g in enumerate(dags) if g.adjacency_pairs() == all_pairs)
-    ok, witness = _se_face_lp(gs, rows, full_class)
+    ok, witness = _se_face_lp(gs, classes, full_class)
     yield Check("the class of complete graphs is an SE face", True, ok and witness is not None)

@@ -359,7 +359,8 @@ def test_catalog_and_encode_stdout_bytes_are_pinned(capsys, argv, digest):
 # sha256 of the `verify` text tables, with their exit codes.  The first three
 # are the benchmark's references; a check whose values are tuples prints them
 # in list brackets, as its JSON form does.  The stretch table exits 1 on its
-# known third-witness FAIL.
+# known third-witness FAIL.  The theorem3 tables pin the random objectives'
+# draws through their optima.
 @pytest.mark.parametrize(
     "argv, exit_code, digest",
     [
@@ -367,8 +368,12 @@ def test_catalog_and_encode_stdout_bytes_are_pinned(capsys, argv, digest):
         (("verify", "counterexample"), 0, "42148f78d5ea83c7fc07eec7d66cd8c5c81ffa04d22fd1f0f36a4a1c000aa775"),
         (("verify", "conjecture"), 0, "a96493aac27893bf2f3e371ca38f7fb12d801465d1d545d3ce31c7db0950664a"),
         (("verify", "n4", "--stretch"), 1, "cc56507531cfd5fd7a7898c3f0b3d6c0c4b8d843ab70926b7755569f2fc56b9c"),
+        (("verify", "n3"), 0, "2b9d159a2e535337d7464d5ab584395375deddc8db6139797943d7421c6d675b"),
+        (("verify", "theorem3", "--n", "3"), 0, "f034c776e44122e236d6c142e256680fe351dbac74e02764f0a42a76eb99a84c"),
+        (("verify", "theorem3", "--n", "4", "--trials", "25"), 0, "4b8d6054c85fed1e810d53db7acff732c88fcf42a701a13fbb64da26fab96027"),
+        (("verify", "theorem3", "--n", "5"), 0, "c76f3909cd64f6670cdd1af73e0086edb494917477e9d0180ce9f66c443f1cca"),
     ],
-    ids=["n4", "counterexample", "conjecture", "n4-stretch"],
+    ids=["n4", "counterexample", "conjecture", "n4-stretch", "n3", "theorem3-n3", "theorem3-n4", "theorem3-n5"],
 )
 def test_verify_table_stdout_bytes_are_pinned(capsys, argv, exit_code, digest):
     code, out, err = run_cli(capsys, *argv)

@@ -1,6 +1,8 @@
 import importlib
+import inspect
 import pkgutil
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -127,6 +129,12 @@ def test_vector_arithmetic(gs3):
     assert (x + y)[0b011] == Fraction(3, 2)
     assert (x - 2 * y)[0b011] == 0
     assert (-x)[0b111] == -2
+
+
+def test_vector_repr_lists_sorted_keys_and_exact_values(gs3):
+    x = FamVector(gs3, {(1, 0b001): -3, (0, 0b110): Fraction(1, 2)})
+    assert repr(x) == "FamVector({(0, 6): 1/2, (1, 1): -3})"
+    assert repr(CharVector(gs3, {})) == "CharVector({})"
 
 
 def test_scalar_product_zero(gs3):
@@ -323,6 +331,19 @@ def test_record_defaults_are_fields_with_hashable_values():
         assert set(cls._defaults) <= set(cls._fields), cls
         for value in cls._defaults.values():
             hash(value)
+
+
+def test_every_annotation_names_something_in_its_module_scope():
+    # Annotations are strings under ``from __future__ import annotations``, so
+    # one that names a module imported only inside a function fails here.
+    for info in pkgutil.iter_modules(bnpoly.__path__):
+        module = importlib.import_module(f"bnpoly.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for function in filter(inspect.isfunction, members):
+                typing.get_type_hints(function)
 
 
 @pytest.mark.parametrize(

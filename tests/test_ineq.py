@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
@@ -505,6 +506,52 @@ def test_cold_verify_n4_forms_each_key_once(monkeypatch):
         catalog_se_n4.cache_clear()
         catalog_specific_n4.cache_clear()
     assert len(formed) <= 154
+
+
+@pytest.mark.parametrize(
+    "build, name, edit, message",
+    [
+        (
+            catalog_se_n4,
+            "se_facets_n4.json",
+            lambda data: data["types"][0].update(count=7),
+            "catalog type se-cluster-ab-1: orbit has 6 members, expected 7",
+        ),
+        (
+            catalog_se_n4,
+            "se_facets_n4.json",
+            lambda data: data["types"].pop(0),
+            "SE catalog does not total 37 inequalities",
+        ),
+        (
+            catalog_specific_n4,
+            "specific_facets_n4.json",
+            lambda data: data["types"].pop(),
+            "specific catalog does not total 117 inequalities",
+        ),
+    ],
+    ids=["orbit-count", "se-total", "specific-total"],
+)
+def test_catalog_loader_refuses_a_data_file_that_miscounts(monkeypatch, build, name, edit, message):
+    import bnpoly.ineq as ineq_module
+
+    load = ineq_module._load_data
+
+    def edited(file_name):
+        data = load(file_name)
+        if file_name == name:
+            edit(data)
+        return data
+
+    monkeypatch.setattr(ineq_module, "_load_data", edited)
+    catalog_se_n4.cache_clear()
+    catalog_specific_n4.cache_clear()
+    try:
+        with pytest.raises(BnPolyError, match=f"^{re.escape(message)}$"):
+            build()
+    finally:
+        catalog_se_n4.cache_clear()
+        catalog_specific_n4.cache_clear()
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bnpoly import linalg, scoreeq, verify
+from bnpoly import linalg, scoreeq
 from bnpoly.dags import Dag, enumerate_dags, enumerate_equivalence_classes, equivalence_class
 from bnpoly.encodings import char_bits, char_from_fam, fam_vector, standard_imset
 from bnpoly.errors import (
@@ -295,11 +295,10 @@ def test_se_face_witnesses_isolate_every_closed_n3_face(gs3):
 
 def test_the_mask_lp_agrees_with_is_se_face_on_every_closed_n3_face(gs3):
     dags = enumerate_dags(gs3)
-    cai = enumerate_cai(gs3)
-    rows = [scoreeq._setfn_row(g, cai) for g in dags]
+    classes = scoreeq._class_rows(dags)
     for face in _closed_n3_faces(dags):
         mask = sum(1 << i for i in face)
-        assert scoreeq._se_face_lp(gs3, rows, mask) == is_se_face([dags[i] for i in face])
+        assert scoreeq._se_face_lp(gs3, classes, mask) == is_se_face([dags[i] for i in face])
 
 
 def test_the_conjecture_pipeline_builds_each_dag_row_once(monkeypatch):
@@ -312,7 +311,6 @@ def test_the_conjecture_pipeline_builds_each_dag_row_once(monkeypatch):
         return setfn_row(graph, cai)
 
     monkeypatch.setattr(scoreeq, "_setfn_row", counting)
-    monkeypatch.setattr(verify, "_setfn_row", counting)
     assert explore_conjecture().passed
     assert len(calls) == len(set(calls)) == 25
 
@@ -381,6 +379,34 @@ def test_a_set_that_splits_a_class_is_not_an_se_face(n, se_face_per_dag):
         for graphs in (members[1:], members[:1]):
             assert is_se_face(graphs) == (False, None)
             assert se_face_per_dag(graphs, all_dags=dags) == (False, None)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_set_that_splits_a_class_solves_no_lp(n, monkeypatch):
+    def never(*_, **__):
+        raise AssertionError("a set that splits a class needs no LP")
+
+    monkeypatch.setattr(scoreeq, "solve_lp", never)
+    gs = GroundSet.alpha(n)
+    assert is_se_face([dag(gs, b="a")]) == (False, None)  # half the class of a - b
+    assert is_se_face([dag(gs, a="b"), dag(gs)]) == (False, None)
+
+
+@pytest.mark.parametrize("n, count", [(3, 11), (4, 185)])
+def test_class_rows_partition_the_dags_into_markov_classes(n, count):
+    gs = GroundSet.alpha(n)
+    dags = enumerate_dags(gs)
+    cai = enumerate_cai(gs)
+    classes = scoreeq._class_rows(dags)
+    assert len(classes) == count
+    masks = list(classes.values())
+    assert sum(masks) == (1 << len(dags)) - 1  # disjoint and covering
+    assert all(a & b == 0 for i, a in enumerate(masks) for b in masks[i + 1 :])
+    firsts = [mask & -mask for mask in masks]
+    assert firsts == sorted(firsts)
+    for row, mask in classes.items():
+        assert all(scoreeq._setfn_row(dags[i], cai) == row for i in iter_bits(mask))
+        assert len({char_bits(dags[i]) for i in iter_bits(mask)}) == 1
 
 
 def test_a_partial_dag_list_misleads_only_the_per_dag_oracle(gs3, se_face_per_dag):

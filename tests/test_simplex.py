@@ -6,7 +6,7 @@ import pytest
 from bnpoly import polyhedra, scoreeq, simplex, verify
 from bnpoly.dags import enumerate_dags
 from bnpoly.errors import BnPolyError
-from bnpoly.ground import FamVector, GroundSet, enumerate_cai, iter_bits
+from bnpoly.ground import CharVector, FamVector, GroundSet, enumerate_cai, iter_bits
 from bnpoly.ineq import LinearInequality, catalog_specific_n4
 from bnpoly.polyhedra import (
     HRep,
@@ -17,7 +17,6 @@ from bnpoly.polyhedra import (
 )
 from bnpoly.simplex import LpResult, _check_certificate, solve_lp
 from bnpoly.verify import (
-    _random_se_objective,
     _se_relaxation,
     explore_conjecture,
     verify_theorem3,
@@ -223,7 +222,10 @@ def test_n4_reduced_polyhedron_starts_feasible():
         q for e in catalog_specific_n4() if e.char_ineq.bound != 0 for q in e.fam_orbit()
     ]
     hrep = HRep("fam", gs, tuple(rows))
-    objective = _random_se_objective(gs, random.Random(0))
+    rng = random.Random(0)
+    objective = scoreeq.objective_from_setfn(
+        CharVector(gs, {S: rng.randint(-5, 5) for S in enumerate_cai(gs)})
+    )
     A_ub, b_ub, _, _ = hrep.matrix()
     c = [objective[key] for key in hrep.index]
     r = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
@@ -342,8 +344,10 @@ def test_se_face_lps_pivot_totals(gs3, se_face_per_dag, monkeypatch):
     dags = enumerate_dags(gs3)
     fvp = fvp_vrep(gs3)
     faces = verify.all_faces_by_tight_sets(fvp, facets_from_vertices(fvp))
-    cai = enumerate_cai(gs3)
-    closed = verify._markov_closed(faces, [scoreeq._setfn_row(g, cai) for g in dags])
+    unions = {0}
+    for members in scoreeq._class_rows(dags).values():
+        unions |= {union | members for union in unions}
+    closed = [face for face in faces if face in unions]
     full_class = [g for g in dags if len(g.adjacency_pairs()) == 3]
     sets = [[dags[i] for i in iter_bits(face)] for face in closed] + [full_class]
     results = _lp_results(monkeypatch, lambda: [se_face_per_dag(g, all_dags=dags) for g in sets])

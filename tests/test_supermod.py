@@ -320,6 +320,16 @@ def test_is_supermodular_matches_pairwise_set_definition():
             NotSupermodularError,
             "set function is not standardized",
         ),
+        (
+            lambda gs3: core_vertices(SetFunction(gs3, {0b001: 1})),
+            NotSupermodularError,
+            "set function is not standardized",
+        ),
+        (
+            lambda gs3: core_vertices(SetFunction(gs3, {0b011: -1})),
+            NotSupermodularError,
+            "set function is not supermodular",
+        ),
         # is_matroid_rank is False on r(empty) = 1 and on r({a}) = 2
         (
             lambda gs3: is_connected_matroid(SetFunction(gs3, {0: 1, 0b001: 1}), 0b001),
@@ -334,6 +344,8 @@ def test_is_supermodular_matches_pairwise_set_definition():
     ],
     ids=[
         "extreme-not-standardized",
+        "core-not-standardized",
+        "core-not-supermodular",
         "connected-matroid-with-a-nonzero-empty-rank",
         "connected-matroid-with-a-step-of-two",
     ],

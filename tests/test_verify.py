@@ -12,13 +12,12 @@ from bnpoly.encodings import char_bits
 from bnpoly.errors import BudgetExceededError
 from bnpoly.ground import GroundSet, enumerate_cai, iter_bits
 from bnpoly.polyhedra import facets_from_vertices, fvp_vrep, incidence
-from bnpoly.scoreeq import _setfn_row
+from bnpoly.scoreeq import _class_rows
 from bnpoly.verify import (
     Check,
     VerificationReport,
     _dimension_witnesses,
     _fvp_star_summary,
-    _markov_closed,
     all_faces_by_tight_sets,
     explore_conjecture,
     verify_counterexample,
@@ -262,7 +261,7 @@ def test_face_lattice_masks_match_frozenset_closure(gs3):
             if smaller and smaller not in expected:
                 expected.add(smaller)
                 frontier.append(smaller)
-    expected = sorted(expected, key=lambda f: (len(f), sorted(f)))
+    expected = sorted(expected, key=lambda f: (len(f), sum(1 << i for i in f)))
 
     masks = all_faces_by_tight_sets(fvp, hull)
     decoded = [frozenset(iter_bits(m)) for m in masks]
@@ -278,9 +277,10 @@ def test_face_lattice_masks_match_frozenset_closure(gs3):
         if {i for i in range(len(dags)) if class_of[i] in signatures} == set(face):
             closed.append(face)
     assert len(closed) == 93
-    cai = enumerate_cai(gs3)
-    rows = [_setfn_row(g, cai) for g in dags]
-    assert [frozenset(iter_bits(m)) for m in _markov_closed(masks, rows)] == closed
+    unions = {0}
+    for members in _class_rows(dags).values():
+        unions |= {union | members for union in unions}
+    assert [frozenset(iter_bits(m)) for m in masks if m in unions] == closed
 
 
 def test_spent_budget_under_stretch_raises():
