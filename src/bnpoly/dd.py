@@ -12,10 +12,12 @@ points of a coordinate face (zero past that coordinate), so the
 intermediate cones describe the hulls of faces, which stay small.  The
 column order of the rows picks that chain of faces, and the rule reads
 only the rows: :func:`bnpoly.polyhedra.facets_from_vertices` lifts the
-coordinates densest first, so the sparse ones come last.  The n = 4
-characteristic-imset hull (185 rows) peaks at 362 intermediate rays (656
-in plain colex order), the n = 4 family-variable hull (543 rows) at 422
-(505 with the coordinates in index order), and the 69-constraint
+coordinates densest first, so the sparse ones come last, and breaks
+density ties by the column's zero/nonzero pattern.  The n = 4
+characteristic-imset hull (185 rows) peaks at 384 intermediate rays (362
+with density ties in index order, 656 in plain colex order), the n = 4
+family-variable hull (543 rows) at 324 (422 with ties in index order, 505
+with the coordinates in index order), and the 69-constraint
 score-equivalence relaxation at n = 4, which vertex enumeration passes in
 index order, at 1336, where lexicographic order peaks at about 30 000.
 While the intermediate cone still contains lines, each new constraint cuts
@@ -231,16 +233,16 @@ def _cover_index(rays: list[list]) -> tuple[list[tuple[int, int]], list[int]]:
     """``(entries, ends)``: the rays' (index, zero set) pairs by decreasing
     zero-set size, ties by index, and ``ends[s]``, the number of zero sets
     with at least s rows.  A zero set of fewer rows than ``common`` cannot
-    contain it, so a cover of a set of s rows is among ``entries[:ends[s]]``."""
-    by_size = sorted(
-        [(-zeros.bit_count(), i, zeros) for i, (_, zeros) in enumerate(rays)]
-    )
-    ends = [0] * (1 - by_size[0][0])
-    for neg_size, _, _ in by_size:
-        ends[-neg_size] += 1  # zero sets of exactly that size
-    for s in range(len(ends) - 2, -1, -1):
-        ends[s] += ends[s + 1]  # and of every larger size
-    return [(i, zeros) for _, i, zeros in by_size], ends
+    contain it, so a cover of a set of s rows is among ``entries[:ends[s]]``.
+    One pass buckets the rays by size in index order, so no sort is made."""
+    buckets = {}
+    for i, (_, zeros) in enumerate(rays):
+        buckets.setdefault(zeros.bit_count(), []).append((i, zeros))
+    entries, ends = [], [0] * (1 + max(buckets))
+    for s in range(len(ends) - 1, -1, -1):
+        entries += buckets.get(s, ())
+        ends[s] = len(entries)
+    return entries, ends
 
 
 def _cover_zeroset(

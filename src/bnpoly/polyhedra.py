@@ -205,8 +205,10 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     ray 0 <= u is dropped).
 
     The points are lifted with their coordinates in decreasing order of
-    how many points are nonzero there (ties in index order), and the rays
-    and lineality are mapped back to index order.  The double description
+    how many points are nonzero there, ties broken by the column's
+    zero/nonzero pattern over the points (ascending, so a column whose
+    first nonzero comes later goes first), and the rays and lineality are
+    mapped back to index order.  The double description
     inserts the lifted rows grouped by their last nonzero coordinate, so
     the sparse coordinates come last and the intermediate cones stay small.
     The output depends only on the point set: a full-dimensional hull's
@@ -217,8 +219,8 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
         raise BnPolyError("convex hull of an empty point set is undefined")
     cls = vector_class(vrep.space)
     index = cls.index(vrep.gs)
-    density = [sum(map(bool, column)) for column in zip(*vrep.points)]
-    order = sorted(range(len(index)), key=lambda j: -density[j])
+    pattern = [tuple(map(bool, column)) for column in zip(*vrep.points)]
+    order = sorted(range(len(index)), key=lambda j: (-sum(pattern[j]), pattern[j]))
     rows = [(1,) + tuple(-p[j] for j in order) for p in vrep.points]
     rays, lineality = extreme_rays(rows, len(index) + 1, budget=budget)
     # coordinate j sits at lifted position 1 + order.index(j)

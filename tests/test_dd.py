@@ -224,6 +224,22 @@ def test_split_with_lineality_and_empty_common_set():
     assert lin == [(0, 0, 0, 1), (0, 0, 1, 0)]
 
 
+def test_cover_index_orders_by_size_then_index():
+    # The bucketed index lists the zero sets as the sort by (-size, index)
+    # does, and ends[s] counts those of at least s rows.
+    rng = random.Random(38)
+    for _ in range(200):
+        width = rng.randint(1, 12)
+        rays = [[(), rng.getrandbits(width)] for _ in range(rng.randint(1, 30))]
+        entries, ends = dd._cover_index(rays)
+        by_size = sorted((-z.bit_count(), i, z) for i, (_, z) in enumerate(rays))
+        assert entries == [(i, z) for _, i, z in by_size]
+        top = max(z.bit_count() for _, z in rays)
+        assert len(ends) == top + 1
+        for s in range(top + 1):
+            assert ends[s] == sum(z.bit_count() >= s for _, z in rays)
+
+
 def _spy_cover_scans(monkeypatch):
     """Record each cover scan as (common, prefix end, ray count, rays in the
     prefix other than the pair)."""
@@ -376,8 +392,9 @@ def test_row_permutation_invariance(name):
 # their last negative entry, then colex: 362 for the n=4 CIP hull and 505 for
 # the n=4 FVP hull lifted in index order, against 656 and 633 in plain colex
 # order and 590 and 1768 in lexicographic order.  facets_from_vertices lifts
-# the coordinates densest first, which is the index order on the CIP and
-# cuts the FVP hull's peak to 422 (its cap of 640 is in test_polyhedra.py).
+# the coordinates densest first, density ties by column pattern, which takes
+# the CIP hull's peak to 384 and cuts the FVP hull's to 324 (422 with ties
+# in index order; its caps of 640 and 400 are in test_polyhedra.py).
 # The caps leave about 1.5x headroom, so an insertion order that lets the
 # intermediate cone grow fails here within seconds instead of running on.
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -200,8 +201,10 @@ def test_hull_counts(gs3):
 @pytest.fixture(scope="module")
 def n4_hulls(gs4):
     """The n = 4 vertex lists and hulls, each hull built once for this module.
-    Lifted densest first, the FVP hull peaks at 422 intermediate rays (505
-    in index order); the cap leaves about 1.5x headroom."""
+    Lifted densest first, density ties by column pattern, the FVP hull
+    peaks at 324 intermediate rays (422 with ties in index order, 505 in
+    index order); the cap of 640 leaves room to spare, and
+    test_n4_hulls_peak_under_tight_ray_caps holds the hull to 400."""
     cip, fvp = cip_vrep(gs4), fvp_vrep(gs4)
     return {
         "cip": (cip, facets_from_vertices(cip)),
@@ -236,6 +239,40 @@ def test_hull_facet_keys_equal_fresh_ones(gs3, n4_hulls):
     for hull in hulls:
         for q in hull.inequalities:
             assert q.canonical_key() == LinearInequality(q.objective, q.bound).canonical_key()
+
+
+def test_n4_hulls_peak_under_tight_ray_caps(gs4):
+    # Densest first with density ties broken by column pattern, the FVP
+    # hull peaks at 324 intermediate rays and the CIP hull at 384.  With
+    # ties in index order the FVP hull peaked at 422 and raised here.
+    fvp = facets_from_vertices(fvp_vrep(gs4), budget=Budget(max_rays=400))
+    assert len(fvp.inequalities) == 135
+    cip = facets_from_vertices(cip_vrep(gs4), budget=Budget(max_rays=500))
+    assert len(cip.inequalities) == 154
+
+
+# Four points over the characteristic coordinates ab, ac, bc, abc at n = 3.
+# The columns hold 2, 2, 3 and 1 nonzeros; the two columns of density 2 are
+# (1, 0, 1, 0) at ab and (0, 1, 1, 0) at ac, so ac, whose first nonzero
+# comes later, is lifted before ab.
+_DENSITY_TIE = ((1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 1, 0), (0, 0, 0, 0))
+
+
+def test_lifting_breaks_density_ties_by_column_pattern(gs3, monkeypatch):
+    lifted = []
+
+    def spy(rows, dim, budget=None):
+        lifted.append(rows)
+        return extreme_rays(rows, dim, budget=budget)
+
+    monkeypatch.setattr("bnpoly.polyhedra.extreme_rays", spy)
+    expected = facets_from_vertices(VRep("char", gs3, _DENSITY_TIE))
+    order = (2, 1, 0, 3)  # density 3, the tie by pattern, density 1
+    assert lifted == [[(1,) + tuple(-p[j] for j in order) for p in _DENSITY_TIE]]
+    # Permuting the points permutes the patterns, and so may change the
+    # lifted order, but not the hull.
+    for points in itertools.permutations(_DENSITY_TIE):
+        assert facets_from_vertices(VRep("char", gs3, points)) == expected
 
 
 def test_hull_facets_keep_their_primitive_integer_rows(gs2):

@@ -284,7 +284,7 @@ def test_face_lattice_masks_match_frozenset_closure(gs3):
 
 
 def test_spent_budget_under_stretch_raises():
-    # The CIP and FVP hulls stay under the cap (362 and 505 intermediate
+    # The CIP and FVP hulls stay under the cap (384 and 324 intermediate
     # rays) and the relaxation passes it: the spent budget reaches the
     # caller instead of turning the relaxation checks into skips.
     with pytest.raises(BudgetExceededError):
