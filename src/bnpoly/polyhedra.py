@@ -214,7 +214,10 @@ def facets_from_vertices(vrep: VRep, budget: Budget | None = None) -> HRep:
     The output depends only on the point set: a full-dimensional hull's
     primitive rays are unique, and otherwise the equations are brought to
     reduced echelon form and the facets reduced to zero at its pivots (see
-    :func:`_reduced_echelon`)."""
+    :func:`_reduced_echelon`).  The work does not: the patterns are read
+    over the points in the order given, so another order of the same points
+    can change the intermediate cones and whether ``budget`` runs out (see
+    :mod:`bnpoly.dd`)."""
     if not vrep.points:
         raise BnPolyError("convex hull of an empty point set is undefined")
     cls = vector_class(vrep.space)

@@ -33,9 +33,7 @@ without an LP, and the LP has one row per class, not one per DAG.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from functools import lru_cache
-from types import MappingProxyType
+from collections.abc import Iterable
 
 from .dags import Dag, enumerate_dags
 from .errors import (
@@ -123,7 +121,7 @@ def _setfn_row(graph: Dag, cai: list[int]) -> tuple[int, ...]:
     return tuple([row[S] for S in cai])
 
 
-def _class_rows(dags: Sequence[Dag]) -> dict[tuple[int, ...], int]:
+def _class_rows(dags: list[Dag]) -> dict[tuple[int, ...], int]:
     """The Markov classes of ``dags``, DAGs over one ground set: each
     class's ``_setfn_row`` mapped to the bitmask of its DAGs' indices, in
     order of each class's first DAG."""
@@ -133,15 +131,6 @@ def _class_rows(dags: Sequence[Dag]) -> dict[tuple[int, ...], int]:
         row = _setfn_row(g, cai)
         classes[row] = classes.get(row, 0) | 1 << i
     return classes
-
-
-@lru_cache(maxsize=8)
-def _dag_classes(gs: GroundSet) -> tuple[tuple[Dag, ...], Mapping[tuple[int, ...], int]]:
-    """The DAGs over ``gs`` in enumeration order and their ``_class_rows``,
-    built once per ground set; the partition is read-only, since every
-    caller shares it."""
-    dags = tuple(enumerate_dags(gs))
-    return dags, MappingProxyType(_class_rows(dags))
 
 
 # The face LP has a row per Markov class, 8782 at n = 5, but is built from
@@ -170,13 +159,13 @@ def is_se_face(graphs: Iterable[Dag]) -> tuple[bool, FamVector | None]:
             f" it stops at n = {MAX_SE_FACE_NODES}"
         )
     face_keys = {g.parents for g in graphs}
-    dags, classes = _dag_classes(gs)
+    dags = enumerate_dags(gs)
     face = sum(1 << i for i, g in enumerate(dags) if g.parents in face_keys)
-    return _se_face_lp(gs, classes, face)
+    return _se_face_lp(gs, _class_rows(dags), face)
 
 
 def _se_face_lp(
-    gs: GroundSet, classes: Mapping[tuple[int, ...], int], face: int
+    gs: GroundSet, classes: dict[tuple[int, ...], int], face: int
 ) -> tuple[bool, FamVector | None]:
     """Decide whether the DAGs at the bits of ``face`` make an SE face, where
     ``classes`` is the ``_class_rows`` of every DAG over ``gs`` in

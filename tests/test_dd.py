@@ -394,7 +394,8 @@ def test_row_permutation_invariance(name):
 # order and 590 and 1768 in lexicographic order.  facets_from_vertices lifts
 # the coordinates densest first, density ties by column pattern, which takes
 # the CIP hull's peak to 384 and cuts the FVP hull's to 324 (422 with ties
-# in index order; its caps of 640 and 400 are in test_polyhedra.py).
+# in index order; the caps of 500 and 400 in test_polyhedra.py's n4_hulls
+# fixture hold the rule, and the cap of 640 a shuffle of the FVP points).
 # The caps leave about 1.5x headroom, so an insertion order that lets the
 # intermediate cone grow fails here within seconds instead of running on.
 @pytest.mark.parametrize(

@@ -315,32 +315,6 @@ def test_the_conjecture_pipeline_builds_each_dag_row_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 25
 
 
-def test_is_se_face_builds_the_class_rows_once_per_ground_set(gs4, monkeypatch):
-    # Two calls at n = 4 read one partition: 543 rows in all, not 543 a call.
-    whole = [dag(gs4, b="a"), dag(gs4, a="b")]  # the class of a - b
-    half = whole[:1]
-    dags = enumerate_dags(gs4)
-    classes = scoreeq._class_rows(dags)
-    expected = [
-        scoreeq._se_face_lp(gs4, classes, sum(1 << dags.index(g) for g in graphs))
-        for graphs in (whole, half)
-    ]
-    assert expected[0][0] and expected[1] == (False, None)
-    calls = []
-    setfn_row = scoreeq._setfn_row
-
-    def counting(graph, cai):
-        calls.append(graph.parents)
-        return setfn_row(graph, cai)
-
-    monkeypatch.setattr(scoreeq, "_setfn_row", counting)
-    scoreeq._dag_classes.cache_clear()
-    assert [is_se_face(whole), is_se_face(half)] == expected
-    assert len(calls) == len(set(calls)) == 543
-    with pytest.raises(TypeError):  # every caller shares the partition
-        scoreeq._dag_classes(gs4)[1][()] = 0
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_setfn_row_is_delta_n_minus_the_standard_imset(n):
     gs = GroundSet.alpha(n)
